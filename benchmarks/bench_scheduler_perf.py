@@ -132,28 +132,45 @@ def test_bench_dependence_analysis(benchmark):
     assert relations
 
 
-def test_bench_pipeline_passes_and_cache(benchmark):
-    """Full-pipeline compile cost with the pass manager: round 1 populates
-    the content-keyed schedule cache, round 2 rebuilds *equal* (but
-    distinct) kernels and must be served from it.  The artifact captures
-    the per-pass time breakdown and the cache hit-rate so the perf
-    trajectory of the pass-manager refactor shows up in BENCH_* runs."""
+def _compile_cases(pipeline):
+    # Fresh kernel objects on every call: only content equality can hit
+    # the schedule cache.
+    return [pipeline.compile(CASES[case](), "infl") for case in CASES]
+
+
+def test_bench_pipeline_cold(benchmark):
+    """Full-pipeline compile cost with nothing to reuse: each round gets a
+    fresh pipeline, so its schedule cache is empty and every schedule is
+    solved.  This is the series where solver changes show.  The warm-up
+    round fills the process-global memos (dependences, Farkas
+    linearizations, emptiness answers), so every measured round starts from
+    the same state."""
+    from repro.pipeline import AkgPipeline
+
+    def fresh_pipeline():
+        return (AkgPipeline(sample_blocks=2),), {}
+
+    compiled = benchmark.pedantic(_compile_cases, setup=fresh_pipeline,
+                                  rounds=10, warmup_rounds=1, iterations=1)
+    assert all(c.n_launches >= 1 for c in compiled)
+
+
+def test_bench_pipeline_warm(benchmark):
+    """Full-pipeline compile cost served from the content-keyed schedule
+    cache: one untimed compile fills it, then every round rebuilds *equal*
+    (but distinct) kernels and must hit.  The artifact captures the
+    per-pass time breakdown and the cache hit-rate so the perf trajectory
+    of the pass manager shows up in BENCH_* runs."""
     from repro.pipeline import AkgPipeline
 
     pipeline = AkgPipeline(sample_blocks=2)
-
-    def run():
-        compiled = []
-        for case in CASES:
-            # Fresh kernel objects each round: only content equality can hit.
-            kernel = CASES[case]()
-            compiled.append(pipeline.compile(kernel, "infl"))
-        return compiled
-
-    compiled = benchmark.pedantic(run, rounds=2, iterations=1)
+    _compile_cases(pipeline)
+    misses = pipeline.cache.stats()["misses"]
+    compiled = benchmark.pedantic(_compile_cases, args=(pipeline,),
+                                  rounds=20, warmup_rounds=1, iterations=1)
     assert all(c.n_launches >= 1 for c in compiled)
     stats = pipeline.cache.stats()
-    assert stats["hits"] > 0, "second round must hit the content cache"
+    assert stats["misses"] == misses, "warm rounds must hit the content cache"
     # The summary includes the solver warm-start and dedup hit-rate lines,
     # so reuse behaviour lands in the artifact alongside the pass table.
     summary = pipeline.context.format_summary()

@@ -20,7 +20,7 @@ from repro.obs.logutil import logger
 from repro.obs.runtime import get_obs
 from repro.solver.ilp import BranchLimitExceeded, integer_feasible
 from repro.solver.lp import LinearProgram, LPStatus, solve_lp
-from repro.solver.problem import Constraint, LinExpr, var
+from repro.solver.problem import Constraint, LinExpr, lower_constraints, var
 
 # Memoized emptiness answers, keyed by canonical form.  Bounded; cleared
 # wholesale when it grows past the cap (simple and good enough here).
@@ -81,27 +81,15 @@ class Polyhedron:
     # -- queries --------------------------------------------------------------
 
     def _to_lp(self) -> LinearProgram:
-        index = {d: i for i, d in enumerate(self.dims)}
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for c in self.constraints:
-            row = [Fraction(0)] * len(self.dims)
-            for name, coeff in c.expr.coeffs.items():
-                row[index[name]] = coeff
-            rhs = -c.expr.const
-            if c.sense == "<=":
-                a_ub.append(row)
-                b_ub.append(rhs)
-            elif c.sense == ">=":
-                a_ub.append([-x for x in row])
-                b_ub.append(-rhs)
-            else:
-                a_eq.append(row)
-                b_eq.append(rhs)
-        return LinearProgram(
-            objective=[Fraction(0)] * len(self.dims),
-            a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-            lower=[None] * len(self.dims), upper=[None] * len(self.dims),
-        )
+        """The set as a zero-objective program over free variables."""
+        width = len(self.dims)
+        a_ub, b_ub, a_eq, b_eq, int_rows = lower_constraints(
+            self.constraints, {d: i for i, d in enumerate(self.dims)}, width)
+        # Constraint coefficients are exact Fractions (LinExpr coerces on
+        # entry), so the re-validating public constructor is skipped.
+        return LinearProgram._trusted(
+            [Fraction(0)] * width, a_ub, b_ub, a_eq, b_eq,
+            [None] * width, [None] * width, int_rows)
 
     def canonical(self) -> tuple:
         """A hashable canonical form (dims + sorted constraint signatures).
@@ -139,14 +127,14 @@ class Polyhedron:
         return result
 
     def _is_empty_uncached(self, integer: bool, max_nodes: int) -> bool:
-        lp = self._to_lp()
+        lp = self._to_lp()  # zero objective: this is also the ILP's root
         result = solve_lp(lp)
         if result.status is LPStatus.INFEASIBLE:
             return True
         if not integer:
             return False
         try:
-            return not integer_feasible(lp, max_nodes=max_nodes)
+            return not integer_feasible(lp, max_nodes=max_nodes, root=result)
         except BranchLimitExceeded:
             # Rational-feasible but the integer search blew its node cap:
             # conservatively report non-empty (at worst a spurious
@@ -171,13 +159,8 @@ class Polyhedron:
 
     def sample(self, box: int = 1000) -> Optional[dict[str, Fraction]]:
         """An integer point with all coordinates in ``[-box, box]`` or None."""
-        lp = self._to_lp()
-        boxed = LinearProgram(
-            objective=lp.objective,
-            a_ub=lp.a_ub, b_ub=lp.b_ub, a_eq=lp.a_eq, b_eq=lp.b_eq,
-            lower=[Fraction(-box)] * len(self.dims),
-            upper=[Fraction(box)] * len(self.dims),
-        )
+        boxed = self._to_lp().with_bounds([Fraction(-box)] * len(self.dims),
+                                          [Fraction(box)] * len(self.dims))
         from repro.solver.ilp import solve_ilp
         result = solve_ilp(boxed)
         if result.status is not LPStatus.OPTIMAL:

@@ -9,7 +9,6 @@ termination.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -19,25 +18,6 @@ from repro.solver.budget import get_budget
 from repro.solver.lp import LinearProgram, LPResult, LPStatus, solve_lp
 
 __all__ = ["BranchLimitExceeded", "solve_ilp", "integer_feasible"]
-
-
-def _with_bounds(lp: LinearProgram, lower: list, upper: list) -> LinearProgram:
-    """A bounds-override node LP sharing ``lp``'s (read-only) matrices.
-
-    ``dataclasses.replace`` would re-run ``__post_init__`` — revalidating
-    and re-converting the entire constraint matrix on every branch-and-bound
-    node.  All values already are exact :class:`Fraction`s here, so the node
-    LP is assembled directly.
-    """
-    node = object.__new__(LinearProgram)
-    node.objective = lp.objective
-    node.a_ub = lp.a_ub
-    node.b_ub = lp.b_ub
-    node.a_eq = lp.a_eq
-    node.b_eq = lp.b_eq
-    node.lower = lower
-    node.upper = upper
-    return node
 
 
 def _report_bb_nodes(nodes: int) -> None:
@@ -107,7 +87,7 @@ def solve_ilp(lp: LinearProgram,
             if presolved is not None:
                 result = presolved
             else:
-                result = solve_lp(_with_bounds(lp, list(lower), list(upper)))
+                result = solve_lp(lp.with_bounds(list(lower), list(upper)))
             if result.status is not LPStatus.OPTIMAL:
                 continue
             if best is not None and result.objective >= best.objective:
@@ -137,17 +117,22 @@ def solve_ilp(lp: LinearProgram,
 
 def integer_feasible(lp: LinearProgram,
                      integer_mask: Optional[Sequence[bool]] = None,
-                     max_nodes: int = 100_000) -> bool:
+                     max_nodes: int = 100_000,
+                     root: Optional[LPResult] = None) -> bool:
     """True iff the system has a (mixed-)integer point.
 
     The objective of ``lp`` is ignored; feasibility is checked with a zero
     objective so branch and bound stops at the first integral point.
+    ``root`` is that zero-objective relaxation's result when the caller has
+    already solved it (``solve_lp`` of ``lp`` with its objective zeroed);
+    it is then not solved a second time.
     """
-    zero_obj = replace(lp, objective=[Fraction(0)] * lp.n_vars)
+    zero_obj = lp.with_objective([Fraction(0)] * lp.n_vars)
     if integer_mask is None:
         integer_mask = [True] * lp.n_vars
 
-    root = solve_lp(zero_obj)
+    if root is None:
+        root = solve_lp(zero_obj)
     if root.status is not LPStatus.OPTIMAL:
         return False
 
@@ -165,8 +150,7 @@ def integer_feasible(lp: LinearProgram,
             if presolved is not None:
                 result = presolved
             else:
-                result = solve_lp(
-                    _with_bounds(zero_obj, list(lower), list(upper)))
+                result = solve_lp(zero_obj.with_bounds(list(lower), list(upper)))
             if result.status is not LPStatus.OPTIMAL:
                 continue
             branch_var = _first_fractional(result.x, integer_mask)

@@ -43,7 +43,7 @@ def lexicographic_minimize(lp: LinearProgram,
     for index, level in enumerate(levels):
         if len(level) != lp.n_vars:
             raise ValueError("objective level length does not match variable count")
-        current = replace(current, objective=level)
+        current = current.with_objective(level)
         result = solve_ilp(current, integer_mask=integer_mask,
                            max_nodes=max_nodes, incumbent_bound=bound)
         if result.status is not LPStatus.OPTIMAL:

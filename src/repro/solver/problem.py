@@ -23,7 +23,7 @@ from repro.obs.runtime import get_obs
 from repro.solver.backend import SolverBackend, resolve_backend
 from repro.solver.budget import get_budget
 from repro.solver.dedup import get_solve_cache, is_miss
-from repro.solver.lp import LinearProgram, LPStatus
+from repro.solver.lp import LinearProgram, LPStatus, integer_row
 from repro.solver.warmstart import WarmStartHandle, incumbent_bound
 
 Scalar = Union[int, Fraction, str]
@@ -189,6 +189,37 @@ class Constraint:
         return f"{self.expr!r} {self.sense} 0"
 
 
+def lower_constraints(constraints: Iterable[Constraint],
+                      index: dict[str, int], width: int) -> tuple:
+    """``(a_ub, b_ub, a_eq, b_eq, int_rows)`` of ``constraints`` over the
+    columns ``index``: dense rows with ``a_ub x <= b_ub`` and ``a_eq x ==
+    b_eq``, plus the simplex's sparse integer rows (every ``a_ub`` row, then
+    every ``a_eq`` row; see :meth:`LinearProgram._trusted`), built from the
+    same coefficients so the simplex never scans dense rows for nonzeros."""
+    zero = Fraction(0)
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    ub_rows, eq_rows = [], []
+    for c in constraints:
+        if c.sense == ">=":
+            # Negate the coefficients, not a dense row element by element
+            # (that negates every zero too).
+            terms = [(index[name], -v) for name, v in c.expr.coeffs.items()]
+        else:
+            terms = [(index[name], v) for name, v in c.expr.coeffs.items()]
+        row = [zero] * width
+        for j, v in terms:
+            row[j] = v
+        if c.sense == "==":
+            a_eq.append(row)
+            b_eq.append(-c.expr.const)
+            eq_rows.append(integer_row(terms))
+        else:
+            a_ub.append(row)
+            b_ub.append(c.expr.const if c.sense == ">=" else -c.expr.const)
+            ub_rows.append(integer_row(terms))
+    return a_ub, b_ub, a_eq, b_eq, ub_rows + eq_rows
+
+
 # Memo for :meth:`Problem.fold_objectives`: the fold is pure content →
 # content (level signatures + the mentioned variables' bounds) and every
 # scheduling dimension of a kernel folds the same objective, so results are
@@ -294,44 +325,20 @@ class Problem:
         consumers (simplex, branch and bound) treat them as read-only and
         copy before modifying bounds.
         """
-        index = self._index
-        zero = Fraction(0)
         width = len(self._order)
         if self._lowered is None:
-            a_ub, b_ub, a_eq, b_eq = [], [], [], []
-            for c in self._constraints:
-                if c.sense == ">=":
-                    # Build the negated row directly instead of negating a
-                    # dense row element by element (that negates every zero
-                    # too).
-                    row = [zero] * width
-                    for name, v in c.expr.coeffs.items():
-                        row[index[name]] = -v
-                    a_ub.append(row)
-                    b_ub.append(c.expr.const)
-                elif c.sense == "<=":
-                    row = [zero] * width
-                    for name, v in c.expr.coeffs.items():
-                        row[index[name]] = v
-                    a_ub.append(row)
-                    b_ub.append(-c.expr.const)
-                else:
-                    row = [zero] * width
-                    for name, v in c.expr.coeffs.items():
-                        row[index[name]] = v
-                    a_eq.append(row)
-                    b_eq.append(-c.expr.const)
-            self._lowered = (a_ub, b_ub, a_eq, b_eq,
+            self._lowered = (lower_constraints(self._constraints, self._index,
+                                               width),
                              [self._lower[n] for n in self._order],
                              [self._upper[n] for n in self._order])
-        a_ub, b_ub, a_eq, b_eq, lower, upper = self._lowered
+        (a_ub, b_ub, a_eq, b_eq, int_rows), lower, upper = self._lowered
         obj_row = self._row(objective) if objective is not None \
-            else [zero] * width
+            else [Fraction(0)] * width
         # All entries are exact Fractions by construction (``add_variable``
         # and the LinExpr constructor coerce on entry), so the re-validating
         # public constructor is skipped.
         return LinearProgram._trusted(
-            obj_row, a_ub, b_ub, a_eq, b_eq, lower, upper)
+            obj_row, a_ub, b_ub, a_eq, b_eq, lower, upper, int_rows)
 
     def integer_mask(self) -> list[bool]:
         return [self._integer[n] for n in self._order]
