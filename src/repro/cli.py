@@ -921,7 +921,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain",
                        help="render the scheduler decision path: scenarios "
-                            "considered with simulated costs, the injected "
+                            "considered with static costs, the injected "
                             "constraint per dimension, fallback activations")
     p.add_argument("network", help="a Table I network (case-insensitive)")
     p.add_argument("--operator", default="", metavar="NAME",

@@ -90,6 +90,9 @@ class FastSimulatorBackend:
                 metrics.count("sim.fastpath.analytic", sim.analytic_builds)
             if sim.memo_hits:
                 metrics.count("sim.fastpath.memo_hits", sim.memo_hits)
+            if sim.pruned_iterations:
+                metrics.count("sim.fastpath.pruned_iterations",
+                              sim.pruned_iterations)
         return profile
 
 

@@ -31,6 +31,29 @@ blocks and loop iterations.  Three consequences drive the speedup:
   which reproduces the reference's sector-operation sequence byte for
   byte — counters stay bitwise-identical by construction.
 
+Loop segment plans.  Fused operators lower to *union* loops: polyhedral
+code generation without loop separation emits one loop over the union of
+the statements' ranges and a guard per statement, each live on one band
+of it.  Walking such a loop tests every guard on every iteration, so
+each sequential loop runs a static plan instead, built once per loop
+node: one entry per body child (a ``forvec`` child contributes one per
+``(child, lane value)`` pair, in :meth:`_FastSimulator._frun_vector`'s
+order, with the lane value substituted as a constant), and for each
+entry the conditions of its guard chain (nested single-child guards,
+folded into one conjunction) that are *exact*: integral, lane-invariant
+and over the loop variable plus names fixed for the whole loop.  On each
+entry to the loop, every exact chain's solution interval on the loop
+variable is solved with integer floor/ceil arithmetic, the range is cut
+at the interval endpoints, and each segment runs only its live entries,
+in order; segments where none is live are skipped.  A chain whose
+conditions are all exact runs its innermost body with no guard
+evaluation; one with conditions outside the exact subset (rational,
+lane-variant) is pruned where its exact part is false and evaluates its
+guards normally elsewhere.  Guards are pure, so the sequence of memory
+operations — and every counter — is unchanged.  A loop with no guarded
+child is the one-segment case; the (iteration, child) pairs never walked
+are counted as ``sim.fastpath.pruned_iterations``.
+
 Constructs outside this model (currently: a mapped loop whose lower bound
 has nonzero thread coefficients, or an unknown AST node) raise
 :class:`FallbackNeeded`; the backend then re-runs the *whole launch* on
@@ -42,7 +65,7 @@ from __future__ import annotations
 
 import math
 
-from repro.codegen.ast import Guard, Loop, Seq, StatementCall
+from repro.codegen.ast import Guard, Loop, Seq, StatementCall, walk
 from repro.gpu.memory import replay_warp_pattern
 from repro.gpu.simulator import _Simulator
 
@@ -72,6 +95,102 @@ class _WarpPattern:
 
 
 _UNSET = object()
+
+
+# Normalized exact conditions (see `_normalized_condition`).
+_UPPER, _LOWER, _EQUAL, _ZERO_LE, _ZERO_GE, _ZERO_EQ = range(6)
+
+
+def _normalized_condition(sense: str, a: int, const: int,
+                          terms: list) -> tuple:
+    """``a*v + const + Σ coeff*name  sense  0`` as ``(kind, d, num,
+    terms)``, where ``num = const + Σ coeff*name`` once the term values
+    are added in.
+
+    With ``a != 0`` the condition bounds ``v``: ``_UPPER`` is
+    ``v <= floor(num / d)``, ``_LOWER`` is ``v >= ceil(num / d)`` and
+    ``_EQUAL`` is ``v == num / d``, with ``d = |a|`` and the constant and
+    terms negated when ``a > 0``.  With ``a == 0`` it tests ``num`` alone
+    (``_ZERO_*``)."""
+    if a == 0:
+        kind = (_ZERO_LE if sense == "<=" else _ZERO_GE if sense == ">="
+                else _ZERO_EQ)
+        return (kind, 0, const, tuple(terms))
+    if a > 0:
+        const = -const
+        terms = [(name, -coeff) for name, coeff in terms]
+    if sense == "==":
+        kind = _EQUAL
+    else:
+        kind = _UPPER if (sense == "<=") == (a > 0) else _LOWER
+    return (kind, abs(a), const, tuple(terms))
+
+
+def _live_span(conditions, env: dict, lo: int, hi: int):
+    """``(lo', hi')``, the values of ``[lo, hi]`` satisfying every
+    normalized condition under ``env``, or ``None`` when there are none.
+    Integer floor/ceil arithmetic only: the result is exact."""
+    for kind, d, num, terms in conditions:
+        for name, coeff in terms:
+            num += coeff * env[name]
+        if kind == _UPPER:
+            if num // d < hi:
+                hi = num // d
+        elif kind == _LOWER:
+            if -(-num // d) > lo:
+                lo = -(-num // d)
+        elif kind == _EQUAL:
+            if num % d:
+                return None
+            if num // d > lo:
+                lo = num // d
+            if num // d < hi:
+                hi = num // d
+        elif kind == _ZERO_LE:
+            if num > 0:
+                return None
+        elif kind == _ZERO_GE:
+            if num < 0:
+                return None
+        elif num:
+            return None
+        if lo > hi:
+            return None
+    return lo, hi
+
+
+def _segments(entries, env: dict, lo: int, hi: int):
+    """Cut ``[lo, hi]`` at the live spans of a loop plan's entries.
+
+    Returns ``(segments, pruned)``: ``segments`` lists ``(start, stop,
+    live runs)`` for the half-open value ranges where at least one entry
+    is live, in ascending order with the runs in entry order; ``pruned``
+    counts the (value, entry) pairs left unwalked."""
+    spans = []
+    cuts = {lo, hi + 1}
+    for conditions, run in entries:
+        if conditions is None:
+            spans.append((lo, hi, run))
+            continue
+        span = _live_span(conditions, env, lo, hi)
+        if span is not None:
+            cuts.add(span[0])
+            cuts.add(span[1] + 1)
+            spans.append((span[0], span[1], run))
+    total = (hi - lo + 1) * len(entries)
+    if len(cuts) == 2:
+        if not spans:
+            return (), total
+        return ((lo, hi + 1, [run for _, _, run in spans]),), \
+            total - (hi - lo + 1) * len(spans)
+    cuts = sorted(cuts)
+    segments = []
+    for start, stop in zip(cuts, cuts[1:]):
+        live = [run for first, last, run in spans if first <= start <= last]
+        if live:
+            segments.append((start, stop, live))
+            total -= (stop - start) * len(live)
+    return segments, total
 
 
 class _FastState:
@@ -172,6 +291,7 @@ class _FastSimulator(_Simulator):
         # Fast-path statistics (harvested by the backend into obs metrics).
         self.analytic_builds = 0
         self.memo_hits = 0
+        self.pruned_iterations = 0
 
     # -- per-warp setup ------------------------------------------------------
 
@@ -358,11 +478,8 @@ class _FastSimulator(_Simulator):
         env = self._env
         plan = self._loop_plans.get(id(loop))
         if plan is None:
-            lower_exprs, upper_exprs = self._compiled_bounds(loop)
-            plan = (lower_exprs, upper_exprs,
-                    self._expr_deps(lower_exprs + upper_exprs))
-            self._loop_plans[id(loop)] = plan
-        lower_exprs, upper_exprs, deps = plan
+            plan = self._loop_plans[id(loop)] = self._plan_loop(loop)
+        lower_exprs, upper_exprs, deps, entries, runs, lane_vars = plan
         key = (id(loop), self._warp_start,
                tuple(env[name] for name in deps))
         bounds = self._loop_cache.get(key)
@@ -374,26 +491,140 @@ class _FastSimulator(_Simulator):
             # Empty range: the reference returns before touching the loop
             # variable, so leave the env untouched too.
             return
-        var = loop.var
-        body = loop.body
-        if lane_masks is None:
-            # Lane-invariant bounds: every value runs with the caller's
-            # mask unchanged.
-            for value in range(lo, hi + 1):
-                env[var] = value
-                self._frun(body, mask)
+        if entries is None:
+            # No guarded child: the one-segment case.
+            segments = ((lo, hi + 1, runs),)
         else:
-            # Lane-variant bounds: ``lane_masks[value - lo]`` holds the
-            # all-lanes in-range mask for ``value``; the per-iteration
-            # sub-mask is one AND.  Iterating the all-lanes range instead
-            # of the reference's masked-lanes range executes exactly the
-            # same non-empty iterations (extra values AND to zero).
-            for value in range(lo, hi + 1):
-                sub_mask = mask & lane_masks[value - lo]
-                if sub_mask:
+            segments, pruned = _segments(entries, env, lo, hi)
+            self.pruned_iterations += pruned
+        var = loop.var
+        frun = self._frun
+        for start, stop, live in segments:
+            if lane_masks is None and len(live) == 1 and live[0][0] is None \
+                    and not live[0][3]:
+                # Lane-invariant bounds, one plain child: every value runs
+                # with the caller's mask unchanged.
+                target = live[0][2]
+                for value in range(start, stop):
                     env[var] = value
-                    self._frun(body, sub_mask)
+                    frun(target, mask)
+                continue
+            for value in range(start, stop):
+                if lane_masks is None:
+                    sub_mask = mask
+                else:
+                    # Lane-variant bounds: ``lane_masks[value - lo]`` holds
+                    # the all-lanes in-range mask for ``value``; iterating
+                    # the all-lanes range instead of the reference's
+                    # masked-lanes range executes exactly the same
+                    # non-empty iterations (extra values AND to zero).
+                    sub_mask = mask & lane_masks[value - lo]
+                    if not sub_mask:
+                        continue
+                env[var] = value
+                for lane_var, lane_value, target, width in live:
+                    if lane_var is not None:
+                        env[lane_var] = lane_value
+                    if width:
+                        self._fissue_vector(target, sub_mask, lane_var, width)
+                    else:
+                        frun(target, sub_mask)
         env.pop(var, None)
+        # Flattened forvec lane variables outlive their forvec until here;
+        # code generation scopes them, so no sibling reads them.
+        for lane_var in lane_vars:
+            env.pop(lane_var, None)
+
+    def _plan_loop(self, loop: Loop) -> tuple:
+        """The static segment plan of a sequential loop (see the module
+        docstring): its compiled bounds and their dependencies, then one
+        entry per body child — a ``forvec`` child contributes one entry
+        per ``(child, lane value)`` in :meth:`_frun_vector`'s order.
+
+        Each entry is ``(conditions, run)``: ``conditions`` is ``None``
+        for an always-live child, else the child's guard-chain conditions
+        that are exact on the loop variable; ``run`` is ``(lane var, lane
+        value, target, vector width)``, where the target of a fully exact
+        chain is its innermost body (no guard is evaluated) and that of a
+        partly exact chain is the chain itself.  ``entries`` is ``None``
+        when no entry has conditions."""
+        lower_exprs, upper_exprs = self._compiled_bounds(loop)
+        deps = self._expr_deps(lower_exprs + upper_exprs)
+        # Names whose env values stay fixed for the whole loop: bound at
+        # entry, and assigned by no loop nested inside it.
+        bound = set(self._env) - {node.var for node in walk(loop.body)
+                                  if isinstance(node, Loop)}
+        bound -= self._thread_vars
+        entries = []
+        lane_vars = []
+        for child in loop.body.children:
+            if isinstance(child, Loop) and child.vector and not child.mapping:
+                width = child.vector_width
+                lane_vars.append(child.var)
+                for grand in child.body.children:
+                    if isinstance(grand, StatementCall) \
+                            and grand.vector_width == width:
+                        entries.append((None, (child.var, 0, grand, width)))
+                    else:
+                        for lane_value in range(width):
+                            entries.append(self._plan_entry(
+                                grand, loop.var, bound, child.var,
+                                lane_value))
+            else:
+                entries.append(self._plan_entry(child, loop.var, bound,
+                                                None, 0))
+        runs = [run for _, run in entries]
+        if all(conditions is None for conditions, _ in entries):
+            entries = None
+        return (lower_exprs, upper_exprs, deps, entries, runs,
+                tuple(lane_vars))
+
+    def _plan_entry(self, child, var: str, bound: set, lane_var, lane_value):
+        """``(conditions, run)`` of one body child (see :meth:`_plan_loop`):
+        its guard chain — nested single-child guards — folded into one
+        conjunction, keeping the conditions that are integral,
+        lane-invariant and over ``var`` plus ``bound`` names only."""
+        conditions = []
+        exact = True
+        node = child
+        while isinstance(node, Guard):
+            for sense, expr in self._compiled_conditions(node):
+                condition = self._exact_condition(sense, expr, var, bound,
+                                                  lane_var, lane_value)
+                if condition is None:
+                    exact = False
+                else:
+                    conditions.append(condition)
+            children = node.body.children
+            node = children[0] if len(children) == 1 else node.body
+        if node is child or not conditions:
+            return (None, (lane_var, lane_value, child, 0))
+        return (tuple(conditions),
+                (lane_var, lane_value, node if exact else child, 0))
+
+    def _exact_condition(self, sense: str, expr, var: str, bound: set,
+                         lane_var, lane_value):
+        """``expr sense 0`` in :func:`_live_span`'s normalized form, or
+        ``None`` when it is not exact: rational, lane-variant, or over a
+        name not fixed for the whole loop."""
+        if not expr.is_integral:
+            return None
+        a = 0
+        const = expr.const
+        terms = []
+        params = self.params
+        for name, coeff in expr.terms:
+            if name == var:
+                a = coeff
+            elif name == lane_var:
+                const += coeff * lane_value
+            elif name in params:
+                const += coeff * params[name]
+            elif name in bound:
+                terms.append((name, coeff))
+            else:
+                return None
+        return _normalized_condition(sense, a, const, terms)
 
     def _loop_bounds(self, loop: Loop, lower_exprs, upper_exprs):
         """``(lo, hi, lane_masks)`` for the current warp slot and env:

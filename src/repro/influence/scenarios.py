@@ -213,8 +213,9 @@ def build_statement_scenarios(statement: Statement, params: dict[str, int],
                          strides_by_iterator=strides)
     if journal.enabled:
         # Alternatives cut by the max_alternatives cap never grow a full
-        # dimension chain; record them (innermost choice + its simulated
-        # cost) so `repro explain` can show what pruning discarded.
+        # dimension chain; record them (innermost choice + its static
+        # Algorithm 2 cost, `dimension_cost`) so `repro explain` can show
+        # what pruning discarded.
         for rank, (inner, score) in enumerate(inner_ranked):
             if rank >= max_alternatives:
                 journal.scenario(statement.name, [inner], score,

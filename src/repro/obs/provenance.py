@@ -8,7 +8,7 @@ constraint set per dimension, backtracking when an ILP turns infeasible.
 The :class:`ProvenanceJournal` records exactly these events as structured,
 JSON-safe entries, so ``repro explain`` can render the decision path —
 which constraint was injected per dimension, which scenarios were
-considered with their simulated costs, which were pruned, where the
+considered with their static Algorithm 2 costs, which were pruned, where the
 fallback ladder fired, and how often the warm-start/dedup reuse paths hit.
 
 The journal mirrors :mod:`repro.obs.runtime`: an ambient handle installed
@@ -102,7 +102,8 @@ def use_journal(journal: Optional[ProvenanceJournal] = None
 def format_decision_path(events: list[dict], indent: str = "") -> str:
     """Render journal events as the influence-tree decision path.
 
-    Scenario enumeration first (kept vs pruned, with simulated costs), then
+    Scenario enumeration first (kept vs pruned, with their static
+    Algorithm 2 costs), then
     the per-dimension walk: injected constraints, feasibility, reuse hits,
     interleaved with the fallback-ladder activations that happened between
     dimensions.
@@ -112,7 +113,7 @@ def format_decision_path(events: list[dict], indent: str = "") -> str:
     scenarios = [e for e in events if e["kind"] == "scenario"]
     if scenarios:
         lines.append(f"{indent}scenarios considered (Algorithm 2; "
-                     f"cost = simulated profile score):")
+                     f"cost = static Algorithm 2 dimension cost):")
         for e in scenarios:
             status = "kept " if e.get("kept") else "PRUNED"
             vec = (f" vector_width={e['vector_width']}"

@@ -9,12 +9,15 @@ iteration order inside :func:`repro.gpu.memory.warp_access`).
 """
 
 import copy
+import dataclasses
 import os
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.codegen.ast import Guard, Loop, Seq, StatementCall, walk
 from repro.gpu.backend import (
     DEFAULT_SIMULATOR,
     available_simulators,
@@ -25,11 +28,13 @@ from repro.gpu.profile_cache import (
     get_profile_cache,
     use_profile_cache,
 )
+from repro.gpu.arch import V100
+from repro.gpu.fastpath import _live_span, _normalized_condition, _segments
 from repro.gpu.simulator import simulate_kernel
 from repro.ir.kparser import parse_kernel
 from repro.obs import MetricsRegistry, Obs, use_obs
 from repro.pipeline.akg import VARIANTS, AkgPipeline
-from repro.solver.problem import LinExpr
+from repro.solver.problem import Constraint, LinExpr
 from repro.workloads import operators
 from repro.workloads.generator import generate_network_suite
 
@@ -57,6 +62,11 @@ ZOO = {
     "broadcast": lambda: operators.broadcast_bias_op("fp_bb"),
     "strided_pool": lambda: operators.strided_pool_op("fp_sp"),
     "layout4d": lambda: operators.layout_conversion_op("fp_lc", 2, 16, 8, 8),
+    # Fused union loops with guarded children (loop segment plans).
+    "attention_block": lambda: operators.attention_block_op("fp_att", 16, 8),
+    "depthwise_conv": lambda: operators.depthwise_conv_op("fp_dw", 4, 8, 8),
+    "jacobi_2d": lambda: operators.stencil2d_op("fp_jac", 16, "jacobi"),
+    "heat_2d": lambda: operators.stencil2d_op("fp_heat", 16, "heat"),
 }
 
 
@@ -127,6 +137,189 @@ class TestParity:
                                 enable_vec=enable_vec,
                                 max_threads=max_threads)
         _parity(mapped, sample_blocks=2)
+
+
+def _holds(value, sense):
+    return (value <= 0 if sense == "<=" else value >= 0 if sense == ">="
+            else value == 0)
+
+
+_SENSES = st.sampled_from(["<=", ">=", "=="])
+
+
+class TestSegmentPlans:
+    """The loop segment plans: the interval solver against enumeration,
+    the segment cutter against per-value liveness, and crafted ASTs
+    outside the exact subset against the reference interpreter."""
+
+    @given(a=st.integers(-6, 6), const=st.integers(-40, 40),
+           coeff=st.integers(-3, 3), x=st.integers(-5, 5), sense=_SENSES,
+           lo=st.integers(-20, 20), width=st.integers(1, 30))
+    @settings(max_examples=300, deadline=None)
+    @example(a=0, const=3, coeff=0, x=0, sense="<=", lo=-5, width=10)
+    @example(a=0, const=0, coeff=0, x=0, sense="==", lo=-5, width=10)
+    @example(a=-3, const=7, coeff=0, x=0, sense="<=", lo=-10, width=20)
+    @example(a=-2, const=-5, coeff=1, x=2, sense=">=", lo=-10, width=20)
+    @example(a=2, const=3, coeff=0, x=0, sense="==", lo=-10, width=20)
+    @example(a=-3, const=5, coeff=1, x=1, sense="==", lo=-10, width=20)
+    def test_interval_matches_enumeration(self, a, const, coeff, x, sense,
+                                          lo, width):
+        hi = lo + width - 1
+        condition = _normalized_condition(sense, a, const, [("x", coeff)])
+        span = _live_span((condition,), {"x": x}, lo, hi)
+        live = [v for v in range(lo, hi + 1)
+                if _holds(a * v + const + coeff * x, sense)]
+        assert span == ((live[0], live[-1]) if live else None)
+
+    @given(chains=st.lists(st.one_of(
+               st.none(),
+               st.lists(st.tuples(_SENSES, st.integers(-3, 3),
+                                  st.integers(-12, 12)),
+                        min_size=1, max_size=3)),
+               min_size=1, max_size=5),
+           lo=st.integers(-6, 6), width=st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_segments_match_per_value_liveness(self, chains, lo, width):
+        hi = lo + width - 1
+        entries = [(None if chain is None else
+                    tuple(_normalized_condition(sense, a, c, [])
+                          for sense, a, c in chain), index)
+                   for index, chain in enumerate(chains)]
+        segments, pruned = _segments(entries, {}, lo, hi)
+        walked = {}
+        previous = lo - 1
+        for start, stop, live in segments:
+            assert previous < start < stop <= hi + 1
+            previous = stop - 1
+            for value in range(start, stop):
+                walked[value] = list(live)
+        expected_pruned = 0
+        for value in range(lo, hi + 1):
+            live = [index for index, chain in enumerate(chains)
+                    if chain is None or all(_holds(a * value + c, sense)
+                                            for sense, a, c in chain)]
+            assert walked.get(value, []) == live
+            expected_pruned += len(chains) - len(live)
+        assert pruned == expected_pruned
+
+    @staticmethod
+    def _replace_body(mapped, build):
+        """A copy of ``mapped`` whose innermost mapped loop body is
+        ``build(call, thread var)`` (``call`` is the original statement
+        call)."""
+        mutant = copy.deepcopy(mapped)
+        thread_var = mutant.block[0].loop_var
+        for node in walk(mutant.ast):
+            if isinstance(node, Loop) and node.var == thread_var:
+                call = next(n for n in walk(node.body)
+                            if isinstance(n, StatementCall))
+                node.body = Seq([build(call, thread_var)])
+                return mutant
+        raise AssertionError("no thread-mapped loop found")
+
+    @staticmethod
+    def _call(call, i, j, width=1):
+        return StatementCall(call.statement, {"i": i, "j": j},
+                             vector_width=width)
+
+    @staticmethod
+    def _guard(conditions, body):
+        """``if (conditions) body`` from ``(coeffs, const, sense)``s."""
+        return Guard([Constraint(LinExpr(coeffs, const), sense)
+                      for coeffs, const, sense in conditions], Seq([body]))
+
+    def _guarded_loop(self, chains):
+        """A builder for :meth:`_replace_body`: ``for u in [0, 11]`` over
+        one statement call per guard chain (outermost guard first)."""
+        def build(call, thread_var):
+            children = []
+            for chain in chains:
+                node = self._call(call, LinExpr({"u": 1}),
+                                  LinExpr({thread_var: 1}))
+                for conditions in reversed(chain):
+                    node = self._guard(conditions, node)
+                children.append(node)
+            return Loop("u", [LinExpr(const=0)], [LinExpr(const=11)],
+                        Seq(children))
+        return build
+
+    # Caches a few warps deep: any change in the order of memory
+    # operations changes hits and misses.
+    TINY_CACHES = dataclasses.replace(V100, l1_bytes=512, l2_bytes=2048)
+
+    def _assert_parity(self, mutant):
+        obs = Obs(metrics=MetricsRegistry())
+        with use_obs(obs):
+            fast = simulate_kernel(mutant, sample_blocks=3, sim="fast",
+                                   arch=self.TINY_CACHES)
+        reference = simulate_kernel(copy.deepcopy(mutant), sample_blocks=3,
+                                    sim="reference", arch=self.TINY_CACHES)
+        assert fast.counters() == reference.counters()
+        assert fast.warp_mem_instructions > 0
+        assert "sim.fastpath.fallback" not in obs.metrics.counters
+        return obs.metrics.counters
+
+    def test_rational_guard_coefficient(self):
+        mapped = compile_mapped(copy_kernel(64, 64), max_threads=64)
+        mutant = self._replace_body(mapped, self._guarded_loop([
+            # Rational only: evaluated as a guard on every value.
+            [[({"u": Fraction(1, 2)}, -2, "<=")]],
+            # Rational and exact in one chain: pruned to u in [3, 8].
+            [[({"u": 1}, -3, ">=")],
+             [({"u": Fraction(1, 3)}, Fraction(-5, 3), "<="),
+              ({"u": -1}, 8, ">=")]],
+        ]))
+        counters = self._assert_parity(mutant)
+        assert counters["sim.fastpath.pruned_iterations"] > 0
+
+    def test_thread_dependent_guard(self):
+        mapped = compile_mapped(copy_kernel(64, 64), max_threads=64)
+        t = mapped.block[0].loop_var
+        mutant = self._replace_body(mapped, self._guarded_loop([
+            # Lane-variant only: masks lanes per value.
+            [[({"u": 4, t: -1}, 0, ">=")]],
+            # Exact outer guard (u == 5 and a block-variable test),
+            # lane-variant inner guard.
+            [[({"u": 1}, -5, "=="), ({"t0": 1}, -1, ">=")],
+             [({t: 1, "u": -2}, 0, "<=")]],
+            # `==` with a coefficient that does not divide: never.
+            [[({"u": 2}, -3, "==")]],
+        ]))
+        counters = self._assert_parity(mutant)
+        assert counters["sim.fastpath.pruned_iterations"] > 0
+
+    def test_forvec_mixes_vector_statement_and_guards(self):
+        mapped = compile_mapped(copy_kernel(64, 64), influenced=True,
+                                max_threads=64)
+        guard = self._guard
+
+        def build(call, thread_var):
+            j = LinExpr({thread_var: 4, "v": 1})
+
+            def row(k):
+                # Each (child, lane value) entry reads its own rows.
+                return LinExpr({"u": 1, "v": 2}, 10 * k)
+            forvec = Loop("v", [LinExpr(const=0)], [LinExpr(const=3)],
+                          Seq([
+                              self._call(call, LinExpr({"u": 1}), j,
+                                         width=4),
+                              guard([({"u": 1, "v": 1}, -5, "==")],
+                                    self._call(call, row(1), j)),
+                              guard([({"u": 2, "v": -1}, -3, ">=")],
+                                    guard([({"t0": 1}, -1, ">=")],
+                                          self._call(call, row(2), j))),
+                              guard([({"v": 1, thread_var: 1}, -9, "<=")],
+                                    self._call(call, row(3), j)),
+                          ]),
+                          vector=True, vector_width=4)
+            tail = guard([({"u": -1}, 4, ">=")],
+                         self._call(call, LinExpr({"u": 1}),
+                                    LinExpr({thread_var: 4})))
+            return Loop("u", [LinExpr(const=0)], [LinExpr(const=9)],
+                        Seq([forvec, tail]))
+
+        counters = self._assert_parity(self._replace_body(mapped, build))
+        assert counters["sim.fastpath.pruned_iterations"] > 0
 
 
 def _lane_variant_mutant():
