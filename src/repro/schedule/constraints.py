@@ -8,7 +8,7 @@ for every statement ``S``:
 * ``c[S].0`` — the constant,
 
 plus the proximity bound unknowns ``u[{p}]`` and ``w`` and the Farkas
-multipliers introduced by the builders.  The builders below add:
+multipliers the builders' reduced blocks keep.  The builders below add:
 
 * validity (Feautrier):          phi_T - phi_S >= 0 on every relation,
 * proximity (Bondhugula/isl):    phi_T - phi_S <= u.p + w on every relation,
@@ -51,12 +51,16 @@ class DimensionProblem:
         self.coeff_bound = coeff_bound
         self.const_bound = const_bound
         self.problem = Problem()
+        #: Bound rows of the Farkas blocks added so far, in block order;
+        #: :meth:`ilp` places them after every other row.
+        self._bound_rows: list[Constraint] = []
         self._farkas_counter = 0
         self._declare_schedule_variables()
         self._u_vars: Optional[dict[str, LinExpr]] = None
         self._w_var: Optional[LinExpr] = None
-        #: Full assignment of the most recent successful :meth:`solve` (for
-        #: warm-start handles); ``None`` until solved or when infeasible.
+        #: Assignment of every column of the most recent successful
+        #: :meth:`solve` (for warm-start handles); ``None`` until solved or
+        #: when infeasible.
         self.last_assignment: Optional[dict] = None
 
     def fork(self) -> "DimensionProblem":
@@ -74,16 +78,26 @@ class DimensionProblem:
         copy.coeff_bound = self.coeff_bound
         copy.const_bound = self.const_bound
         copy.problem = self.problem.clone()
+        copy._bound_rows = list(self._bound_rows)
         copy._farkas_counter = self._farkas_counter
         copy._u_vars = self._u_vars
         copy._w_var = self._w_var
         copy.last_assignment = None
         return copy
 
-    @property
-    def last_basis(self):
-        """Final simplex basis of the most recent solve (opaque)."""
-        return self.problem.last_basis
+    def ilp(self) -> Problem:
+        """The dimension ILP as solved: every row built so far, then the
+        Farkas blocks' bound rows in block order.
+
+        That is where presolving raw Farkas blocks puts the eliminated
+        multipliers' bound rows, so the lowered LP is the one the raw
+        formulation reduces to, and presolve finds nothing to eliminate.
+        """
+        if not self._bound_rows:
+            return self.problem
+        ilp = self.problem.clone()
+        ilp.add_constraints(self._bound_rows)
+        return ilp
 
     # -- variables -----------------------------------------------------------
 
@@ -98,9 +112,10 @@ class DimensionProblem:
             self.problem.add_variable(const_coeff_name(s.name),
                                       lower=0, upper=self.const_bound)
 
-    def _fresh_prefix(self) -> str:
+    def _add_farkas(self, poly, form: SymbolicAffineForm) -> None:
         self._farkas_counter += 1
-        return f"f{self._farkas_counter}"
+        self._bound_rows += add_farkas_nonneg(
+            self.problem, f"f{self._farkas_counter}", poly, form)
 
     # -- symbolic schedule forms ------------------------------------------------
 
@@ -136,8 +151,7 @@ class DimensionProblem:
     def add_validity(self, relations: Iterable[DependenceRelation]) -> None:
         """phi_T - phi_S >= 0 on every relation (weak satisfaction)."""
         for rel in relations:
-            add_farkas_nonneg(self.problem, self._fresh_prefix(),
-                              rel.polyhedron, self.delta_form(rel))
+            self._add_farkas(rel.polyhedron, self.delta_form(rel))
 
     def add_proximity(self, relations: Iterable[DependenceRelation]) -> None:
         """phi_T - phi_S <= u.p + w on every relation; declares u, w."""
@@ -157,19 +171,16 @@ class DimensionProblem:
             for dim, coeff in delta.coeffs.items():
                 form.add_term(dim, -1 * coeff)
             form.const = form.const - delta.const
-            add_farkas_nonneg(self.problem, self._fresh_prefix(),
-                              rel.polyhedron, form)
+            self._add_farkas(rel.polyhedron, form)
 
     def add_coincidence(self, relations: Iterable[DependenceRelation]) -> None:
         """phi_T - phi_S == 0 on every relation (zero reuse distance)."""
         for rel in relations:
             delta = self.delta_form(rel)
-            add_farkas_nonneg(self.problem, self._fresh_prefix(),
-                              rel.polyhedron, delta)
+            self._add_farkas(rel.polyhedron, delta)
             negated = SymbolicAffineForm(
                 {d: -1 * c for d, c in delta.coeffs.items()}, -1 * delta.const)
-            add_farkas_nonneg(self.problem, self._fresh_prefix(),
-                              rel.polyhedron, negated)
+            self._add_farkas(rel.polyhedron, negated)
 
     def add_progression(self, previous_rows: dict[str, list[ScheduleRow]],
                         skip: Optional[set] = None) -> None:
@@ -275,14 +286,14 @@ class DimensionProblem:
             insert_at = 2 if self._u_vars is not None else 0
             levels[insert_at:insert_at] = list(injected_objectives)
         levels = levels + list(extra_objectives)
-        folded = self.problem.fold_objectives(levels)
+        ilp = self.ilp()
+        folded = ilp.fold_objectives(levels)
         if folded is not None:
-            assignment = self.problem.solve(objective=folded,
-                                            max_nodes=max_nodes,
-                                            warm=warm, backend=backend)
+            assignment = ilp.solve(objective=folded, max_nodes=max_nodes,
+                                   warm=warm, backend=backend)
         else:
-            assignment = self.problem.lexmin(levels, max_nodes=max_nodes,
-                                             warm=warm, backend=backend)
+            assignment = ilp.lexmin(levels, max_nodes=max_nodes,
+                                    warm=warm, backend=backend)
         self.last_assignment = assignment
         if assignment is None:
             return None

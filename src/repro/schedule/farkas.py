@@ -18,6 +18,19 @@ unknowns and fresh multiplier variables.
 To keep the ILPs small we first eliminate polyhedron dimensions pinned by
 equality constraints (subscript equalities make most AI/DL dependence
 relations collapse drastically), substituting into the symbolic form.
+
+Then the multipliers the matching equalities pin are eliminated too, once
+per (polyhedron, symbolic form) pair, as Pluto does: the block is reduced
+over placeholder multiplier names with the same routine presolve uses
+(:func:`repro.solver.problem.eliminate_pinned`) and cached as a template.
+``add_farkas_nonneg`` only renames the placeholders.  A block's rows are
+what presolving the raw block inside a scheduling ILP would leave, because
+no two blocks share a continuous column (schedule and bound unknowns are
+integer, every block has its own multipliers, and no objective mentions a
+multiplier): global presolve eliminates block by block, in block order,
+and moves each eliminated multiplier's ``expr >= 0`` row to the end.
+``DimensionProblem`` emits those bound rows last, so the LP the simplex
+sees is unchanged and presolve finds nothing left to eliminate.
 """
 
 from __future__ import annotations
@@ -28,7 +41,8 @@ from typing import Optional
 
 from repro.obs.runtime import get_obs
 from repro.sets.polyhedron import Polyhedron
-from repro.solver.problem import Constraint, LinExpr, Problem, var
+from repro.solver.problem import (Constraint, LinExpr, Problem,
+                                  eliminate_pinned)
 
 
 @dataclass
@@ -140,24 +154,74 @@ def _eliminate_equalities(dims: list[str], equalities: list[LinExpr],
     return dims, kept, form
 
 
+def _block_template(dims: list[str], inequalities: list[LinExpr],
+                    form: SymbolicAffineForm) -> tuple:
+    """The reduced Farkas block of ``form >= 0`` over placeholder multipliers.
+
+    Poses the coefficient-matching equalities (one per remaining dimension,
+    then the constant), eliminates the multipliers they pin with
+    :func:`eliminate_pinned` (the multipliers are the only eligible columns)
+    and returns ``(survivors, rows, bounds)``: the multipliers left as
+    columns, the surviving rows in order and the eliminated multipliers'
+    ``expr >= 0`` rows in elimination order.  Satisfied constant rows are
+    dropped; a violated one stays in place so presolve flags the problem
+    infeasible.
+    """
+    # Placeholder multiplier names: ``.l0`` is the constant multiplier,
+    # ``.l{k}`` the k-th inequality's.  No unknown of a symbolic form starts
+    # with a dot; ``add_farkas_nonneg`` prepends its prefix.
+    names = [f".l{k}" for k in range(len(inequalities) + 1)]
+    multipliers = names[1:]
+    equalities = []
+    # Multiplier names are fresh, so their coefficients are written into the
+    # dict directly rather than through a chain of LinExpr subtractions.
+    for dim in dims:
+        base = form.coefficient(dim)
+        coeffs = dict(base.coeffs)
+        for name, g in zip(multipliers, inequalities):
+            c = g.coeffs.get(dim)
+            if c:
+                coeffs[name] = -c
+        equalities.append(Constraint(LinExpr._raw(coeffs, base.const), "=="))
+    coeffs = dict(form.const.coeffs)
+    coeffs[names[0]] = Fraction(-1)
+    for name, g in zip(multipliers, inequalities):
+        if g.const:
+            coeffs[name] = -g.const
+    equalities.append(Constraint(LinExpr._raw(coeffs, form.const.const), "=="))
+
+    kept, bounds, trail = eliminate_pinned(
+        equalities, set(names), dict.fromkeys(names, Fraction(0)),
+        dict.fromkeys(names))
+    eliminated = {name for name, _ in trail}
+
+    def live(rows):
+        return tuple(c for c in rows if c.expr.coeffs or not c.satisfied_by({}))
+
+    return (tuple(n for n in names if n not in eliminated),
+            live(kept), live(bounds))
+
+
 # The same (polyhedron, symbolic form) pair is linearized over and over:
 # coincidence/plain retries, sibling fallbacks and the tvm variant's
 # per-statement clusters all rebuild identical dimension problems.  The
-# normalization + equality-elimination half of the work depends only on
-# content, so it is memoized process-wide (same lifetime argument as
-# ``repro.sets.polyhedron._EMPTINESS_CACHE``: forked evaluation workers
-# inherit the warm cache, keeping serial and parallel metric streams equal).
+# normalization, equality elimination and multiplier elimination depend only
+# on content, so the reduced block is memoized process-wide (same lifetime
+# argument as ``repro.sets.polyhedron._EMPTINESS_CACHE``: forked evaluation
+# workers inherit the warm cache, keeping serial and parallel metric streams
+# equal).
 #
 # Keys must preserve *order* — constraint order and coefficient insertion
-# order — because ``_eliminate_equalities`` picks pivots in encounter order,
-# so differently-ordered-but-equal systems may reduce differently.  Cached
-# triples are immutable by contract: ``add_farkas_nonneg`` only reads them.
+# order — because ``_eliminate_equalities`` picks pivots in encounter order
+# and ``eliminate_pinned`` victims in insertion order, so
+# differently-ordered-but-equal systems may reduce differently.  Cached
+# templates are immutable by contract: ``add_farkas_nonneg`` only reads them.
 _LINEARIZATION_CACHE: dict = {}
 _LINEARIZATION_CACHE_MAX = 50_000
 
 
-def _linearize(poly: Polyhedron, form: SymbolicAffineForm
-               ) -> tuple[list[str], list[LinExpr], SymbolicAffineForm]:
+def _linearize(poly: Polyhedron, form: SymbolicAffineForm) -> tuple:
+    """The cached :func:`_block_template` of ``form >= 0`` on ``poly``."""
     # Fractions are flattened to (numerator, denominator) int pairs: unique
     # representation, and int tuples hash far faster than Fractions.
     def sig(e: LinExpr) -> tuple:
@@ -176,57 +240,40 @@ def _linearize(poly: Polyhedron, form: SymbolicAffineForm
     if cached is not None:
         if metrics.enabled:
             metrics.count("solver.farkas.hits")
-        dims, inequalities, reduced_form = cached
-        return list(dims), inequalities, reduced_form
+        return cached
     if metrics.enabled:
         metrics.count("solver.farkas.misses")
     equalities, inequalities = _normalized_inequalities(poly)
-    dims, inequalities, reduced_form = _eliminate_equalities(
-        poly.dims, equalities, inequalities, form)
+    template = _block_template(*_eliminate_equalities(
+        poly.dims, equalities, inequalities, form))
     if len(_LINEARIZATION_CACHE) >= _LINEARIZATION_CACHE_MAX:
         _LINEARIZATION_CACHE.clear()
-    _LINEARIZATION_CACHE[key] = (dims, inequalities, reduced_form)
-    return list(dims), inequalities, reduced_form
+    _LINEARIZATION_CACHE[key] = template
+    return template
 
 
 def add_farkas_nonneg(problem: Problem, prefix: str, poly: Polyhedron,
-                      form: SymbolicAffineForm) -> int:
-    """Add constraints to ``problem`` making ``form(x) >= 0`` hold on ``poly``.
+                      form: SymbolicAffineForm) -> list[Constraint]:
+    """Make ``form(x) >= 0`` hold on ``poly`` in ``problem``.
 
-    Fresh continuous multipliers are named ``{prefix}.l{k}`` (and
-    ``{prefix}.l0`` for the constant multiplier).  Returns the number of
-    multiplier variables introduced.  ``prefix`` must be unique per call.
+    Adds the reduced Farkas block: the surviving continuous multipliers
+    ``{prefix}.l{k}`` (``{prefix}.l0`` is the constant multiplier) and the
+    surviving rows.  Returns the block's bound rows (one ``expr >= 0`` per
+    eliminated multiplier), which the caller adds: ``DimensionProblem``
+    places them after every other row, where presolving the raw block
+    would.  ``prefix`` must be unique per call.
     """
-    dims, inequalities, form = _linearize(poly, form)
-
-    lambda0_name = f"{prefix}.l0"
-    problem.add_variable(lambda0_name, lower=0, integer=False)
-    multiplier_names = []
-    for k, _ in enumerate(inequalities):
-        name = f"{prefix}.l{k + 1}"
+    survivors, rows, bounds = _linearize(poly, form)
+    names = {}
+    for placeholder in survivors:
+        name = prefix + placeholder
         problem.add_variable(name, lower=0, integer=False)
-        multiplier_names.append(name)
+        names[placeholder] = name
 
-    # Coefficient matching per remaining dimension.  Multiplier names are
-    # fresh, so their coefficients are written into the dict directly rather
-    # than through a chain of LinExpr subtractions (each of which would copy
-    # the accumulating dict).
-    for dim in dims:
-        base = form.coefficient(dim)
-        coeffs = dict(base.coeffs)
-        for name, g in zip(multiplier_names, inequalities):
-            c = g.coeffs.get(dim)
-            if c:
-                coeffs[name] = -c
-        problem.add_constraint(
-            Constraint(LinExpr._raw(coeffs, base.const), "=="))
+    def renamed(c: Constraint) -> Constraint:
+        return Constraint(LinExpr._raw(
+            {names.get(n, n): v for n, v in c.expr.coeffs.items()},
+            c.expr.const), c.sense)
 
-    # Constant matching.
-    coeffs = dict(form.const.coeffs)
-    coeffs[lambda0_name] = Fraction(-1)
-    for name, g in zip(multiplier_names, inequalities):
-        if g.const:
-            coeffs[name] = -g.const
-    problem.add_constraint(
-        Constraint(LinExpr._raw(coeffs, form.const.const), "=="))
-    return len(multiplier_names) + 1
+    problem.add_constraints(renamed(c) for c in rows)
+    return [renamed(c) for c in bounds]

@@ -403,7 +403,7 @@ class InfluencedScheduler:
         if self._backend.incremental and problem.last_assignment is not None:
             handle = self._dim_handles.setdefault(schedule.n_dims,
                                                   WarmStartHandle())
-            handle.offer(problem.last_assignment, problem.last_basis)
+            handle.offer(problem.last_assignment)
             if pool is not None:
                 pool.handle(schedule.n_dims).offer(problem.last_assignment)
         out = {}

@@ -10,6 +10,9 @@ error-prone, so this module provides:
   :class:`Constraint` objects.
 * :class:`Problem` — collects variables (with bounds and integrality) and
   constraints and lowers everything to a :class:`LinearProgram`.
+* :func:`eliminate_pinned` — the one-pass elimination of continuous columns
+  pinned by equalities, shared by :meth:`Problem.presolved` and the Farkas
+  block templates of :mod:`repro.schedule.farkas`.
 """
 
 from __future__ import annotations
@@ -220,6 +223,95 @@ def lower_constraints(constraints: Iterable[Constraint],
     return a_ub, b_ub, a_eq, b_eq, ub_rows + eq_rows
 
 
+def eliminate_pinned(constraints: Sequence[Constraint], eligible: set[str],
+                     lower: dict, upper: dict
+                     ) -> tuple[list[Constraint], list[Constraint],
+                                list[tuple[str, LinExpr]]]:
+    """Substitute away ``eligible`` columns pinned by equality constraints.
+
+    Farkas linearization ties many continuous multipliers to the integer
+    unknowns through equalities; substituting them away shrinks the simplex
+    tableau (a multiplier reappears only as rows for its finite bounds).
+
+    One forward pass over the equalities in order.  An equality's victim is
+    its first eligible column in coefficient-insertion order: the equality
+    is dropped, the victim's solution ``expr`` is substituted into every
+    other row that holds the victim (found through a column -> rows
+    occurrence index), and the victim's finite bounds become rows over
+    ``expr``.  An equality the pass skips holds no eligible column, so no
+    later substitution can touch it: one pass reaches the fixed point a
+    scan restarted after every elimination would.
+
+    Returns ``(kept, bounds, trail)``: the surviving rows in their original
+    order, the victims' bound rows in elimination order (later
+    substitutions applied), and the trail ``[(victim, expr), ...]``.  The
+    bounds dicts are read for victims only.
+    """
+    rows: list[Optional[Constraint]] = list(constraints)
+    n_original = len(rows)
+    trail: list[tuple[str, LinExpr]] = []
+    # Built at the first victim: most problems have nothing to eliminate,
+    # and then a scan of the equalities is all the pass costs.
+    occurs: Optional[dict[str, set[int]]] = None
+    zero = Fraction(0)
+    for idx in range(n_original):
+        c = rows[idx]
+        if c.sense != "==":
+            continue
+        coeffs = c.expr.coeffs
+        victim = next((n for n in coeffs if n in eligible), None)
+        if victim is None:
+            continue
+        if occurs is None:
+            occurs = {}
+            for j, row in enumerate(rows):
+                for n in row.expr.coeffs:
+                    if n in eligible:
+                        occurs.setdefault(n, set()).add(j)
+        rows[idx] = None
+        for n in coeffs:
+            if n in eligible:
+                occurs[n].discard(idx)
+        scale = -1 / coeffs[victim]
+        expr = LinExpr._raw({n: scale * v for n, v in coeffs.items()
+                             if n != victim}, scale * c.expr.const)
+        trail.append((victim, expr))
+        fresh = [n for n in expr.coeffs if n in eligible]
+        for j in occurs.pop(victim):
+            other = rows[j]
+            coeff = other.expr.coeffs[victim]
+            # ``without + coeff * expr`` without the two intermediate
+            # LinExpr copies.
+            merged = {n: v for n, v in other.expr.coeffs.items()
+                      if n != victim}
+            for n, v in expr.coeffs.items():
+                value = merged.get(n, zero) + coeff * v
+                if value:
+                    merged[n] = value
+                else:
+                    merged.pop(n, None)
+            rows[j] = Constraint(
+                LinExpr._raw(merged, other.expr.const + coeff * expr.const),
+                other.sense)
+            for n in fresh:
+                if n in merged:
+                    occurs.setdefault(n, set()).add(j)
+                else:
+                    occurs[n].discard(j)
+        # The victim's bounds survive as inequalities on `expr`.
+        bound_rows = []
+        if lower[victim] is not None:
+            bound_rows.append(expr >= lower[victim])
+        if upper[victim] is not None:
+            bound_rows.append(expr <= upper[victim])
+        for row in bound_rows:
+            for n in fresh:
+                occurs.setdefault(n, set()).add(len(rows))
+            rows.append(row)
+    kept = [c for c in rows[:n_original] if c is not None]
+    return kept, rows[n_original:], trail
+
+
 # Memo for :meth:`Problem.fold_objectives`: the fold is pure content →
 # content (level signatures + the mentioned variables' bounds) and every
 # scheduling dimension of a kernel folds the same objective, so results are
@@ -248,9 +340,6 @@ class Problem:
         # objectives (lexmin levels, warm/cold comparisons) re-lowers for
         # free.
         self._lowered: Optional[tuple] = None
-        #: Final simplex basis of the most recent ``solve``/``lexmin`` (for
-        #: warm-start handles); ``None`` until solved or when unsolvable.
-        self.last_basis: Optional[list[int]] = None
 
     # -- declaration -----------------------------------------------------------
 
@@ -277,9 +366,12 @@ class Problem:
 
     def add_constraint(self, constraint: Constraint) -> None:
         """Add one constraint; its variables must be declared."""
-        missing = constraint.expr.variables() - set(self._integer)
-        if missing:
-            raise KeyError(f"undeclared variables in constraint: {sorted(missing)}")
+        declared = self._integer
+        for name in constraint.expr.coeffs:
+            if name not in declared:
+                missing = sorted(n for n in constraint.expr.coeffs
+                                 if n not in declared)
+                raise KeyError(f"undeclared variables in constraint: {missing}")
         self._lowered = None
         self._constraints.append(constraint)
 
@@ -344,11 +436,6 @@ class Problem:
         return [self._integer[n] for n in self._order]
 
     # -- presolve -----------------------------------------------------------------
-    #
-    # Farkas linearization introduces many continuous multipliers tied to the
-    # integer unknowns through equality constraints.  Substituting them away
-    # before the simplex shrinks the tableau dramatically (the multipliers
-    # reappear only as extra inequalities for their lower bounds).
 
     def presolved(self, protect: Optional[set[str]] = None
                   ) -> tuple["Problem", list[tuple[str, LinExpr]]]:
@@ -357,75 +444,25 @@ class Problem:
         Returns the reduced problem and the elimination trail
         ``[(name, expr), ...]`` (evaluate in reverse order to recover the
         eliminated values).  ``protect`` names variables that must survive.
+        The reduced problem keeps the surviving rows in place, then the
+        victims' bound rows in elimination order (see
+        :func:`eliminate_pinned`).
         """
         protect = protect or set()
-        constraints = list(self._constraints)
-        lower = dict(self._lower)
-        upper = dict(self._upper)
-        eliminated: list[tuple[str, LinExpr]] = []
-        removed: set[str] = set()
+        integer = self._integer
+        eligible = {n for n in self._order
+                    if not integer[n] and n not in protect}
+        kept, bounds, eliminated = eliminate_pinned(
+            self._constraints, eligible, self._lower, self._upper)
+        constraints = kept + bounds
 
-        progress = True
-        while progress:
-            progress = False
-            for idx, c in enumerate(constraints):
-                if c.sense != "==":
-                    continue
-                victim = None
-                for name in c.expr.coeffs:
-                    if (not self._integer[name] and name not in protect
-                            and name not in removed):
-                        victim = name
-                        break
-                if victim is None:
-                    continue
-                k = c.expr.coeffs[victim]
-                scale = -1 / k
-                expr = LinExpr._raw(
-                    {n: scale * v for n, v in c.expr.coeffs.items()
-                     if n != victim},
-                    scale * c.expr.const)
-                eliminated.append((victim, expr))
-                removed.add(victim)
-                replacement: list[Constraint] = []
-                # The victim's bounds survive as inequalities on `expr`.
-                if lower[victim] is not None:
-                    replacement.append(expr >= lower[victim])
-                if upper[victim] is not None:
-                    replacement.append(expr <= upper[victim])
-                zero = Fraction(0)
-                new_constraints = []
-                for j, other in enumerate(constraints):
-                    if j == idx:
-                        continue
-                    coeff = other.expr.coeffs.get(victim)
-                    if not coeff:
-                        new_constraints.append(other)
-                        continue
-                    # ``without + coeff * expr`` without the two intermediate
-                    # LinExpr copies.
-                    merged = {n: v for n, v in other.expr.coeffs.items()
-                              if n != victim}
-                    for n, v in expr.coeffs.items():
-                        value = merged.get(n, zero) + coeff * v
-                        if value:
-                            merged[n] = value
-                        else:
-                            merged.pop(n, None)
-                    new_constraints.append(Constraint(
-                        LinExpr._raw(merged,
-                                     other.expr.const + coeff * expr.const),
-                        other.sense))
-                constraints = new_constraints + replacement
-                progress = True
-                break
-
-        if not removed and all(c.expr.coeffs for c in constraints):
+        if not eliminated and all(c.expr.coeffs for c in constraints):
             # Nothing eliminated and no constant constraints to audit: the
             # reduced problem would be an exact copy, so skip the rebuild.
             # Callers only solve the result, never mutate it.
             return self, eliminated
 
+        removed = {name for name, _ in eliminated}
         reduced = Problem()
         for name in self._order:
             if name not in removed:
@@ -531,7 +568,6 @@ class Problem:
                         budget = get_budget()
                         if budget is not None:
                             budget.check_deadline()
-                        self.last_basis = None
                         if value is None:
                             return None
                         return dict(zip(self._order, value))
@@ -549,7 +585,6 @@ class Problem:
                 sub = reduced.solve(objective, max_nodes=max_nodes,
                                     presolve=False, backend=backend,
                                     _incumbent_bound=bound)
-                self.last_basis = reduced.last_basis
                 result = None if sub is None else self._recover(sub, eliminated)
                 if cache is not None:
                     cache.store(key, None if result is None
@@ -568,9 +603,7 @@ class Problem:
                                    max_nodes=max_nodes,
                                    incumbent_bound=_incumbent_bound)
         if result.status is not LPStatus.OPTIMAL:
-            self.last_basis = None
             return None
-        self.last_basis = result.basis
         return dict(zip(self._order, result.x))
 
     def lexmin(self, objectives: Sequence[LinExpr],
@@ -606,7 +639,6 @@ class Problem:
                         budget = get_budget()
                         if budget is not None:
                             budget.check_deadline()
-                        self.last_basis = None
                         if value is None:
                             return None
                         return dict(zip(self._order, value))
@@ -627,7 +659,6 @@ class Problem:
                 sub = reduced.lexmin(objectives, max_nodes=max_nodes,
                                      presolve=False, backend=backend,
                                      _incumbent_bound=bound)
-                self.last_basis = reduced.last_basis
                 result = None if sub is None else self._recover(sub, eliminated)
                 if cache is not None:
                     cache.store(key, None if result is None
@@ -648,9 +679,7 @@ class Problem:
                                 max_nodes=max_nodes,
                                 incumbent_bound=_incumbent_bound)
         if result.status is not LPStatus.OPTIMAL:
-            self.last_basis = None
             return None
-        self.last_basis = result.basis
         return dict(zip(self._order, result.x))
 
     def fold_objectives(self, objectives: Sequence[LinExpr]) -> Optional[LinExpr]:

@@ -2,8 +2,8 @@
 change any answer.
 
 A :class:`WarmStartHandle` captures what a finished ``Problem.solve`` knew:
-the final variable assignment (the branch-and-bound incumbent) and the final
-simplex basis.  The *only* reuse mechanism is the incumbent strict bound:
+the final variable assignment (the branch-and-bound incumbent).  The *only*
+reuse mechanism is the incumbent strict bound:
 when a candidate assignment is verified feasible and integral on the next
 problem, its objective value ``V`` is handed to branch and bound, which may
 then discard nodes whose relaxation is *strictly* worse than ``V``.
@@ -23,10 +23,9 @@ Why this is bitwise-safe (sketch; the parity property test and the
   win objective ties against the point the cold depth-first order finds
   first and return a different (equally optimal) assignment.
 
-The simplex basis is captured for completeness of the protocol (an external
-incremental backend could factorize from it) but the built-in simplex never
-replays it: re-starting phase 2 from a foreign basis changes the pivot path
-and may land on a different tie vertex, which would break golden files.
+No simplex basis is kept: re-starting phase 2 from a foreign basis changes
+the pivot path and may land on a different tie vertex, which would break
+golden files.
 """
 
 from __future__ import annotations
@@ -43,24 +42,18 @@ MAX_CANDIDATES = 3
 class WarmStartHandle:
     """Captured state of solved problems, offered to subsequent solves."""
 
-    __slots__ = ("candidates", "basis")
+    __slots__ = ("candidates",)
 
     def __init__(self):
         #: Most-recent-first full variable assignments of prior optima.
         self.candidates: list[dict[str, Fraction]] = []
-        #: Final simplex basis of the most recent solve (opaque, not replayed
-        #: by the built-in backend; see module docstring).
-        self.basis: Optional[list[int]] = None
 
-    def offer(self, assignment: Optional[dict[str, Fraction]],
-              basis: Optional[list[int]] = None) -> None:
-        """Record a solved assignment (and optionally its final basis)."""
+    def offer(self, assignment: Optional[dict[str, Fraction]]) -> None:
+        """Record a solved assignment."""
         if assignment:
             self.candidates = ([dict(assignment)]
                                + [c for c in self.candidates
                                   if c != assignment])[:MAX_CANDIDATES]
-        if basis is not None:
-            self.basis = list(basis)
 
     def __bool__(self) -> bool:
         return bool(self.candidates)
@@ -72,8 +65,6 @@ class WarmStartHandle:
         for handle in reversed([h for h in handles if h]):
             for candidate in reversed(handle.candidates):
                 merged.offer(candidate)
-            if handle.basis is not None:
-                merged.basis = list(handle.basis)
         return merged
 
 

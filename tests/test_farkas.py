@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.schedule.farkas import (
     SymbolicAffineForm,
     _eliminate_equalities,
+    _normalized_inequalities,
     add_farkas_nonneg,
 )
 from repro.sets import Polyhedron, var
@@ -69,7 +70,7 @@ class TestFarkasSoundness:
                                                  upper=upper)
         c0 = problem.add_variable("c0", lower=lower, upper=upper)
         form = SymbolicAffineForm({d: coeff_vars[d] for d in poly.dims}, c0)
-        add_farkas_nonneg(problem, "t", poly, form)
+        problem.add_constraints(add_farkas_nonneg(problem, "t", poly, form))
         return problem, coeff_vars, c0
 
     def test_valid_form_feasible(self):
@@ -125,13 +126,15 @@ class TestFarkasSoundness:
         assert problem.solve() is not None
 
     def test_multiplier_count_reduced_by_equalities(self):
+        def n_multipliers(poly):
+            # One per remaining inequality, plus the constant multiplier.
+            equalities, inequalities = _normalized_inequalities(poly)
+            _, kept, _ = _eliminate_equalities(
+                poly.dims, equalities, inequalities,
+                SymbolicAffineForm({}, var("c")))
+            return len(kept) + 1
+
         plain = box(["x", "y"], 0, 3)
         fused = plain.with_constraints([(var("x") - var("y")).eq(0)])
-        p1 = Problem()
-        form1 = SymbolicAffineForm({}, p1.add_variable("c", lower=0, upper=1))
-        n_plain = add_farkas_nonneg(p1, "a", plain, form1.copy())
-        p2 = Problem()
-        form2 = SymbolicAffineForm({}, p2.add_variable("c", lower=0, upper=1))
-        n_fused = add_farkas_nonneg(p2, "a", fused, form2)
         # Eliminating the equality drops a dimension and its constraints.
-        assert n_fused <= n_plain
+        assert n_multipliers(fused) <= n_multipliers(plain)

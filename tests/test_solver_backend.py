@@ -145,15 +145,6 @@ def test_incumbent_bound_prunes_nodes():
     assert bounded.objective == cold.objective
 
 
-def test_basis_captured_after_solve():
-    p = _small_ilp()
-    assert p.last_basis is None
-    result = p.solve(var("x") + 2 * var("y"))
-    assert result is not None
-    assert p.last_basis is not None
-    assert all(isinstance(j, int) for j in p.last_basis)
-
-
 # -- solve deduplication ------------------------------------------------------
 
 
