@@ -6,9 +6,10 @@ a fraction of the reference backend's latency.  Each family benchmarks
 both backends on the same mapped kernel so the BENCH_* trend tracks the
 two latencies (and their ratio) over time, and the speedup test enforces
 the acceptance floor — >= 5x on the transpose and reduction families,
-where per-warp signature memoization pays off the most, and a floor on
-each fused union-loop family, where loop segment plans skip the
-iterations whose guards are false.
+where per-warp signature memoization pays off the most, a floor on each
+fused union-loop family, where loop segment plans skip the iterations
+whose guards are false, and one on row-per-lane softmax, where exact
+repeats of the previous issue skip the cache replay.
 
 Parity itself is asserted here too (cheap, and a benchmark that drifted
 from the reference would otherwise publish meaningless timings); the
@@ -40,6 +41,12 @@ FAMILIES = {
         "bench_sim_tr", rows=2048, cols=2048), False, 5.0),
     "reduction": (lambda: operators.reduce_producer_op(
         "bench_sim_red", rows=8192, red=32), False, 5.0),
+    # Uninfluenced softmax: each lane reads along its own row, so most
+    # statement issues exactly repeat the previous one, the shape the
+    # repeated-issue collapse skips.  Measured fast/reference on 2 cores:
+    # 33x (7.3x replaying every issue); the floor is about half.
+    "softmax_rows": (lambda: operators.softmax_like_op(
+        "bench_sim_smr", rows=2048, cols=64), False, 15.0),
     # Fused, influenced and vectorized: union loops whose guarded
     # children are live on one band each, the shapes the loop segment
     # plans skip.  Measured fast/reference on 2 cores: softmax 54x,

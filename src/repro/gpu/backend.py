@@ -93,6 +93,9 @@ class FastSimulatorBackend:
             if sim.pruned_iterations:
                 metrics.count("sim.fastpath.pruned_iterations",
                               sim.pruned_iterations)
+            if sim.collapsed_issues:
+                metrics.count("sim.fastpath.collapsed_issues",
+                              sim.collapsed_issues)
         return profile
 
 

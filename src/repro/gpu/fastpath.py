@@ -31,6 +31,43 @@ blocks and loop iterations.  Three consequences drive the speedup:
   which reproduces the reference's sector-operation sequence byte for
   byte — counters stay bitwise-identical by construction.
 
+Repeated issues.  Let O be the ordered sector operations of one statement
+issue: every warp instruction with its base sector, its pattern and
+whether it loads or stores.  Patterns are canonical by content per kernel
+(equal sector sequences are one object), so two issues produce the same O
+exactly when their operation tuples compare equal.  Suppose the next issue
+produces the identical O, no memory operation happened in between, and O
+touches at most ``l1.capacity_sectors`` sectors (the sum of its patterns'
+``n_sectors``).  Then replaying O again leaves both caches unchanged:
+
+* every sector of O is among the most recently used L1 sectors — for LRU
+  to evict one, more distinct sectors than the capacity would have to be
+  touched after it — so every operation hits;
+* hits only reorder those sectors, and their order after the replay is
+  again their last-touch order in O;
+* every sector O stores is already dirty;
+* L2 and DRAM are never touched.
+
+The only effect is ``l1.hits += (load sectors of O)``, so
+:func:`repro.gpu.memory.issue_warp_patterns` adds those hits instead of
+replaying (``sim.fastpath.collapsed_issues``).  The last issue lives on
+the :class:`~repro.gpu.memory.MemoryHierarchy`; ``end_block`` and
+``warp_access`` clear it.  Row-per-lane loops (softmax and reduction rows
+where each lane reads along its own row) repeat their previous issue for
+most iterations: every lane stays in one sector for ``sector / element``
+iterations.
+
+Statement loops.  A sequential loop segment whose one live child is a
+statement call, with lane-invariant bounds, is issued by one routine
+(:meth:`_FastSimulator._fissue_scalar`; a lone scalar issue is its
+one-value case).  Each access's address steps by its stride on the loop
+variable, so its residue modulo the sector — and with it the warp
+signature and pattern — repeats with a period dividing the sector size,
+while its base sector advances by a fixed amount per period.  The first
+period does the pattern lookups of single issues; later iterations reuse
+its patterns, counting the same memo hits and costs, and only drive the
+hierarchy.
+
 Loop segment plans.  Fused operators lower to *union* loops: polyhedral
 code generation without loop separation emits one loop over the union of
 the statements' ranges and a guard per statement, each live on one band
@@ -66,7 +103,7 @@ from __future__ import annotations
 import math
 
 from repro.codegen.ast import Guard, Loop, Seq, StatementCall, walk
-from repro.gpu.memory import replay_warp_pattern
+from repro.gpu.memory import issue_warp_patterns
 from repro.gpu.simulator import _Simulator
 
 
@@ -208,6 +245,7 @@ class _FastState:
 
     __slots__ = (
         "digit_tables", "offset_cache", "offset_ids", "patterns",
+        "pattern_contents",
         "guard_plans", "guard_cache", "loop_plans", "loop_cache",
         "mapped_plans", "mapped_cache", "call_plans",
         "access_cache", "bound_cache", "cond_cache",
@@ -219,8 +257,10 @@ class _FastState:
         # (id(compiled obj), warp_start) -> (offset vector | None, intern id)
         self.offset_cache: dict = {}
         self.offset_ids: dict = {}
-        # (offset id, base residue, n_bytes, active mask) -> _WarpPattern
+        # (offset id, base residue, n_bytes, active mask) -> _WarpPattern,
+        # canonical by content: (write_seq, sorted_rels) -> _WarpPattern.
         self.patterns: dict = {}
+        self.pattern_contents: dict = {}
         # Guard/loop results are pure functions of (node, warp slot, env
         # values of the node's non-parameter dependency variables) — deep
         # sequential loops re-testing the same thread-only guard or
@@ -232,8 +272,8 @@ class _FastState:
         self.loop_cache: dict = {}    # (id, warp, dep values) -> bounds
         self.mapped_plans: dict = {}  # id(loop) -> (lowers, deps)
         self.mapped_cache: dict = {}  # (id, dep values) -> lower shift
-        # (id(call), warp_start) -> tuple of (access, offsets, offset id):
-        # the per-access offset vectors a statement issue needs.
+        # (id(call), warp_start, stepped var) -> the per-access strides
+        # and offset vectors a statement issue needs (`_call_plan`).
         self.call_plans: dict = {}
         # The reference's compile caches (`_CompiledAccess`/`_CompiledExpr`
         # are pure too, and tensor bases are deterministic per mapping).
@@ -266,12 +306,16 @@ class _FastSimulator(_Simulator):
         super().__init__(mapped, arch, sampled_blocks=sampled_blocks)
         self._thread_vars = frozenset(d.loop_var for d in mapped.block)
         self._sector = self.memory.sector_bytes
+        self._sectors_per_cycle = arch.sectors_per_cycle
+        self._mem_instr_cycles = arch.mem_instr_cycles
+        self._arith_instr_cycles = arch.arith_instr_cycles
         state = _fast_state(mapped, arch)
         self._state = state
         self._digit_tables = state.digit_tables
         self._offset_cache = state.offset_cache
         self._offset_ids = state.offset_ids
         self._patterns = state.patterns
+        self._pattern_contents = state.pattern_contents
         self._guard_plans = state.guard_plans
         self._guard_cache = state.guard_cache
         self._loop_plans = state.loop_plans
@@ -292,6 +336,7 @@ class _FastSimulator(_Simulator):
         self.analytic_builds = 0
         self.memo_hits = 0
         self.pruned_iterations = 0
+        self.collapsed_issues = 0
 
     # -- per-warp setup ------------------------------------------------------
 
@@ -505,6 +550,11 @@ class _FastSimulator(_Simulator):
                 # Lane-invariant bounds, one plain child: every value runs
                 # with the caller's mask unchanged.
                 target = live[0][2]
+                if isinstance(target, StatementCall):
+                    # A statement loop: issue the whole segment at once.
+                    env[var] = start
+                    self._fissue_scalar(target, mask, var, stop - start)
+                    continue
                 for value in range(start, stop):
                     env[var] = value
                     frun(target, mask)
@@ -683,28 +733,139 @@ class _FastSimulator(_Simulator):
 
     # -- issue ---------------------------------------------------------------
 
-    def _call_plan(self, call: StatementCall):
-        key = (id(call), self._warp_start)
+    def _call_plan(self, call: StatementCall, var):
+        """``(entries, requested bytes per lane, period)`` of one statement
+        issue in the current warp slot: an entry ``(access, stride on var,
+        offsets, offset id, elem bytes, is_write)`` per access, and the
+        number of steps of ``var`` after which every access's base
+        residue modulo the sector repeats."""
+        key = (id(call), self._warp_start, var)
         plan = self._call_plans.get(key)
         if plan is None:
-            plan = tuple((access,) + self._offsets_of(access)
-                         for access in self._compiled_accesses(call))
+            entries = []
+            requested = 0
+            divisor = sector = self._sector
+            for access in self._compiled_accesses(call):
+                n_bytes = access.elem_bytes
+                if n_bytes <= 0:
+                    raise FallbackNeeded("non-positive access width")
+                requested += n_bytes
+                stride = access.strides.get(var, 0)
+                divisor = math.gcd(divisor, stride)
+                off, off_id = self._offsets_of(access)
+                entries.append((access, stride, off, off_id, n_bytes,
+                                access.is_write))
+            plan = (tuple(entries), requested, sector // divisor)
             self._call_plans[key] = plan
         return plan
 
-    def _fissue_scalar(self, call: StatementCall, mask: int) -> None:
+    def _fissue_scalar(self, call: StatementCall, mask: int,
+                       var=None, count: int = 1) -> None:
+        """Issue ``call`` ``count`` times under ``mask``, stepping ``var``
+        by one from its env value after each issue.
+
+        Scalar issue is the one-value case; :meth:`_frun_loop` passes a
+        whole statement loop segment (see the module docstring).  The
+        first ``period`` steps, the phases, do the pattern lookups and
+        costs of a single issue each; every later step repeats the
+        lookups, costs and patterns of its phase, and :meth:`_issue_steps`
+        drives the hierarchy."""
         if not mask:
             return
-        n_active = mask.bit_count()
-        self.scalar_issues += 1
+        entries, requested, period = self._call_plan(call, var)
         env = self._env
-        for access, off, off_id in self._call_plan(call):
-            self._fast_count(access, off, off_id, access.address(env),
-                             access.elem_bytes, mask, n_active)
+        sector = self._sector
+        patterns = self._patterns
+        per_cycle = self._sectors_per_cycle
+        mem_cycles = self._mem_instr_cycles
+        n_phases = period if period < count else count
+        phases = []  # (ops, issue cycles, sectors, load sectors) per phase
+        memo_hits = 0
+        for step in range(n_phases):
+            ops = []
+            cycles = sectors = loads = 0
+            for access, stride, off, off_id, n_bytes, is_write in entries:
+                base_sector, res = divmod(access.address(env) + stride * step,
+                                          sector)
+                key = (off_id, res, n_bytes, mask)
+                pattern = patterns.get(key)
+                if pattern is None:
+                    pattern = self._new_pattern(key, off)
+                else:
+                    memo_hits += 1
+                ops.append((base_sector, pattern, is_write))
+                n_sectors = pattern.n_sectors
+                replay = -(-n_sectors // per_cycle)
+                cycles += replay if replay > mem_cycles else mem_cycles
+                sectors += n_sectors
+                if not is_write:
+                    loads += n_sectors
+            phases.append((tuple(ops), cycles, sectors, loads))
+        memory = self.memory
+        collapsed = 0
+        if count == 1:
+            ops, cycles, sectors, loads = phases[0]
+            if ops and issue_warp_patterns(memory, ops, sectors, loads):
+                collapsed = 1
+        else:
+            if entries:
+                collapsed = self._issue_steps(phases, entries, period, count)
+            full, rest = divmod(count, n_phases)
+            cycles = (full * sum(phase[1] for phase in phases)
+                      + sum(phase[1] for phase in phases[:rest]))
+            sectors = (full * sum(phase[2] for phase in phases)
+                       + sum(phase[2] for phase in phases[:rest]))
+            memo_hits += (count - n_phases) * len(entries)
+        n_active = mask.bit_count()
         flops = call.statement.flops
-        self.arith_instrs += flops
-        self.issue_cycles += flops * self.arch.arith_instr_cycles
-        self.flops += flops * n_active
+        self.memo_hits += memo_hits
+        self.collapsed_issues += collapsed
+        self.scalar_issues += count
+        self.mem_instrs += len(entries) * count
+        self.sectors += sectors
+        self.bytes_req += requested * n_active * count
+        self.arith_instrs += flops * count
+        self.issue_cycles += cycles + flops * count * self._arith_instr_cycles
+        self.flops += flops * count * n_active
+
+    def _issue_steps(self, phases, entries, period: int, count: int) -> int:
+        """Drive the hierarchy with ``count`` issues of a statement loop
+        from its ``phases`` (see :meth:`_fissue_scalar`) and return how
+        many collapsed.  Step ``cycle * period + phase`` issues its
+        phase's operations with each base sector advanced by ``cycle *
+        stride * period // sector``; a step known to repeat the step
+        before passes the same operations object again, which
+        :func:`~repro.gpu.memory.issue_warp_patterns` compares by
+        identity first."""
+        memory = self.memory
+        sector = self._sector
+        n_phases = len(phases)
+        advances = [entry[1] * period // sector for entry in entries]
+        # Which steps repeat the step before: within a period, when the
+        # phases' operations are equal; across a period boundary, when the
+        # first phase's, advanced, equal the last phase's.
+        repeats = [False] + [phases[phase][0] == phases[phase - 1][0]
+                             for phase in range(1, n_phases)]
+        if count > n_phases:
+            repeats[0] = phases[-1][0] == tuple(
+                (base + advance, pattern, is_write)
+                for (base, pattern, is_write), advance
+                in zip(phases[0][0], advances))
+        collapsed = 0
+        previous = None
+        for step in range(count):
+            cycle, phase = divmod(step, n_phases)
+            ops, _, sectors, loads = phases[phase]
+            if step and repeats[phase]:
+                ops = previous
+            elif cycle:
+                ops = tuple((base + cycle * advance, pattern, is_write)
+                            for (base, pattern, is_write), advance
+                            in zip(ops, advances))
+            if issue_warp_patterns(memory, ops, sectors, loads):
+                collapsed += 1
+            previous = ops
+        return collapsed
 
     def _fissue_vector(self, call: StatementCall, mask: int,
                        var: str, width: int) -> None:
@@ -713,51 +874,68 @@ class _FastSimulator(_Simulator):
         n_active = mask.bit_count()
         self.vector_issues += 1
         env = self._env
-        for access, off, off_id in self._call_plan(call):
-            stride = access.strides.get(var, 0)
+        ops = []
+        for access, stride, off, off_id, elem, _ in \
+                self._call_plan(call, var)[0]:
             base = access.address(env)
-            elem = access.elem_bytes
             if stride == elem:
                 # Contiguous along the vector dim: one vector access/lane.
-                self._fast_count(access, off, off_id, base, elem * width,
-                                 mask, n_active)
+                ops.append(self._fast_count(access, off, off_id, base,
+                                            elem * width, mask, n_active))
             elif stride == 0:
                 # Invariant: a single scalar access serves all lanes' groups.
-                self._fast_count(access, off, off_id, base, elem, mask,
-                                 n_active)
+                ops.append(self._fast_count(access, off, off_id, base, elem,
+                                            mask, n_active))
             else:
                 # Gather/scatter: one instruction per lane position.
                 for offset in range(width):
-                    self._fast_count(access, off, off_id,
-                                     base + stride * offset, elem, mask,
-                                     n_active)
+                    ops.append(self._fast_count(access, off, off_id,
+                                                base + stride * offset, elem,
+                                                mask, n_active))
+        if ops:
+            sectors = loads = 0
+            for _, pattern, is_write in ops:
+                sectors += pattern.n_sectors
+                if not is_write:
+                    loads += pattern.n_sectors
+            if issue_warp_patterns(self.memory, tuple(ops), sectors, loads):
+                self.collapsed_issues += 1
         # Computation stays scalar: `width` iterations of flops.
         flops = call.statement.flops
         self.arith_instrs += flops * width
-        self.issue_cycles += flops * width * self.arch.arith_instr_cycles
+        self.issue_cycles += flops * width * self._arith_instr_cycles
         self.flops += flops * width * n_active
 
     def _fast_count(self, access, off, off_id: int, base: int, n_bytes: int,
-                    mask: int, n_active: int) -> None:
-        if n_bytes <= 0:
-            raise FallbackNeeded("non-positive access width")
-        sector = self._sector
-        key = (off_id, base % sector, n_bytes, mask)
+                    mask: int, n_active: int) -> tuple:
+        """Count one warp memory instruction of a vector issue and return
+        its ``(base sector, pattern, is_write)`` operation."""
+        base_sector, res = divmod(base, self._sector)
+        key = (off_id, res, n_bytes, mask)
         pattern = self._patterns.get(key)
         if pattern is None:
-            pattern = self._build_pattern(off, base % sector, n_bytes, mask)
-            self._patterns[key] = pattern
+            pattern = self._new_pattern(key, off)
         else:
             self.memo_hits += 1
-        replay_warp_pattern(self.memory, base // sector,
-                            pattern.write_seq, pattern.sorted_rels,
-                            access.is_write)
         self.mem_instrs += 1
-        replay = -(-pattern.n_sectors // self.arch.sectors_per_cycle)
-        cycles = self.arch.mem_instr_cycles
+        replay = -(-pattern.n_sectors // self._sectors_per_cycle)
+        cycles = self._mem_instr_cycles
         self.issue_cycles += replay if replay > cycles else cycles
         self.sectors += pattern.n_sectors
         self.bytes_req += n_bytes * n_active
+        return (base_sector, pattern, access.is_write)
+
+    def _new_pattern(self, key: tuple, off) -> _WarpPattern:
+        """Build and memoize the pattern of signature ``key``, canonical
+        by content: signatures with equal sector sequences share one
+        object, so :func:`~repro.gpu.memory.issue_warp_patterns` compares
+        them by identity."""
+        _, res, n_bytes, mask = key
+        pattern = self._build_pattern(off, res, n_bytes, mask)
+        pattern = self._pattern_contents.setdefault(
+            (pattern.write_seq, pattern.sorted_rels), pattern)
+        self._patterns[key] = pattern
+        return pattern
 
     def _build_pattern(self, off, res: int, n_bytes: int,
                        mask: int) -> _WarpPattern:

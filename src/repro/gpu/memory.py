@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional
 
 
@@ -75,14 +76,21 @@ class SectorCache:
         return None
 
     def flush(self) -> list[int]:
-        """Return (and clean) every dirty sector."""
-        dirty = [s for s, d in self._sectors.items() if d]
+        """Return (and clean) every dirty sector, in LRU order."""
+        sectors = self._sectors
+        dirty = list(compress(sectors, sectors.values()))
+        # Assigning an existing key keeps its LRU position.
         for sector in dirty:
-            self._sectors[sector] = False
+            sectors[sector] = False
         return dirty
 
-    def reset(self) -> None:
-        self._sectors.clear()
+    def drain(self) -> list[int]:
+        """Return every dirty sector, in LRU order, and empty the cache
+        (a flush without the cleaning the emptying makes moot)."""
+        sectors = self._sectors
+        dirty = list(compress(sectors, sectors.values()))
+        sectors.clear()
+        return dirty
 
     def clear_stats(self) -> None:
         self.hits = 0
@@ -98,6 +106,10 @@ class MemoryHierarchy:
         self.sector_bytes = sector_bytes
         self.dram_reads = 0
         self.dram_writes = 0
+        # The sector operations of the last statement issue, as
+        # :func:`issue_warp_patterns` replayed them; ``None`` once any
+        # other memory operation (or the end of a block) intervenes.
+        self.last_issue: Optional[tuple] = None
 
     # -- sector operations ---------------------------------------------------
 
@@ -127,9 +139,9 @@ class MemoryHierarchy:
 
     def end_block(self) -> None:
         """A thread block finished: spill its L1 to L2 and recycle L1."""
-        for sector in self.l1.flush():
+        for sector in self.l1.drain():
             self._l2_store(sector)
-        self.l1.reset()
+        self.last_issue = None
 
     def end_kernel(self) -> None:
         """The launch finished: write back everything still dirty in L2."""
@@ -157,6 +169,7 @@ def warp_access(memory: MemoryHierarchy,
     ``lane_ranges`` lists ``(byte_address, n_bytes)`` per active lane (a
     vector access is one lane range of 8/16 bytes).
     """
+    memory.last_issue = None
     sector_size = memory.sector_bytes
     sectors: set[int] = set()
     requested = 0
@@ -265,3 +278,37 @@ def replay_warp_pattern(memory: MemoryHierarchy, base_sector: int,
                     if l2_dirty:
                         memory.dram_writes += 1
                 memory.dram_reads += 1
+
+
+def issue_warp_patterns(memory: MemoryHierarchy, ops: tuple,
+                        n_sectors: int, load_sectors: int) -> bool:
+    """Drive the hierarchy with one statement issue's warp instructions,
+    or skip the replay when it provably changes nothing but one counter.
+
+    ``ops`` lists ``(base_sector, pattern, is_write)`` per instruction, in
+    issue order; each ``pattern`` carries the ``write_seq``,
+    ``sorted_rels`` and ``n_sectors`` of :func:`replay_warp_pattern`.
+    Patterns compare by identity, so only patterns canonical by content
+    (equal sector sequences, one object) let every repeat be recognized.
+    ``n_sectors`` sums the patterns' sectors and ``load_sectors`` those of
+    the loads.
+
+    When ``ops`` equals the previous issue (``memory.last_issue``: no
+    memory operation in between) and ``n_sectors`` is at most
+    ``l1.capacity_sectors``, the replay would only hit.  After the
+    previous issue every sector of ``ops`` is among the most recently
+    used L1 sectors, in last-touch order: evicting one would take more
+    distinct sectors than the capacity.  So every operation hits; hits
+    only reorder those sectors, back into their last-touch order; every
+    stored sector is already dirty; and L2 and DRAM are never reached.
+    The collapse adds the load hits and returns ``True``.  Otherwise
+    every instruction is replayed and ``False`` is returned.
+    """
+    if ops == memory.last_issue and n_sectors <= memory.l1.capacity_sectors:
+        memory.l1.hits += load_sectors
+        return True
+    for base_sector, pattern, is_write in ops:
+        replay_warp_pattern(memory, base_sector, pattern.write_seq,
+                            pattern.sorted_rels, is_write)
+    memory.last_issue = ops
+    return False

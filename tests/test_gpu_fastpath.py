@@ -29,8 +29,13 @@ from repro.gpu.profile_cache import (
     use_profile_cache,
 )
 from repro.gpu.arch import V100
-from repro.gpu.fastpath import _live_span, _normalized_condition, _segments
-from repro.gpu.simulator import simulate_kernel
+from repro.gpu.fastpath import (
+    _FastSimulator,
+    _live_span,
+    _normalized_condition,
+    _segments,
+)
+from repro.gpu.simulator import _execute_kernel, simulate_kernel
 from repro.ir.kparser import parse_kernel
 from repro.obs import MetricsRegistry, Obs, use_obs
 from repro.pipeline.akg import VARIANTS, AkgPipeline
@@ -103,6 +108,26 @@ class TestParity:
                 compiled = pipeline.compile(kernel, variant)
                 for launch in compiled.launches:
                     _parity(launch, sample_blocks=2)
+
+    @pytest.mark.parametrize("network,name", [
+        # One suite operator (seed 0) of each class that the repeated-issue
+        # collapse and the batched statement loops target.
+        ("BERT", "bert_op085_softmax_like"),
+        ("BERT", "bert_op069_reduce_producer"),
+        ("ResNeXt50", "resnext50_op020_transpose2d"),
+    ])
+    def test_targeted_suite_operators_all_variants(self, network, name):
+        kernel = next(kernel for _, kernel
+                      in generate_network_suite(network, seed=0)
+                      if kernel.name == name)
+        pipeline = AkgPipeline(sample_blocks=2)
+        obs = Obs(metrics=MetricsRegistry())
+        with use_obs(obs):
+            for variant in VARIANTS:
+                for launch in pipeline.compile(kernel, variant).launches:
+                    _parity(launch, sample_blocks=2)
+        counters = obs.metrics.counters
+        assert counters.get("sim.fastpath.collapsed_issues", 0) > 0
 
     def test_corpus_replay(self):
         """Every committed fuzz reproducer stays backend-invariant."""
@@ -247,13 +272,13 @@ class TestSegmentPlans:
     # operations changes hits and misses.
     TINY_CACHES = dataclasses.replace(V100, l1_bytes=512, l2_bytes=2048)
 
-    def _assert_parity(self, mutant):
+    def _assert_parity(self, mutant, arch=TINY_CACHES):
         obs = Obs(metrics=MetricsRegistry())
         with use_obs(obs):
             fast = simulate_kernel(mutant, sample_blocks=3, sim="fast",
-                                   arch=self.TINY_CACHES)
+                                   arch=arch)
         reference = simulate_kernel(copy.deepcopy(mutant), sample_blocks=3,
-                                    sim="reference", arch=self.TINY_CACHES)
+                                    sim="reference", arch=arch)
         assert fast.counters() == reference.counters()
         assert fast.warp_mem_instructions > 0
         assert "sim.fastpath.fallback" not in obs.metrics.counters
@@ -320,6 +345,76 @@ class TestSegmentPlans:
 
         counters = self._assert_parity(self._replace_body(mapped, build))
         assert counters["sim.fastpath.pruned_iterations"] > 0
+
+    # Repeated-issue collapse and batched statement loops.  A row-per-lane
+    # loop (lane t reads A[t][u] and writes B[t][u]) keeps each lane in
+    # one sector for 8 iterations: one issue touches 32 + 32 sectors per
+    # full warp, which an L1 of 128 sectors holds and TINY_CACHES' 16 do
+    # not.
+    ROOMY_L1 = dataclasses.replace(TINY_CACHES, l1_bytes=4096)
+
+    def _row_loop(self, chains=((),), strides=(1,), last=11):
+        """A builder for :meth:`_replace_body`: ``for u in [0, last]``
+        over one row-per-lane call per guard chain, column ``stride * u``
+        (a negative stride reads the row backwards from column 11)."""
+        def build(call, thread_var):
+            children = []
+            for chain, stride in zip(chains, strides):
+                column = (LinExpr({"u": stride}) if stride > 0
+                          else LinExpr({"u": stride}, 11))
+                node = self._call(call, LinExpr({thread_var: 1}), column)
+                for conditions in reversed(chain):
+                    node = self._guard(conditions, node)
+                children.append(node)
+            return Loop("u", [LinExpr(const=0)], [LinExpr(const=last)],
+                        Seq(children))
+        return build
+
+    def _row_mutant(self, build):
+        mapped = compile_mapped(copy_kernel(64, 64), max_threads=64)
+        return self._replace_body(mapped, build)
+
+    def test_row_per_lane_repeats_collapse(self):
+        counters = self._assert_parity(self._row_mutant(self._row_loop()),
+                                       arch=self.ROOMY_L1)
+        assert counters["sim.fastpath.collapsed_issues"] > 0
+
+    def test_issue_larger_than_l1_replays(self):
+        counters = self._assert_parity(self._row_mutant(self._row_loop()))
+        assert "sim.fastpath.collapsed_issues" not in counters
+
+    # One call is live on u <= 5 and reads backwards; the other is live
+    # on u >= 6 and steps 12 bytes per iteration, a residue period of 8
+    # iterations.  Its batched segment [6, 22) starts at the cut, off the
+    # sector boundary, and spans two periods.
+    CUT_CHAINS = ([[({"u": 1}, -6, ">=")]], [[({"u": -1}, 5, ">=")]])
+
+    def test_batched_run_after_segment_cut(self):
+        counters = self._assert_parity(self._row_mutant(self._row_loop(
+            chains=self.CUT_CHAINS, strides=(3, -1), last=21)),
+            arch=self.ROOMY_L1)
+        assert counters["sim.fastpath.pruned_iterations"] > 0
+        assert counters["sim.fastpath.collapsed_issues"] > 0
+
+    def test_masked_partial_warp_collapses(self):
+        # Four active lanes issue 4 + 4 sectors, within TINY_CACHES' L1.
+        def build(call, thread_var):
+            loop = self._row_loop()(call, thread_var)
+            return self._guard([({thread_var: -1}, 3, ">=")], loop)
+        counters = self._assert_parity(self._row_mutant(build))
+        assert counters["sim.fastpath.collapsed_issues"] > 0
+
+    def test_batched_lookups_count_as_memo_hits(self):
+        """Each warp memory instruction is one signature lookup, a memo
+        hit or a pattern build, also where a statement loop reuses the
+        patterns of its first period."""
+        mutant = self._row_mutant(self._row_loop(
+            chains=self.CUT_CHAINS, strides=(3, -1), last=21))
+        # Every block sampled, so no warmup block resets the counters.
+        _, sim = _execute_kernel(mutant, self.ROOMY_L1, mutant.n_blocks,
+                                 _FastSimulator)
+        assert sim.collapsed_issues > 0
+        assert sim.memo_hits + len(sim._patterns) == sim.mem_instrs
 
 
 def _lane_variant_mutant():

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.memory import MemoryHierarchy, SectorCache, warp_access
+from repro.gpu.memory import (
+    MemoryHierarchy,
+    SectorCache,
+    issue_warp_patterns,
+    warp_access,
+)
 
 
 def hierarchy(l1=1024, l2=8192, sector=32):
@@ -182,3 +187,111 @@ def test_writeback_exact_without_pressure(sectors):
         m.store_sector(s)
     m.end_kernel()
     assert m.dram_writes == len(set(sectors))
+
+
+class _Pattern:
+    """A warp sector pattern as the fast simulator memoizes it."""
+
+    def __init__(self, write_seq, sorted_rels):
+        self.write_seq = write_seq
+        self.sorted_rels = sorted_rels
+        self.n_sectors = len(sorted_rels)
+
+
+def _warp_op(lane_ranges, is_write, canonical, sector=32):
+    """``(base sector, pattern, is_write)`` of one warp instruction, the
+    pattern relative to the first lane's sector and canonical by content."""
+    base_sector = lane_ranges[0][0] // sector
+    write_seq = []
+    for address, n_bytes in lane_ranges:
+        write_seq.extend(range(address // sector - base_sector,
+                               (address + n_bytes - 1) // sector
+                               - base_sector + 1))
+    write_seq = tuple(write_seq)
+    sorted_rels = tuple(sorted(set(write_seq)))
+    pattern = canonical.setdefault((write_seq, sorted_rels),
+                                   _Pattern(write_seq, sorted_rels))
+    return (base_sector, pattern, is_write)
+
+
+def _issue(m, ops):
+    loads = sum(p.n_sectors for _, p, is_write in ops if not is_write)
+    return issue_warp_patterns(m, ops, sum(p.n_sectors for _, p, _ in ops),
+                               loads)
+
+
+def _state(m):
+    return (m.l1.hits, m.l1.misses, m.l2.hits, m.l2.misses, m.dram_reads,
+            m.dram_writes, list(m.l1._sectors.items()),
+            list(m.l2._sectors.items()))
+
+
+_INSTRUCTION = st.tuples(
+    st.lists(st.tuples(st.integers(0, 640), st.sampled_from([4, 8, 16])),
+             min_size=1, max_size=8),
+    st.booleans())
+
+
+@given(issues=st.lists(st.lists(_INSTRUCTION, min_size=1, max_size=3),
+                       min_size=1, max_size=4),
+       steps=st.lists(st.one_of(
+           st.tuples(st.integers(0, 3), st.integers(1, 4)),
+           st.just(None)), min_size=1, max_size=12),
+       l1=st.integers(2, 16), l2=st.integers(4, 24))
+@settings(max_examples=200, deadline=None)
+def test_issue_collapse_matches_warp_access(issues, steps, l1, l2):
+    """Property: collapsing exact repeats leaves the hierarchy exactly as
+    replaying every instruction through ``warp_access`` does — counters
+    and the ordered ``(sector, dirty)`` contents of both caches.  Steps
+    issue one statement several times in a row (``None`` ends a block);
+    issues larger than L1 always replay."""
+    reference = MemoryHierarchy(l1 * 32, l2 * 32, 32)
+    collapsing = MemoryHierarchy(l1 * 32, l2 * 32, 32)
+    canonical = {}
+    previous = None
+    for step in steps:
+        if step is None:
+            reference.end_block()
+            collapsing.end_block()
+            previous = None
+            continue
+        index, repeats = step
+        issue = issues[index % len(issues)]
+        ops = tuple(_warp_op(ranges, is_write, canonical)
+                    for ranges, is_write in issue)
+        for _ in range(repeats):
+            for ranges, is_write in issue:
+                warp_access(reference, ranges, is_write)
+            collapsed = _issue(collapsing, ops)
+            if collapsed:
+                assert ops == previous
+                assert sum(p.n_sectors for _, p, _ in ops) <= l1
+            previous = ops
+            assert _state(collapsing) == _state(reference)
+    reference.end_kernel()
+    collapsing.end_kernel()
+    assert _state(collapsing) == _state(reference)
+
+
+def test_issue_collapse_fires_and_end_block_clears_it():
+    m = hierarchy(l1=4 * 32)
+    canonical = {}
+    ops = (_warp_op([(0, 4), (40, 4)], False, canonical),
+           _warp_op([(64, 8)], True, canonical))
+    assert not _issue(m, ops)
+    hits = m.l1.hits
+    assert _issue(m, ops)
+    assert m.l1.hits == hits + 2  # the two load sectors
+    m.end_block()
+    assert not _issue(m, ops)
+    # Any other memory operation in between also forbids the collapse.
+    warp_access(m, [(512, 4)], False)
+    assert not _issue(m, ops)
+
+
+def test_issue_larger_than_l1_always_replays():
+    m = hierarchy(l1=2 * 32)
+    ops = (_warp_op([(0, 4), (32, 4), (64, 4)], False, {}),)
+    assert not _issue(m, ops)
+    assert not _issue(m, ops)
+    assert m.l1.hits == 0 and m.l1.misses == 6
