@@ -183,20 +183,24 @@ def test_bench_pipeline_warm(benchmark):
 
 
 @pytest.mark.parametrize("sim", ["fast", "reference"])
-def test_bench_compile_and_measure(benchmark, sim):
-    """Full compile+measure cost with the simulator backend forced.
+def test_bench_compile_and_measure(benchmark, sim, monkeypatch):
+    """Full compile+measure cost on each simulator interpreter.
 
     The two series bound the simulator's share of end-to-end pipeline
     wall time in the BENCH_* trend; the artifact breaks each round into
     compile vs simulate seconds so a simulator regression is attributable
-    at a glance.  With the fast backend the pass summary must also show
+    at a glance.  With the fast path the pass summary must also show
     its fast-path counters (memoization working on real pipeline output,
     not just on the micro-bench kernels)."""
     import time
 
+    import repro.gpu.simulator as simulator
     from repro.pipeline import AkgPipeline
 
-    pipeline = AkgPipeline(sample_blocks=4, sim=sim)
+    if sim == "reference":
+        monkeypatch.setattr(simulator, "_simulate",
+                            simulator.simulate_reference)
+    pipeline = AkgPipeline(sample_blocks=4)
     breakdown = []  # (compile_s, measure_s) per round
 
     def run():

@@ -1,9 +1,9 @@
-"""Simulator fast-path benchmarks: fast vs reference ``simulate_kernel``.
+"""Simulator fast-path benchmarks: simulate_kernel vs simulate_reference.
 
 The fast interpreter (:mod:`repro.gpu.fastpath`) must be a pure
 performance change: bitwise-identical :class:`KernelProfile` counters at
-a fraction of the reference backend's latency.  Each family benchmarks
-both backends on the same mapped kernel so the BENCH_* trend tracks the
+a fraction of the reference interpreter's latency.  Each family benchmarks
+both interpreters on the same mapped kernel so the BENCH_* trend tracks the
 two latencies (and their ratio) over time, and the speedup test enforces
 the acceptance floor — >= 5x on the transpose and reduction families,
 where per-warp signature memoization pays off the most, a floor on each
@@ -22,12 +22,15 @@ import pytest
 from conftest import write_artifact
 
 from repro.codegen import generate_ast, map_to_gpu, vectorize
-from repro.gpu.simulator import simulate_kernel
+from repro.gpu.simulator import simulate_kernel, simulate_reference
 from repro.influence import build_influence_tree
 from repro.schedule import InfluencedScheduler
 from repro.workloads import operators
 
 SAMPLE_BLOCKS = 8
+
+# Series name -> simulation entry point; the names match BENCH_baseline.json.
+SIMULATORS = {"fast": simulate_kernel, "reference": simulate_reference}
 
 # family -> (kernel factory, influenced, acceptance floor for fast/ref).
 # The transpose runs the *natural* (uninfluenced) mapping: its strided
@@ -92,23 +95,23 @@ def _best_of(fn, repeats=3):
 @pytest.mark.parametrize("sim", ["fast", "reference"])
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_bench_simulate(benchmark, family, sim):
-    """Per-backend simulate_kernel latency (one trend series each)."""
+    """Per-interpreter simulation latency (one trend series each)."""
     mapped = _compiled(family)
+    simulate = SIMULATORS[sim]
     profile = benchmark.pedantic(
-        lambda: simulate_kernel(mapped, sample_blocks=SAMPLE_BLOCKS, sim=sim),
+        lambda: simulate(mapped, sample_blocks=SAMPLE_BLOCKS),
         rounds=3, iterations=1, warmup_rounds=1)
-    reference = simulate_kernel(mapped, sample_blocks=SAMPLE_BLOCKS,
-                                sim="reference")
+    reference = simulate_reference(mapped, sample_blocks=SAMPLE_BLOCKS)
     assert profile.counters() == reference.counters()
 
 
 def test_simulator_speedup():
     """The acceptance floor: fast/reference latency ratio per family.
 
-    Warm measurements (best of 3 after a warmup run) — the fast backend's
+    Warm measurements (best of 3 after a warmup run) — the fast path's
     signature caches persist on the mapped kernel, which is exactly how
     the evaluation pipeline re-simulates operators."""
-    lines = [f"simulate_kernel fast vs reference "
+    lines = [f"simulate_kernel vs simulate_reference "
              f"(sample_blocks={SAMPLE_BLOCKS}, best of 3, warm):",
              f"  {'family':<14}{'reference ms':>14}{'fast ms':>10}"
              f"{'speedup':>9}{'floor':>7}"]
@@ -116,9 +119,9 @@ def test_simulator_speedup():
     for family, (_, _, floor) in FAMILIES.items():
         mapped = _compiled(family)
         run_fast = lambda: simulate_kernel(  # noqa: E731
-            mapped, sample_blocks=SAMPLE_BLOCKS, sim="fast")
-        run_ref = lambda: simulate_kernel(  # noqa: E731
-            mapped, sample_blocks=SAMPLE_BLOCKS, sim="reference")
+            mapped, sample_blocks=SAMPLE_BLOCKS)
+        run_ref = lambda: simulate_reference(  # noqa: E731
+            mapped, sample_blocks=SAMPLE_BLOCKS)
         run_fast()  # warm the per-kernel signature caches
         fast_s, fast_profile = _best_of(run_fast)
         ref_s, ref_profile = _best_of(run_ref)

@@ -41,7 +41,6 @@ from repro.eval import (
     format_table2,
 )
 from repro.eval.checkpoint import CheckpointError, EvalCheckpoint
-from repro.gpu.backend import available_simulators, resolve_simulator
 from repro.eval.tables import format_degradation_summary, geomean_speedup
 from repro.influence import build_influence_tree, build_scenarios
 from repro.ir.kparser import KernelParseError, parse_kernel_file
@@ -72,7 +71,6 @@ from repro.pipeline import (
 )
 from repro.pipeline.passes import PassContext
 from repro.schedule import SchedulerOptions
-from repro.solver.backend import available_backends, resolve_backend
 from repro.solver.budget import SolveBudget
 from repro.verify import VerifyConfig, run_fuzz, run_verify
 from repro.workloads import NETWORKS
@@ -180,16 +178,12 @@ def _kernel_record(profile) -> dict:
 
 def _cmd_compile(args) -> int:
     kernel = parse_kernel_file(args.file)
-    options = SchedulerOptions(solver=args.solver) if args.solver else None
     pipeline = AkgPipeline(sample_blocks=args.sample_blocks,
-                           max_threads=args.max_threads,
-                           scheduler_options=options,
-                           sim=args.sim)
+                           max_threads=args.max_threads)
     variants = VARIANTS if args.all_variants else (args.variant,)
     started = time.monotonic()
     record = new_record("compile", config={
         "file": args.file, "variants": ",".join(variants),
-        "solver": args.solver, "sim": args.sim,
         "max_threads": args.max_threads,
         "sample_blocks": args.sample_blocks})
     operator = {"name": kernel.name, "op_class": "", "times": {},
@@ -276,8 +270,6 @@ def _cmd_table2(args) -> int:
         trace=bool(args.trace),
         deadline_ms=args.deadline_ms if args.deadline_ms > 0 else None,
         verify=args.verify,
-        solver=args.solver,
-        sim=args.sim,
         task_timeout_s=args.task_timeout if args.task_timeout > 0 else None,
         retries=max(args.retries, 0),
         retry_backoff_s=max(args.retry_backoff, 0.0))
@@ -290,8 +282,8 @@ def _cmd_table2(args) -> int:
     started = time.monotonic()
     record = new_record("table2", config={
         "networks": ",".join(networks), "seed": args.seed,
-        "limit": args.limit, "jobs": args.jobs, "solver": args.solver,
-        "sim": args.sim, "deadline_ms": args.deadline_ms,
+        "limit": args.limit, "jobs": args.jobs,
+        "deadline_ms": args.deadline_ms,
         "sample_blocks": args.sample_blocks,
         "task_timeout": args.task_timeout, "retries": args.retries})
     results = []
@@ -389,15 +381,13 @@ def _cmd_profile(args) -> int:
                      args.network, list(NETWORKS))
         return 2
     options = None
-    if args.deadline_ms > 0 or args.solver:
-        budget = (SolveBudget(deadline_s=args.deadline_ms / 1000.0)
-                  if args.deadline_ms > 0 else None)
-        options = SchedulerOptions(budget=budget, solver=args.solver)
+    if args.deadline_ms > 0:
+        options = SchedulerOptions(
+            budget=SolveBudget(deadline_s=args.deadline_ms / 1000.0))
     pipeline = AkgPipeline(sample_blocks=args.sample_blocks,
                            max_threads=args.max_threads,
                            scheduler_options=options,
-                           trace=bool(args.trace),
-                           sim=args.sim)
+                           trace=bool(args.trace))
     baseline_record = None
     if args.baseline:
         try:
@@ -415,8 +405,6 @@ def _cmd_profile(args) -> int:
             "sample_blocks": args.sample_blocks,
             "max_threads": args.max_threads,
             "deadline_ms": args.deadline_ms,
-            "solver": resolve_backend(args.solver).name,
-            "sim": resolve_simulator(args.sim).name,
         }, root=_store_for(args).root)
         if args.resume is not None:
             checkpoint.use_ref(args.resume)
@@ -424,8 +412,8 @@ def _cmd_profile(args) -> int:
     started = time.monotonic()
     record = new_record("profile", config={
         "networks": network, "variant": args.variant, "seed": args.seed,
-        "limit": args.limit, "solver": args.solver, "sim": args.sim,
-        "deadline_ms": args.deadline_ms, "sample_blocks": args.sample_blocks,
+        "limit": args.limit, "deadline_ms": args.deadline_ms,
+        "sample_blocks": args.sample_blocks,
         "max_threads": args.max_threads})
     profiles = []
     operators: list[dict] = []
@@ -490,10 +478,7 @@ def _cmd_profile(args) -> int:
                     "metrics": metrics})
         completed = True
         merged_context = merge_contexts(metric_dicts)
-        backend = resolve_backend(args.solver)
         print(f"profile report — {network}, variant {args.variant}, "
-              f"solver {backend.name}, "
-              f"simulator {resolve_simulator(args.sim).name}, "
               f"{len(suite)} operator(s), {len(profiles)} kernel launch(es)")
         print()
         print(merged_context.format_summary())
@@ -563,8 +548,7 @@ def _cmd_explain(args) -> int:
         logger.error("unknown network %r; pick from %s",
                      args.network, list(NETWORKS))
         return 2
-    seed, limit, solver = args.seed, args.limit, args.solver
-    variant, sim = args.variant, args.sim
+    seed, limit, variant = args.seed, args.limit, args.variant
     if args.run:
         try:
             stored = _store_for(args).resolve(args.run)
@@ -572,21 +556,18 @@ def _cmd_explain(args) -> int:
             logger.error("error: %s", exc)
             return 2
         config = stored.get("config", {})
+        # Older records also carry "solver"/"sim" keys; there is one solver
+        # and one simulator, so they select nothing.
         seed = int(config.get("seed", seed))
         limit = int(config.get("limit", limit))
-        solver = config.get("solver", solver)
         variant = config.get("variant", variant)
-        sim = config.get("sim", sim)
         logger.info("explaining with the configuration of run %s",
                     stored.get("run_id"))
-    options = SchedulerOptions(solver=solver) if solver else None
     # The schedule cache is disabled: a cache hit would skip scheduling
     # entirely and the journal would have nothing to explain.
     pipeline = AkgPipeline(sample_blocks=args.sample_blocks,
                            max_threads=args.max_threads,
-                           scheduler_options=options,
-                           enable_cache=False,
-                           sim=sim)
+                           enable_cache=False)
     suite = generate_network_suite(network, seed=seed,
                                    limit=limit if limit > 0 else None)
     names = [kernel.name for _, kernel in suite]
@@ -732,7 +713,6 @@ def _cmd_verify(args) -> int:
         limit=args.limit,
         sample_blocks=args.sample_blocks,
         max_threads=args.max_threads,
-        sim=args.sim,
         update_goldens=args.update_goldens,
         goldens_dir=args.goldens_dir or None,
         corpus_dir=args.corpus_dir or None,
@@ -773,42 +753,71 @@ def _cmd_fuzz(args) -> int:
 
 
 # -- the parser ---------------------------------------------------------------
+#
+# Flag blocks that several subcommands share are argparse parents.  Each
+# helper builds a fresh parent: a parent's actions are shared with every
+# subparser built from it, so one parent instance must never be reused
+# where a subcommand could change its defaults.
 
 
-def _add_solver_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--solver", default="", metavar="NAME",
-                        help="solver backend (registered: "
-                             f"{', '.join(available_backends())}; "
-                             "default: $REPRO_SOLVER or 'simplex')")
+def _seed_flags() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--seed", type=int, default=0)
+    return parent
 
 
-def _add_sim_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sim", default="", metavar="NAME",
-                        help="simulator backend (registered: "
-                             f"{', '.join(available_simulators())}; "
-                             "default: $REPRO_SIM or 'fast')")
+def _sampling_flags(sample_blocks: int = 8,
+                    max_threads: bool = True) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--sample-blocks", type=int, default=sample_blocks)
+    if max_threads:
+        parent.add_argument("--max-threads", type=int, default=256)
+    return parent
 
 
-def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trace", default="", metavar="FILE",
+def _deadline_flags() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--deadline-ms", type=float, default=0.0,
+                        help="wall-clock solve budget per scheduling attempt "
+                             "(0 = unlimited)")
+    return parent
+
+
+def _checkpoint_flags() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--resume", nargs="?", const="auto", default=None,
+                        metavar="CKPT",
+                        help="reload completed operators from the checkpoint "
+                             "(bare: the one this configuration derives; or "
+                             "a checkpoint-id prefix) and run the remainder")
+    parent.add_argument("--no-checkpoint", action="store_true",
+                        help="do not append per-operator checkpoint records")
+    return parent
+
+
+def _obs_flags() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--trace", default="", metavar="FILE",
                         help="write the structured trace log as JSON")
-    parser.add_argument("--trace-format", choices=TRACE_FORMATS,
+    parent.add_argument("--trace-format", choices=TRACE_FORMATS,
                         default="flat",
                         help="flat event list, or Chrome trace-event JSON "
                              "for chrome://tracing / Perfetto")
-    parser.add_argument("--metrics", default="", metavar="FILE",
+    parent.add_argument("--metrics", default="", metavar="FILE",
                         help="write merged metrics (counters, gauges, "
                              "histograms) as JSON")
+    return parent
 
 
-def _add_store_arguments(parser: argparse.ArgumentParser,
-                         recording: bool = True) -> None:
-    parser.add_argument("--runs-dir", default="", metavar="DIR",
+def _store_flags(recording: bool = True) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--runs-dir", default="", metavar="DIR",
                         help="run-store directory (default: $REPRO_RUNS_DIR "
                              "or .repro/runs)")
     if recording:
-        parser.add_argument("--no-record", action="store_true",
+        parent.add_argument("--no-record", action="store_true",
                             help="do not append a run record to the store")
+    return parent
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -823,17 +832,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="suppress progress output (warnings only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compile", help="compile a kernel file")
+    p = sub.add_parser("compile", help="compile a kernel file",
+                       parents=[_sampling_flags(), _store_flags()])
     p.add_argument("file")
     p.add_argument("--variant", choices=VARIANTS, default="infl")
     p.add_argument("--all-variants", action="store_true")
     p.add_argument("--measure", action="store_true",
                    help="run the GPU model and print times")
-    p.add_argument("--sample-blocks", type=int, default=8)
-    p.add_argument("--max-threads", type=int, default=256)
-    _add_solver_argument(p)
-    _add_sim_argument(p)
-    _add_store_arguments(p)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("scenarios",
@@ -846,18 +851,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="write network metadata gauges as JSON")
     p.set_defaults(func=_cmd_table1)
 
-    p = sub.add_parser("table2", help="regenerate Table II")
+    p = sub.add_parser("table2", help="regenerate Table II",
+                       parents=[_seed_flags(),
+                                _sampling_flags(max_threads=False),
+                                _deadline_flags(), _checkpoint_flags(),
+                                _obs_flags(), _store_flags()])
     p.add_argument("--limit", type=int, default=6,
                    help="operators per network (0 = the paper's full counts)")
     p.add_argument("--networks", default="",
                    help="comma-separated subset (default: all)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-blocks", type=int, default=8)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for suite evaluation (1 = serial)")
-    p.add_argument("--deadline-ms", type=float, default=0.0,
-                   help="wall-clock solve budget per scheduling attempt "
-                        "(0 = unlimited)")
     p.add_argument("--verify", action="store_true",
                    help="run the differential oracle on every operator; "
                         "semantic drift marks it failed")
@@ -876,85 +880,57 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--retry-backoff", type=float, default=0.1,
                    metavar="SECONDS",
                    help="base backoff before retry N: backoff * 2**(N-1)")
-    p.add_argument("--resume", nargs="?", const="auto", default=None,
-                   metavar="CKPT",
-                   help="reload completed operators from the checkpoint "
-                        "(bare: the one this configuration derives; or a "
-                        "checkpoint-id prefix) and evaluate the remainder")
-    p.add_argument("--no-checkpoint", action="store_true",
-                   help="do not append per-operator checkpoint records")
-    _add_solver_argument(p)
-    _add_sim_argument(p)
-    _add_obs_arguments(p)
-    _add_store_arguments(p)
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("profile",
                        help="compile one network and print a metrics report "
                             "(pass table, solver histograms, per-kernel "
-                            "memory counters)")
+                            "memory counters)",
+                       parents=[_seed_flags(), _sampling_flags(),
+                                _deadline_flags(), _checkpoint_flags(),
+                                _obs_flags(), _store_flags()])
     p.add_argument("network", help="a Table I network (case-insensitive)")
     p.add_argument("--variant", choices=VARIANTS, default="infl")
     p.add_argument("--limit", type=int, default=4,
                    help="operators to profile (0 = the full suite)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-blocks", type=int, default=8)
-    p.add_argument("--max-threads", type=int, default=256)
-    p.add_argument("--deadline-ms", type=float, default=0.0,
-                   help="wall-clock solve budget per scheduling attempt "
-                        "(0 = unlimited)")
     p.add_argument("--baseline", default="", metavar="RUN",
                    help="print per-kernel deltas against a stored run "
                         "(id, unique prefix, or latest[~N])")
-    p.add_argument("--resume", nargs="?", const="auto", default=None,
-                   metavar="CKPT",
-                   help="reload completed operators from the checkpoint "
-                        "(bare: the one this configuration derives; or a "
-                        "checkpoint-id prefix) and profile the remainder")
-    p.add_argument("--no-checkpoint", action="store_true",
-                   help="do not append per-operator checkpoint records")
-    _add_solver_argument(p)
-    _add_sim_argument(p)
-    _add_obs_arguments(p)
-    _add_store_arguments(p)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("explain",
                        help="render the scheduler decision path: scenarios "
                             "considered with static costs, the injected "
-                            "constraint per dimension, fallback activations")
+                            "constraint per dimension, fallback activations",
+                       parents=[_seed_flags(), _sampling_flags(),
+                                _store_flags(recording=False)])
     p.add_argument("network", help="a Table I network (case-insensitive)")
     p.add_argument("--operator", default="", metavar="NAME",
                    help="explain only this operator (default: whole suite)")
     p.add_argument("--variant", choices=VARIANTS, default="infl")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=int, default=4,
                    help="operators to explain (0 = the full suite)")
-    p.add_argument("--sample-blocks", type=int, default=8)
-    p.add_argument("--max-threads", type=int, default=256)
     p.add_argument("--run", default="", metavar="RUN",
-                   help="take seed/limit/solver/variant from a stored run")
-    _add_solver_argument(p)
-    _add_sim_argument(p)
-    _add_store_arguments(p, recording=False)
+                   help="take seed/limit/variant from a stored run")
     p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser("obs",
                        help="cross-run analytics over the run store")
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
 
-    q = obs_sub.add_parser("list", help="list stored runs")
-    _add_store_arguments(q, recording=False)
+    q = obs_sub.add_parser("list", help="list stored runs",
+                           parents=[_store_flags(recording=False)])
     q.set_defaults(func=_cmd_obs_list)
 
-    q = obs_sub.add_parser("show", help="print one stored run as JSON")
+    q = obs_sub.add_parser("show", help="print one stored run as JSON",
+                           parents=[_store_flags(recording=False)])
     q.add_argument("run", help="run id, unique prefix, or latest[~N]")
-    _add_store_arguments(q, recording=False)
     q.set_defaults(func=_cmd_obs_show)
 
     q = obs_sub.add_parser("diff",
                            help="metric/timing deltas and schedule-hash "
-                                "changes between two stored runs")
+                                "changes between two stored runs",
+                           parents=[_store_flags(recording=False)])
     q.add_argument("run_a", help="run id, unique prefix, or latest[~N]")
     q.add_argument("run_b", help="run id, unique prefix, or latest[~N]")
     q.add_argument("--threshold", type=float, default=DEFAULT_SIGNIFICANCE,
@@ -963,41 +939,39 @@ def build_arg_parser() -> argparse.ArgumentParser:
     q.add_argument("--fail-on-regression", action="store_true",
                    help="exit 1 when run_b is slower than run_a beyond "
                         "the threshold")
-    _add_store_arguments(q, recording=False)
     q.set_defaults(func=_cmd_obs_diff)
 
     q = obs_sub.add_parser("trend",
                            help="per-kernel time series across stored runs, "
-                                "flagging regressions")
+                                "flagging regressions",
+                           parents=[_store_flags(recording=False)])
     q.add_argument("--match", default="",
                    help="only series whose name contains this substring")
     q.add_argument("--threshold", type=float, default=DEFAULT_SIGNIFICANCE,
                    help="regression threshold vs the best previous value")
     q.add_argument("--fail-on-regression", action="store_true",
                    help="exit 1 when any series regressed")
-    _add_store_arguments(q, recording=False)
     q.set_defaults(func=_cmd_obs_trend)
 
     q = obs_sub.add_parser("bench-append",
                            help="ingest a pytest-benchmark JSON file as a "
-                                "run record (idempotent; prints the run id)")
+                                "run record (idempotent; prints the run id)",
+                           parents=[_store_flags(recording=False)])
     q.add_argument("file", help="pytest-benchmark --benchmark-json output")
     q.add_argument("--source", default="",
                    help="label recorded as the run's config.source")
-    _add_store_arguments(q, recording=False)
     q.set_defaults(func=_cmd_obs_bench_append)
 
     p = sub.add_parser("verify",
                        help="check golden schedules, the cross-variant "
                             "oracle, metamorphic relations and the fuzz "
-                            "corpus")
+                            "corpus",
+                       parents=[_seed_flags(),
+                                _sampling_flags(sample_blocks=2)])
     p.add_argument("--networks", default="",
                    help="comma-separated subset (default: all)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=int, default=2,
                    help="production-scale operators per network")
-    p.add_argument("--sample-blocks", type=int, default=2)
-    p.add_argument("--max-threads", type=int, default=256)
     p.add_argument("--update-goldens", action="store_true",
                    help="re-bless the golden files instead of checking them")
     p.add_argument("--goldens-dir", default="",
@@ -1012,16 +986,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-corpus", action="store_true")
     p.add_argument("--metrics", default="", metavar="FILE",
                    help="write verify.* counters as JSON")
-    _add_sim_argument(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("fuzz",
                        help="deterministic differential fuzzing; failing "
-                            "cases are minimized into tests/corpus")
+                            "cases are minimized into tests/corpus",
+                       parents=[_seed_flags()])
     p.add_argument("--budget", type=float, default=30.0,
                    help="nominal seconds (converted to a deterministic "
                         "case count)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=0,
                    help="exact case count (overrides --budget)")
     p.add_argument("--corpus-dir", default="",
@@ -1039,12 +1012,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     configure_logging(args.verbose - args.quiet)
-    try:
-        resolve_backend(getattr(args, "solver", ""))  # fail fast, clean message
-        resolve_simulator(getattr(args, "sim", ""))
-    except ValueError as exc:
-        logger.error("error: %s", exc)
-        return 2
     try:
         code = args.func(args)
         # Flush inside the try: a closed pipe often only surfaces at

@@ -12,10 +12,9 @@ Addressing is by content, not by position:
 
 * ``eval_key`` (the file name) hashes the command, network list and the
   *result-affecting* configuration — seed, limits, sampling, arch,
-  weights, deadline, resolved solver backend.  Execution knobs (jobs,
-  retries, timeouts, tracing) are deliberately excluded: they cannot
-  change results, so a run resumed with different parallelism still
-  matches.
+  weights, deadline.  Execution knobs (jobs, retries, timeouts,
+  tracing) are deliberately excluded: they cannot change results, so a
+  run resumed with different parallelism still matches.
 * Each record carries a per-operator ``content_key`` hashing the
   kernel's canonical IR signature (plus its generated name) together
   with the configuration hash.  ``--resume`` reloads completed
@@ -45,7 +44,6 @@ from repro.ir.signature import kernel_signature
 from repro.obs.logutil import logger
 from repro.obs.store import content_hash, default_store_root
 from repro.schedule.scheduler import SchedulerStats
-from repro.solver.backend import resolve_backend
 
 CHECKPOINT_SCHEMA_VERSION = 1
 CHECKPOINT_DIR = "checkpoints"
@@ -72,7 +70,6 @@ def evaluation_scope(config) -> dict:
         "deadline_ms": config.deadline_ms,
         "verify": config.verify,
         "templates": config.templates,
-        "solver": resolve_backend(config.solver).name,
     }
 
 

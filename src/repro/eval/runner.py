@@ -79,8 +79,6 @@ class EvaluationConfig:
     deadline_ms: Optional[float] = None  # wall-clock solve budget per attempt
     verify: bool = False   # run the differential oracle on every operator
     templates: bool = True  # measure the per-class template baseline column
-    solver: str = ""       # backend name; "" = REPRO_SOLVER env / default
-    sim: str = ""          # simulator backend; "" = REPRO_SIM env / default
     # -- supervision (parallel runs only; see repro.eval.supervisor) ---------
     task_timeout_s: Optional[float] = None  # None/0 = derive from deadline_ms
     retries: int = 2       # worker-side retries per lost task
@@ -196,16 +194,14 @@ class NetworkResult:
 
 def _make_pipeline(config: EvaluationConfig) -> AkgPipeline:
     options = None
-    if config.deadline_ms or config.solver:
-        budget = (SolveBudget(deadline_s=config.deadline_ms / 1000.0)
-                  if config.deadline_ms else None)
-        options = SchedulerOptions(budget=budget, solver=config.solver)
+    if config.deadline_ms:
+        options = SchedulerOptions(
+            budget=SolveBudget(deadline_s=config.deadline_ms / 1000.0))
     return AkgPipeline(arch=config.arch, max_threads=config.max_threads,
                        sample_blocks=config.sample_blocks,
                        weights=config.weights,
                        scheduler_options=options,
-                       trace=config.trace,
-                       sim=config.sim)
+                       trace=config.trace)
 
 
 def evaluate_operator(pipeline: AkgPipeline, name: str, op_class: str,
@@ -283,7 +279,7 @@ def evaluate_operator(pipeline: AkgPipeline, name: str, op_class: str,
                 template = template_measure(
                     kernel, op_class, arch=pipeline.arch,
                     sample_blocks=pipeline.sample_blocks,
-                    max_threads=pipeline.max_threads, sim=pipeline.sim)
+                    max_threads=pipeline.max_threads)
             except ReproError as exc:
                 pipeline.context.count("templates.failed")
                 logger.warning("operator %s template baseline failed: %s",

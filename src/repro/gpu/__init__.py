@@ -14,21 +14,26 @@ optimization targets:
 
 Absolute times are not meaningful; *ratios* between compilation variants
 are — the model ranks layouts the way the V100 ranks them (see DESIGN.md).
+
+:func:`simulate_kernel` runs the closed-form fast interpreter
+(:mod:`repro.gpu.fastpath`); there is one simulator.  The lane-by-lane
+:func:`simulate_reference` stays as the oracle whose counters the fast path
+must equal bitwise: tier-1 re-runs goldens and end-to-end records on it
+(the ``reference_simulator`` test fixture).
 """
 
 from repro.gpu.arch import GpuArch, V100
-from repro.gpu.backend import (
-    available_simulators,
-    register_simulator,
-    resolve_simulator,
-)
 from repro.gpu.memory import SectorCache, WarpAccessResult
 from repro.gpu.profile_cache import (
     ProfileCache,
     get_profile_cache,
     use_profile_cache,
 )
-from repro.gpu.simulator import KernelProfile, simulate_kernel
+from repro.gpu.simulator import (
+    KernelProfile,
+    simulate_kernel,
+    simulate_reference,
+)
 
 __all__ = [
     "GpuArch",
@@ -37,9 +42,7 @@ __all__ = [
     "WarpAccessResult",
     "KernelProfile",
     "simulate_kernel",
-    "available_simulators",
-    "register_simulator",
-    "resolve_simulator",
+    "simulate_reference",
     "ProfileCache",
     "get_profile_cache",
     "use_profile_cache",

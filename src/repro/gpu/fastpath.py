@@ -1,4 +1,4 @@
-"""Closed-form warp execution: the ``fast`` simulator backend.
+"""Closed-form warp execution: the interpreter behind ``simulate_kernel``.
 
 The reference interpreter (:class:`repro.gpu.simulator._Simulator`) carries
 one environment dict *per lane* and evaluates every affine address, guard
@@ -93,9 +93,9 @@ are counted as ``sim.fastpath.pruned_iterations``.
 
 Constructs outside this model (currently: a mapped loop whose lower bound
 has nonzero thread coefficients, or an unknown AST node) raise
-:class:`FallbackNeeded`; the backend then re-runs the *whole launch* on
-the reference interpreter, because cache state touched by a half-finished
-fast run cannot be resumed exactly.
+:class:`FallbackNeeded`; ``simulate_kernel`` then re-runs the *whole
+launch* on the reference interpreter, because cache state touched by a
+half-finished fast run cannot be resumed exactly.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ class _FastSimulator(_Simulator):
         self._digits: dict = {}
         self._warp_start = 0
         self._n_lanes = 0
-        # Fast-path statistics (harvested by the backend into obs metrics).
+        # Fast-path statistics (harvested into obs metrics per launch).
         self.analytic_builds = 0
         self.memo_hits = 0
         self.pruned_iterations = 0

@@ -23,7 +23,6 @@ from typing import Optional
 from repro.codegen.ast import Guard, Loop, Seq, StatementCall, statements_in
 from repro.codegen.cuda import MappedKernel
 from repro.gpu.arch import GpuArch, V100
-from repro.gpu.backend import resolve_simulator
 from repro.gpu.memory import MemoryHierarchy, warp_access
 from repro.gpu.profile_cache import (
     get_profile_cache,
@@ -486,11 +485,12 @@ def _execute_kernel(mapped: MappedKernel, arch: GpuArch, sample_blocks: int,
                     sim_cls: type) -> tuple[KernelProfile, _Simulator]:
     """Run the block-sampling driver with ``sim_cls`` as the interpreter.
 
-    Both backends share this loop — sampling, warmup exclusion, cache
-    lifecycle, extrapolation and the compulsory-traffic floor are
-    backend-independent; only warp execution differs.  Returns the profile
-    together with the simulator instance so backends can harvest their
-    private counters (e.g. the fast path's memoization statistics).
+    The fast and reference interpreters share this loop — sampling, warmup
+    exclusion, cache lifecycle, extrapolation and the compulsory-traffic
+    floor do not depend on the interpreter; only warp execution differs.
+    Returns the profile together with the simulator instance so callers can
+    harvest its private counters (e.g. the fast path's memoization
+    statistics).
     """
     n_blocks = mapped.n_blocks
     block_ids, warmup = _sample_block_ids(n_blocks, sample_blocks)
@@ -533,14 +533,59 @@ def _execute_kernel(mapped: MappedKernel, arch: GpuArch, sample_blocks: int,
     return profile, sim
 
 
+def simulate_reference(mapped: MappedKernel, arch: GpuArch = V100,
+                       sample_blocks: int = 4) -> KernelProfile:
+    """Simulate ``mapped`` on the lane-by-lane reference interpreter.
+
+    The ground truth that the fast path's counters must equal bitwise.  It
+    consults no profile cache and records no metrics: tests and benchmarks
+    call it as an oracle, and the pipeline reaches it only through the fast
+    path's fallback.
+    """
+    profile, _ = _execute_kernel(mapped, arch, sample_blocks, _Simulator)
+    return profile
+
+
+def _simulate(mapped: MappedKernel, arch: GpuArch,
+              sample_blocks: int) -> KernelProfile:
+    """One launch on the closed-form fast interpreter
+    (:mod:`repro.gpu.fastpath`), harvesting its ``sim.fastpath.*`` counters.
+
+    A launch using a construct the fast interpreter does not model (e.g. a
+    lane-variant mapped-loop lower bound) raises ``FallbackNeeded`` and is
+    re-run from scratch on the reference interpreter, so mid-launch cache
+    state never mixes the two (counted as ``sim.fastpath.fallback``).
+    """
+    from repro.gpu.fastpath import FallbackNeeded, _FastSimulator
+    metrics = get_obs().metrics
+    try:
+        profile, sim = _execute_kernel(mapped, arch, sample_blocks,
+                                       _FastSimulator)
+    except FallbackNeeded:
+        if metrics.enabled:
+            metrics.count("sim.fastpath.fallback")
+        return simulate_reference(mapped, arch, sample_blocks)
+    if metrics.enabled:
+        if sim.analytic_builds:
+            metrics.count("sim.fastpath.analytic", sim.analytic_builds)
+        if sim.memo_hits:
+            metrics.count("sim.fastpath.memo_hits", sim.memo_hits)
+        if sim.pruned_iterations:
+            metrics.count("sim.fastpath.pruned_iterations",
+                          sim.pruned_iterations)
+        if sim.collapsed_issues:
+            metrics.count("sim.fastpath.collapsed_issues",
+                          sim.collapsed_issues)
+    return profile
+
+
 def simulate_kernel(mapped: MappedKernel, arch: GpuArch = V100,
-                    sample_blocks: int = 4, sim: str = "") -> KernelProfile:
+                    sample_blocks: int = 4) -> KernelProfile:
     """Simulate a mapped kernel and estimate its execution time.
 
-    ``sim`` selects the simulator backend (explicit name, else the
-    ``REPRO_SIM`` environment variable, else the ``fast`` default — see
-    :mod:`repro.gpu.backend`); every backend produces bitwise-identical
-    counters.  When an ambient :class:`~repro.gpu.profile_cache.ProfileCache`
+    The fast interpreter produces counters bitwise-identical to
+    :func:`simulate_reference`.  When an ambient
+    :class:`~repro.gpu.profile_cache.ProfileCache`
     is installed, content-identical launches replay the cached profile
     instead of re-simulating (``sim.profile_cache.{hits,misses}``).
 
@@ -549,7 +594,6 @@ def simulate_kernel(mapped: MappedKernel, arch: GpuArch = V100,
     (all derived from the deterministic model, so serial and parallel
     evaluations produce identical metric payloads).
     """
-    backend = resolve_simulator(sim)
     obs = get_obs()
     cache = get_profile_cache()
     key = None
@@ -564,7 +608,7 @@ def simulate_kernel(mapped: MappedKernel, arch: GpuArch = V100,
     cached = profile is not None
     with obs.span("gpu.kernel", kernel=mapped.kernel.name) as span:
         if profile is None:
-            profile = backend.run(mapped, arch, sample_blocks)
+            profile = _simulate(mapped, arch, sample_blocks)
             if cache is not None:
                 cache.store(key, profile)
         span.set(**profile.counters())

@@ -160,17 +160,13 @@ class AkgPipeline:
                  scheduler_options: Optional[SchedulerOptions] = None,
                  cache: Optional[ScheduleCache] = None,
                  enable_cache: bool = True,
-                 trace: bool = False,
-                 sim: str = ""):
+                 trace: bool = False):
         self.arch = arch
         self.max_threads = max_threads
         self.sample_blocks = sample_blocks
         self.weights = weights = \
             weights if weights is not None else CostWeights()
         self.scheduler_options = scheduler_options or SchedulerOptions()
-        # Simulator backend name: an explicit argument wins, else the
-        # scheduler options' choice, else REPRO_SIM / registry default.
-        self.sim = sim or self.scheduler_options.sim
         self.cache = cache if cache is not None \
             else (ScheduleCache() if enable_cache else None)
         self.session = CompilationSession(options=self.scheduler_options,
@@ -290,8 +286,7 @@ class AkgPipeline:
     def measure(self, compiled: CompiledOperator) -> OperatorTiming:
         with use_obs(self.session.context.obs):
             profiles = [simulate_kernel(launch, arch=self.arch,
-                                        sample_blocks=self.sample_blocks,
-                                        sim=self.sim)
+                                        sample_blocks=self.sample_blocks)
                         for launch in compiled.launches]
         return OperatorTiming(compiled=compiled, profiles=profiles)
 

@@ -86,8 +86,7 @@ def autotune_tile_sizes(kernel: Kernel,
                         enable_vec: bool = False,
                         arch: GpuArch = V100,
                         sample_blocks: int = 8,
-                        max_threads: int = 256,
-                        sim: str = "") -> AutotuneResult:
+                        max_threads: int = 256) -> AutotuneResult:
     """Measure every tiling candidate and return the fastest."""
     session = CompilationSession(max_threads=max_threads,
                                  cache=ScheduleCache())
@@ -103,7 +102,7 @@ def autotune_tile_sizes(kernel: Kernel,
                                           max_threads=max_threads,
                                           session=session)
             profile = simulate_kernel(mapped, arch=arch,
-                                      sample_blocks=sample_blocks, sim=sim)
+                                      sample_blocks=sample_blocks)
             results.append(TileCandidateResult(
                 tile_sizes=tuple(sizes), tiled_loops=tiled,
                 time=profile.time, dram_bytes=profile.dram_bytes))

@@ -266,7 +266,7 @@ class DimensionProblem:
     def solve(self, extra_objectives: Sequence[LinExpr] = (),
               injected_objectives: Sequence[LinExpr] = (),
               max_nodes: int = 60_000,
-              warm=None, backend=None) -> Optional[dict[str, list[int]]]:
+              warm=None) -> Optional[dict[str, list[int]]]:
         """Solve the dimension ILP; returns per-statement coefficient rows
         ``[iter_coeffs..., param_coeffs..., const]`` or None.
 
@@ -277,7 +277,7 @@ class DimensionProblem:
         variables are bounded (they are, by construction), so one
         branch-and-bound run decides the dimension.
 
-        ``warm``/``backend`` are forwarded to ``Problem.solve`` — prior
+        ``warm`` is forwarded to ``Problem.solve`` — prior
         solutions offered through a warm-start handle tighten the
         branch-and-bound incumbent without changing the result.
         """
@@ -290,10 +290,10 @@ class DimensionProblem:
         folded = ilp.fold_objectives(levels)
         if folded is not None:
             assignment = ilp.solve(objective=folded, max_nodes=max_nodes,
-                                   warm=warm, backend=backend)
+                                   warm=warm)
         else:
             assignment = ilp.lexmin(levels, max_nodes=max_nodes,
-                                    warm=warm, backend=backend)
+                                    warm=warm)
         self.last_assignment = assignment
         if assignment is None:
             return None

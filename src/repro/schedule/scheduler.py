@@ -44,7 +44,6 @@ from repro.schedule.constraints import (
     param_coeff_name,
 )
 from repro.schedule.functions import DimensionInfo, Schedule, ScheduleRow
-from repro.solver.backend import resolve_backend
 from repro.solver.budget import SolveBudget, use_budget
 from repro.solver.dedup import SolveCache, get_solve_cache, use_solve_cache
 from repro.solver.problem import Constraint, LinExpr
@@ -72,12 +71,6 @@ class SchedulerOptions:
     # Optional cumulative work budget per construction attempt; exhausting
     # it raises SolverTimeout (see repro.solver.budget for the semantics).
     budget: Optional[SolveBudget] = None
-    # Solver backend name; "" resolves via REPRO_SOLVER / the registry
-    # default (see repro.solver.backend).
-    solver: str = ""
-    # Simulator backend name; "" resolves via REPRO_SIM / the registry
-    # default (see repro.gpu.backend).
-    sim: str = ""
 
 
 @dataclass
@@ -121,7 +114,6 @@ class InfluencedScheduler:
         self.stats = SchedulerStats()
         self._obs = NULL_OBS
         self._journal = NULL_JOURNAL
-        self._backend = resolve_backend(self.options.solver)
         # Warm-start handles per dimension index, reset per schedule() call.
         # They deliberately survive dimension withdrawals and the
         # influenced -> plain restart: a previously solved dimension is an
@@ -138,11 +130,10 @@ class InfluencedScheduler:
         self.stats = SchedulerStats()
         self._obs = get_obs()
         self._journal = get_journal()
-        self._backend = resolve_backend(self.options.solver)
         self._dim_handles = {}
         # Deduplicate identical solves within this run when no wider scope
         # (e.g. the pipeline's per-compile cache) is already installed.
-        if self._backend.incremental and get_solve_cache() is None:
+        if get_solve_cache() is None:
             cache_scope = use_solve_cache(SolveCache())
         else:
             cache_scope = nullcontext()
@@ -357,27 +348,25 @@ class InfluencedScheduler:
                         kernel=self.kernel.name, dim=schedule.n_dims)
         self.stats.ilp_solves += 1
         reuse_before = self._reuse_counters()
-        warm = None
-        pool = get_warm_pool() if self._backend.incremental else None
-        if self._backend.incremental:
-            # Prior solutions at this depth (sibling retries, supplementary
-            # dimensions, the plain restart), at the same depth of sibling
-            # scenarios via the ambient pool (other variants, clusters and
-            # degradation rungs of the same operator), and at the previous
-            # depth are plausibly feasible here too; offer them all as
-            # incumbent-bound candidates.
-            dim = schedule.n_dims
-            warm = WarmStartHandle.merged(
-                self._dim_handles.get(dim),
-                pool.peek(dim) if pool is not None else None,
-                self._dim_handles.get(dim - 1))
-            if not warm:
-                warm = None
+        pool = get_warm_pool()
+        # Prior solutions at this depth (sibling retries, supplementary
+        # dimensions, the plain restart), at the same depth of sibling
+        # scenarios via the ambient pool (other variants, clusters and
+        # degradation rungs of the same operator), and at the previous
+        # depth are plausibly feasible here too; offer them all as
+        # incumbent-bound candidates.
+        dim = schedule.n_dims
+        warm = WarmStartHandle.merged(
+            self._dim_handles.get(dim),
+            pool.peek(dim) if pool is not None else None,
+            self._dim_handles.get(dim - 1))
+        if not warm:
+            warm = None
         try:
             rows = problem.solve(extra_objectives=extra,
                                  injected_objectives=injected,
                                  max_nodes=self.options.max_ilp_nodes,
-                                 warm=warm, backend=self._backend)
+                                 warm=warm)
         except BranchLimitExceeded:
             # A degenerate per-dimension ILP is treated like infeasibility:
             # backtrack rather than abort the whole construction.
@@ -400,7 +389,7 @@ class InfluencedScheduler:
                                 reuse_before=reuse_before)
         if rows is None:
             return None
-        if self._backend.incremental and problem.last_assignment is not None:
+        if problem.last_assignment is not None:
             handle = self._dim_handles.setdefault(schedule.n_dims,
                                                   WarmStartHandle())
             handle.offer(problem.last_assignment)

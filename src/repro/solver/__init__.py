@@ -13,19 +13,17 @@ library.  It provides:
 * :mod:`repro.solver.budget` — ambient wall-clock/pivot/node budgets; the
   hot loops above charge against the active budget and raise a typed
   :class:`repro.errors.SolverTimeout` when it runs out.
-* :mod:`repro.solver.backend` — the :class:`SolverBackend` protocol plus a
-  registry (``--solver`` / ``REPRO_SOLVER``); the rational simplex above is
-  the default ``"simplex"`` backend.
 * :mod:`repro.solver.warmstart` — :class:`WarmStartHandle`, incumbent-bound
   reuse of prior solutions that provably cannot change any result.
 * :mod:`repro.solver.dedup` — ambient content-keyed cache replaying solves
   of structurally identical constraint systems.
+
+:class:`Problem` calls the simplex and branch and bound directly; there is
+one solver.  Tier-1 checks that its reuse paths (warm-start bounds, solve
+replay) never change an answer by re-running goldens and end-to-end
+records with both switched off (the ``cold_solver`` test fixture).
 """
 
-from repro.solver.backend import (DEFAULT_BACKEND, NoWarmstartSimplexBackend,
-                                  RationalSimplexBackend, SolverBackend,
-                                  available_backends, register_backend,
-                                  resolve_backend)
 from repro.solver.budget import SolveBudget, get_budget, use_budget
 from repro.solver.dedup import SolveCache, get_solve_cache, use_solve_cache
 from repro.solver.lp import LinearProgram, LPResult, LPStatus, solve_lp
@@ -50,13 +48,6 @@ __all__ = [
     "SolveBudget",
     "get_budget",
     "use_budget",
-    "SolverBackend",
-    "RationalSimplexBackend",
-    "NoWarmstartSimplexBackend",
-    "DEFAULT_BACKEND",
-    "register_backend",
-    "available_backends",
-    "resolve_backend",
     "WarmStartHandle",
     "incumbent_bound",
     "SolveCache",

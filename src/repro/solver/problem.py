@@ -23,9 +23,10 @@ from typing import Iterable, Optional, Sequence, Union
 
 from repro.linalg.rational import frac
 from repro.obs.runtime import get_obs
-from repro.solver.backend import SolverBackend, resolve_backend
 from repro.solver.budget import get_budget
 from repro.solver.dedup import get_solve_cache, is_miss
+from repro.solver.ilp import solve_ilp
+from repro.solver.lexmin import lexicographic_minimize
 from repro.solver.lp import LinearProgram, LPStatus, integer_row
 from repro.solver.warmstart import WarmStartHandle, incumbent_bound
 
@@ -503,8 +504,8 @@ class Problem:
                              for n, c in expr.coeffs.items())),
                 expr.const.numerator, expr.const.denominator)
 
-    def _content_key(self, kind: str, objective_key, max_nodes: int,
-                     backend_name: str) -> tuple:
+    def _content_key(self, kind: str, objective_key,
+                     max_nodes: int) -> tuple:
         """Name-erased content of the whole problem.
 
         Variables appear only as column positions, so two problems that
@@ -529,8 +530,7 @@ class Problem:
              else (upper[n].numerator, upper[n].denominator),
              self._integer[n])
             for n in self._order)
-        return (kind, backend_name, max_nodes, declarations, constraints,
-                objective_key)
+        return (kind, max_nodes, declarations, constraints, objective_key)
 
     # -- solving ----------------------------------------------------------------
 
@@ -538,18 +538,14 @@ class Problem:
               max_nodes: int = 100_000,
               presolve: bool = True,
               warm: Optional[WarmStartHandle] = None,
-              backend: Optional[SolverBackend] = None,
               _incumbent_bound: Optional[Fraction] = None,
               ) -> Optional[dict[str, Fraction]]:
         """Minimize ``objective`` (feasibility check if None).
 
         Returns the assignment dict, or None if infeasible/unbounded.
-        ``warm`` offers prior solutions as incumbent bounds and ``backend``
-        overrides the registry default; both leave the result
+        ``warm`` offers prior solutions as incumbent bounds; the result is
         bitwise-identical to a cold solve (see :mod:`repro.solver.warmstart`).
         """
-        if backend is None:
-            backend = resolve_backend()
         if presolve:
             # Public entry: the recursive presolve=False call below is part
             # of the same solve, so only this level feeds the histogram.
@@ -557,10 +553,10 @@ class Problem:
             warm_hit = False
             try:
                 metrics = get_obs().metrics
-                cache = get_solve_cache() if backend.incremental else None
+                cache = get_solve_cache()
                 if cache is not None:
                     key = self._content_key("solve", self._expr_key(objective),
-                                            max_nodes, backend.name)
+                                            max_nodes)
                     value = cache.lookup(key)
                     if not is_miss(value):
                         if metrics.enabled:
@@ -576,15 +572,14 @@ class Problem:
                 protect = objective.variables() if objective is not None else set()
                 reduced, eliminated = self.presolved(protect=protect)
                 bound = None
-                if warm is not None and warm and backend.incremental:
+                if warm is not None and warm:
                     bound = incumbent_bound(reduced, objective, warm)
                     warm_hit = bound is not None
                     if metrics.enabled:
                         metrics.count("solver.warmstart.hits" if warm_hit
                                       else "solver.warmstart.misses")
                 sub = reduced.solve(objective, max_nodes=max_nodes,
-                                    presolve=False, backend=backend,
-                                    _incumbent_bound=bound)
+                                    presolve=False, _incumbent_bound=bound)
                 result = None if sub is None else self._recover(sub, eliminated)
                 if cache is not None:
                     cache.store(key, None if result is None
@@ -599,9 +594,9 @@ class Problem:
                         metrics.observe("solver.warmstart.reuse_seconds",
                                         elapsed)
         lp = self.lower_to_lp(objective)
-        result = backend.solve_ilp(lp, integer_mask=self.integer_mask(),
-                                   max_nodes=max_nodes,
-                                   incumbent_bound=_incumbent_bound)
+        result = solve_ilp(lp, integer_mask=self.integer_mask(),
+                           max_nodes=max_nodes,
+                           incumbent_bound=_incumbent_bound)
         if result.status is not LPStatus.OPTIMAL:
             return None
         return dict(zip(self._order, result.x))
@@ -610,7 +605,6 @@ class Problem:
                max_nodes: int = 100_000,
                presolve: bool = True,
                warm: Optional[WarmStartHandle] = None,
-               backend: Optional[SolverBackend] = None,
                _incumbent_bound: Optional[Fraction] = None,
                ) -> Optional[dict[str, Fraction]]:
         """Lexicographically minimize the given objective expressions.
@@ -619,19 +613,17 @@ class Problem:
         levels chain their own incumbents (see
         :func:`repro.solver.lexmin.lexicographic_minimize`).
         """
-        if backend is None:
-            backend = resolve_backend()
         if presolve:
             started = time.perf_counter()
             warm_hit = False
             try:
                 metrics = get_obs().metrics
-                cache = get_solve_cache() if backend.incremental else None
+                cache = get_solve_cache()
                 if cache is not None:
                     key = self._content_key(
                         "lexmin",
                         tuple(self._expr_key(obj) for obj in objectives),
-                        max_nodes, backend.name)
+                        max_nodes)
                     value = cache.lookup(key)
                     if not is_miss(value):
                         if metrics.enabled:
@@ -649,16 +641,14 @@ class Problem:
                     protect |= obj.variables()
                 reduced, eliminated = self.presolved(protect=protect)
                 bound = None
-                if warm is not None and warm and backend.incremental \
-                        and objectives:
+                if warm is not None and warm and objectives:
                     bound = incumbent_bound(reduced, objectives[0], warm)
                     warm_hit = bound is not None
                     if metrics.enabled:
                         metrics.count("solver.warmstart.hits" if warm_hit
                                       else "solver.warmstart.misses")
                 sub = reduced.lexmin(objectives, max_nodes=max_nodes,
-                                     presolve=False, backend=backend,
-                                     _incumbent_bound=bound)
+                                     presolve=False, _incumbent_bound=bound)
                 result = None if sub is None else self._recover(sub, eliminated)
                 if cache is not None:
                     cache.store(key, None if result is None
@@ -674,10 +664,10 @@ class Problem:
                                         elapsed)
         lp = self.lower_to_lp()
         rows = [self._row(obj) for obj in objectives]
-        result = backend.lexmin(lp, rows,
-                                integer_mask=self.integer_mask(),
-                                max_nodes=max_nodes,
-                                incumbent_bound=_incumbent_bound)
+        result = lexicographic_minimize(lp, rows,
+                                        integer_mask=self.integer_mask(),
+                                        max_nodes=max_nodes,
+                                        incumbent_bound=_incumbent_bound)
         if result.status is not LPStatus.OPTIMAL:
             return None
         return dict(zip(self._order, result.x))

@@ -8,8 +8,9 @@ when a candidate assignment is verified feasible and integral on the next
 problem, its objective value ``V`` is handed to branch and bound, which may
 then discard nodes whose relaxation is *strictly* worse than ``V``.
 
-Why this is bitwise-safe (sketch; the parity property test and the
-``simplex-nowarm`` CI job enforce it empirically):
+Why this is bitwise-safe (sketch; the parity property test and the tier-1
+runs under the ``cold_solver`` fixture, which switches every reuse path
+off, enforce it empirically):
 
 * every subtree the extra prune removes has relaxation value ``> V`` and
   hence contains only integral points worse than the optimum (which is

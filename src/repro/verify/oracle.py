@@ -94,8 +94,7 @@ def _exhaustive_profiles(compiled: CompiledOperator, pipeline: AkgPipeline):
     profiles = []
     for launch in compiled.launches:
         profiles.append(simulate_kernel(launch, arch=pipeline.arch,
-                                        sample_blocks=launch.n_blocks,
-                                        sim=getattr(pipeline, "sim", "")))
+                                        sample_blocks=launch.n_blocks))
     return profiles
 
 

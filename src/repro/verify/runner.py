@@ -47,7 +47,6 @@ class VerifyConfig:
     limit: int = 2                  # production-scale operators per network
     sample_blocks: int = 2
     max_threads: int = 256
-    sim: str = ""                   # simulator backend; "" = REPRO_SIM
     update_goldens: bool = False
     goldens_dir: Optional[str] = None
     corpus_dir: Optional[str] = None
@@ -192,8 +191,7 @@ def run_verify(config: Optional[VerifyConfig] = None) -> VerifyReport:
             raise ValueError(f"unknown network {network!r}; "
                              f"pick from {list(NETWORKS)}")
     pipeline = AkgPipeline(max_threads=config.max_threads,
-                           sample_blocks=config.sample_blocks,
-                           sim=config.sim)
+                           sample_blocks=config.sample_blocks)
     if config.check_goldens:
         _verify_goldens(config, report, pipeline)
     if config.check_families:

@@ -64,8 +64,7 @@ class GoldenConfig:
 def _launch_snapshot(launch, pipeline: AkgPipeline, sample_blocks: int,
                      degradation: str = "none") -> dict:
     profile = simulate_kernel(launch, arch=pipeline.arch,
-                              sample_blocks=sample_blocks,
-                              sim=getattr(pipeline, "sim", ""))
+                              sample_blocks=sample_blocks)
     return {
         "kernel": launch.kernel.name,
         "schedule": schedule_to_dict(launch.schedule,

@@ -139,12 +139,11 @@ def template_compile(kernel: Kernel, op_class: str = "",
 
 def template_measure(kernel: Kernel, op_class: str = "",
                      arch: GpuArch = V100, sample_blocks: int = 8,
-                     max_threads: int = 256,
-                     sim: str = "") -> TemplateResult:
+                     max_threads: int = 256) -> TemplateResult:
     """Compile and simulate ``kernel`` under its class template."""
     launches = template_compile(kernel, op_class, max_threads=max_threads)
     profiles = [simulate_kernel(launch, arch=arch,
-                                sample_blocks=sample_blocks, sim=sim)
+                                sample_blocks=sample_blocks)
                 for launch in launches]
     return TemplateResult(kernel=kernel, op_class=op_class,
                           kind=template_kind(op_class),

@@ -1,9 +1,9 @@
-"""The fast simulator backend: bitwise parity, fallback, selection, and
-the content-keyed profile cache.
+"""The fast simulator: bitwise parity, fallback, and the content-keyed
+profile cache.
 
-Parity is the whole contract: the ``fast`` backend must produce a
-:class:`KernelProfile` whose counters are *bitwise identical* to the
-reference interpreter's on every launch — including the order-sensitive
+Parity is the whole contract: ``simulate_kernel`` must produce a
+:class:`KernelProfile` whose counters are *bitwise identical* to those of
+:func:`simulate_reference` (the lane-by-lane interpreter) on every launch — including the order-sensitive
 cache-hierarchy counters (``dram_writes`` depends on raw-``set``
 iteration order inside :func:`repro.gpu.memory.warp_access`).
 """
@@ -18,11 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.codegen.ast import Guard, Loop, Seq, StatementCall, walk
-from repro.gpu.backend import (
-    DEFAULT_SIMULATOR,
-    available_simulators,
-    resolve_simulator,
-)
 from repro.gpu.profile_cache import (
     ProfileCache,
     get_profile_cache,
@@ -35,7 +30,11 @@ from repro.gpu.fastpath import (
     _normalized_condition,
     _segments,
 )
-from repro.gpu.simulator import _execute_kernel, simulate_kernel
+from repro.gpu.simulator import (
+    _execute_kernel,
+    simulate_kernel,
+    simulate_reference,
+)
 from repro.ir.kparser import parse_kernel
 from repro.obs import MetricsRegistry, Obs, use_obs
 from repro.pipeline.akg import VARIANTS, AkgPipeline
@@ -53,8 +52,8 @@ def _parity(mapped, sample_blocks=4, arch=None):
     kwargs = {"sample_blocks": sample_blocks}
     if arch is not None:
         kwargs["arch"] = arch
-    fast = simulate_kernel(mapped, sim="fast", **kwargs)
-    reference = simulate_kernel(mapped, sim="reference", **kwargs)
+    fast = simulate_kernel(mapped, **kwargs)
+    reference = simulate_reference(mapped, **kwargs)
     assert fast.counters() == reference.counters()
     return fast
 
@@ -130,7 +129,8 @@ class TestParity:
         assert counters.get("sim.fastpath.collapsed_issues", 0) > 0
 
     def test_corpus_replay(self):
-        """Every committed fuzz reproducer stays backend-invariant."""
+        """Every committed fuzz reproducer simulates identically on both
+        interpreters."""
         names = sorted(n for n in os.listdir(CORPUS_DIR)
                        if n.endswith(".kernel"))
         assert names, "corpus must not be empty"
@@ -147,9 +147,9 @@ class TestParity:
     def test_repeated_simulation_stays_identical(self):
         """Warm per-kernel signature caches must not drift the counters."""
         mapped = compile_mapped(operators.transpose2d_op("fp_rep", 64, 64))
-        first = simulate_kernel(mapped, sample_blocks=4, sim="fast")
+        first = simulate_kernel(mapped, sample_blocks=4)
         for _ in range(3):
-            again = simulate_kernel(mapped, sample_blocks=4, sim="fast")
+            again = simulate_kernel(mapped, sample_blocks=4)
             assert again.counters() == first.counters()
 
     @given(rows=st.integers(3, 80), cols=st.integers(3, 80),
@@ -275,10 +275,9 @@ class TestSegmentPlans:
     def _assert_parity(self, mutant, arch=TINY_CACHES):
         obs = Obs(metrics=MetricsRegistry())
         with use_obs(obs):
-            fast = simulate_kernel(mutant, sample_blocks=3, sim="fast",
-                                   arch=arch)
-        reference = simulate_kernel(copy.deepcopy(mutant), sample_blocks=3,
-                                    sim="reference", arch=arch)
+            fast = simulate_kernel(mutant, sample_blocks=3, arch=arch)
+        reference = simulate_reference(copy.deepcopy(mutant),
+                                       sample_blocks=3, arch=arch)
         assert fast.counters() == reference.counters()
         assert fast.warp_mem_instructions > 0
         assert "sim.fastpath.fallback" not in obs.metrics.counters
@@ -437,9 +436,9 @@ class TestFallback:
         mutant = _lane_variant_mutant()
         obs = Obs(metrics=MetricsRegistry())
         with use_obs(obs):
-            fast = simulate_kernel(mutant, sample_blocks=4, sim="fast")
-        reference = simulate_kernel(copy.deepcopy(mutant), sample_blocks=4,
-                                    sim="reference")
+            fast = simulate_kernel(mutant, sample_blocks=4)
+        reference = simulate_reference(copy.deepcopy(mutant),
+                                       sample_blocks=4)
         assert fast.counters() == reference.counters()
         assert obs.metrics.counters["sim.fastpath.fallback"] == 1
         # A fallen-back launch reports no fast-path work.
@@ -449,56 +448,20 @@ class TestFallback:
         mapped = compile_mapped(operators.transpose2d_op("fp_ctr", 96, 96))
         obs = Obs(metrics=MetricsRegistry())
         with use_obs(obs):
-            simulate_kernel(mapped, sample_blocks=4, sim="fast")
+            simulate_kernel(mapped, sample_blocks=4)
         counters = obs.metrics.counters
         assert counters.get("sim.fastpath.memo_hits", 0) > 0
         assert counters.get("sim.fastpath.analytic", 0) > 0
         assert "sim.fastpath.fallback" not in counters
 
     def test_reference_backend_reports_none(self):
+        """The oracle records no metrics, fast-path ones least of all."""
         mapped = compile_mapped(copy_kernel(32, 32))
         obs = Obs(metrics=MetricsRegistry())
         with use_obs(obs):
-            simulate_kernel(mapped, sample_blocks=2, sim="reference")
+            simulate_reference(mapped, sample_blocks=2)
         assert not any(name.startswith("sim.fastpath.")
                        for name in obs.metrics.counters)
-
-
-class TestSelection:
-    def test_registry_lists_both(self):
-        assert {"fast", "reference"} <= set(available_simulators())
-        assert DEFAULT_SIMULATOR == "fast"
-
-    def test_explicit_name_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM", "fast")
-        assert resolve_simulator("reference").name == "reference"
-
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM", "reference")
-        assert resolve_simulator().name == "reference"
-        assert resolve_simulator("").name == "reference"
-        monkeypatch.delenv("REPRO_SIM")
-        assert resolve_simulator().name == DEFAULT_SIMULATOR
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown simulator"):
-            resolve_simulator("bogus")
-
-    def test_pipeline_threads_choice_through(self):
-        from repro.schedule.scheduler import SchedulerOptions
-        assert AkgPipeline(sim="reference").sim == "reference"
-        options = SchedulerOptions(sim="reference")
-        assert AkgPipeline(scheduler_options=options).sim == "reference"
-        # Explicit argument beats the options field.
-        assert AkgPipeline(scheduler_options=options, sim="fast").sim == "fast"
-
-    def test_cli_accepts_sim(self):
-        from repro.cli import build_arg_parser, main
-        args = build_arg_parser().parse_args(
-            ["compile", "x.k", "--sim", "reference"])
-        assert args.sim == "reference"
-        # An unknown backend fails fast (before the file is even opened).
-        assert main(["compile", "missing.k", "--sim", "bogus"]) == 2
 
 
 class TestProfileCache:

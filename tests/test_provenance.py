@@ -13,6 +13,7 @@ from repro.obs.provenance import (
     get_journal,
     use_journal,
 )
+from repro.obs.store import RunStore, new_record
 from repro.pipeline.akg import AkgPipeline
 from repro.schedule.scheduler import InfluencedScheduler
 
@@ -165,3 +166,14 @@ class TestExplainCli:
         capsys.readouterr()
         assert main(["explain", "LSTM", "--run", "latest"]) == 0
         assert "inject " in capsys.readouterr().out
+
+    def test_explain_ignores_retired_backend_keys(self, capsys):
+        # Runs recorded while backends were selectable name them in their
+        # config; explain takes seed/limit/variant and ignores the rest.
+        RunStore().append(new_record("table2", config={
+            "networks": "LSTM", "seed": 0, "limit": 1, "jobs": 1,
+            "solver": "simplex", "sim": "reference"}))
+        assert main(["explain", "LSTM", "--run", "latest"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("=== lstm_op") == 1   # the record's limit, not 4
+        assert "inject " in out

@@ -15,7 +15,7 @@ import pytest
 
 from repro.codegen.interp import check_semantics
 from repro.deps import compute_dependences
-from repro.gpu import simulate_kernel
+from repro.gpu import simulate_kernel, simulate_reference
 from repro.ir.examples import heat_2d, jacobi_1d, jacobi_2d
 from repro.pipeline import AkgPipeline, VARIANTS
 from repro.schedule import InfluencedScheduler
@@ -68,9 +68,8 @@ class TestOperatorFamilies:
         pipe = AkgPipeline(sample_blocks=2)
         compiled = pipe.compile(kernel, "infl")
         for launch in compiled.launches:
-            fast = simulate_kernel(launch, sample_blocks=2, sim="fast")
-            reference = simulate_kernel(launch, sample_blocks=2,
-                                        sim="reference")
+            fast = simulate_kernel(launch, sample_blocks=2)
+            reference = simulate_reference(launch, sample_blocks=2)
             assert fast.counters() == reference.counters()
 
     def test_measured(self, family):

@@ -103,7 +103,11 @@ class TestCompare:
 
 class TestCommittedGoldens:
     """The anchor: the checked-in golden for one network must match a fresh
-    build under the default configuration (full check is `repro verify`)."""
+    build under the default configuration (full check is `repro verify`).
+
+    The subclasses below re-run the same checks under each control arm, so
+    the solver's reuse paths and the simulator's fast path are shown not to
+    change a committed byte."""
 
     def test_lstm_matches_committed(self):
         expected = load_golden("LSTM")
@@ -126,3 +130,13 @@ class TestCommittedGoldens:
         entry = next(iter(actual["operators"].values()))
         assert entry["template"]["launches"], \
             "family golden must pin the template baseline"
+
+
+@pytest.mark.usefixtures("cold_solver")
+class TestCommittedGoldensColdSolver(TestCommittedGoldens):
+    """No solve replayed from the dedup cache, no warm-start bound."""
+
+
+@pytest.mark.usefixtures("reference_simulator")
+class TestCommittedGoldensReferenceSimulator(TestCommittedGoldens):
+    """Every launch simulated on the reference interpreter."""

@@ -4,7 +4,7 @@ Random integer programs (shaped like the scheduler's Farkas-linearized
 dimension systems: small bounded integer unknowns plus continuous
 multipliers tied in through equalities) are solved three ways —
 
-* cold, via the ``simplex-nowarm`` backend with every reuse disabled,
+* cold, with every reuse disabled (the ``cold_solver`` fixture's patches),
 * warm, offering the cold solution (and decoys) through a
   :class:`WarmStartHandle`,
 * replayed, through a content-keyed :class:`SolveCache` hit —
@@ -22,10 +22,18 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.solver.backend import resolve_backend
 from repro.solver.dedup import SolveCache, use_solve_cache
 from repro.solver.problem import Constraint, LinExpr, Problem, var
 from repro.solver.warmstart import WarmStartHandle
+
+from tests import control_arms
+
+
+def _cold(solve):
+    """``solve()`` under the ``cold_solver`` control arm."""
+    with pytest.MonkeyPatch.context() as patch:
+        control_arms.cold_solver(patch)
+        return solve()
 
 
 def _coeff():
@@ -90,8 +98,7 @@ def decoy_assignments(draw, names):
 @settings(max_examples=60, deadline=None)
 def test_warm_and_replayed_solves_match_cold(data, case):
     problem, objective = case
-    cold = problem.clone().solve(objective,
-                                 backend=resolve_backend("simplex-nowarm"))
+    cold = _cold(lambda: problem.clone().solve(objective))
 
     # Warm: offer the cold optimum plus arbitrary decoys (feasible or not —
     # infeasible candidates must simply be ignored).
@@ -100,8 +107,7 @@ def test_warm_and_replayed_solves_match_cold(data, case):
     if cold is not None:
         handle.offer(cold)
     handle.offer(data.draw(decoy_assignments(problem.variables)))
-    warm = problem.clone().solve(objective, warm=handle,
-                                 backend=resolve_backend("simplex"))
+    warm = problem.clone().solve(objective, warm=handle)
     assert warm == cold
     if cold is not None:
         assert objective.evaluate(warm) == objective.evaluate(cold)
@@ -109,10 +115,8 @@ def test_warm_and_replayed_solves_match_cold(data, case):
     # Replay: identical content solved twice inside one cache scope; the
     # second answer comes from the cache and must be value-identical.
     with use_solve_cache(SolveCache()) as cache:
-        first = problem.clone().solve(objective,
-                                      backend=resolve_backend("simplex"))
-        second = problem.clone().solve(objective,
-                                       backend=resolve_backend("simplex"))
+        first = problem.clone().solve(objective)
+        second = problem.clone().solve(objective)
     assert cache.hits >= 1
     assert first == cold
     assert second == first
@@ -124,11 +128,9 @@ def test_lexmin_warm_matches_cold(case):
     problem, objective = case
     levels = [objective, LinExpr({n: Fraction(1) for n in problem.variables
                                   if n.startswith("c")})]
-    cold = problem.clone().lexmin(levels,
-                                  backend=resolve_backend("simplex-nowarm"))
+    cold = _cold(lambda: problem.clone().lexmin(levels))
     handle = WarmStartHandle()
     if cold is not None:
         handle.offer(cold)
-    warm = problem.clone().lexmin(levels, warm=handle,
-                                  backend=resolve_backend("simplex"))
+    warm = problem.clone().lexmin(levels, warm=handle)
     assert warm == cold
