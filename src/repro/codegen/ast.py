@@ -14,10 +14,10 @@ Nodes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from repro.ir.statement import Statement
+from repro.linalg.rational import Rat
 from repro.solver.problem import Constraint, LinExpr
 
 Node = Union["Loop", "Guard", "StatementCall", "Seq"]
@@ -136,7 +136,7 @@ class StatementCall:
     iterator_exprs: dict[str, LinExpr]
     vector_width: int = 1
 
-    def iterator_values(self, env: dict[str, Fraction]) -> dict[str, Fraction]:
+    def iterator_values(self, env: dict[str, Rat]) -> dict[str, Rat]:
         """Concrete iterator values at a schedule-time point."""
         out = {}
         for it, expr in self.iterator_exprs.items():
@@ -180,12 +180,7 @@ def substitute_var(node: Node, name: str, replacement: LinExpr) -> None:
     the subtree (loop bounds, guard conditions, iterator reconstructions)."""
 
     def sub_expr(expr: LinExpr) -> LinExpr:
-        coeff = expr.coeffs.get(name)
-        if not coeff:
-            return expr
-        rest = LinExpr({n: c for n, c in expr.coeffs.items() if n != name},
-                       expr.const)
-        return rest + coeff * replacement
+        return expr.substitute(name, replacement)
 
     for n in walk(node):
         if isinstance(n, Loop):

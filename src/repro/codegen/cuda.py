@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from repro.codegen.ast import Guard, Loop, Seq, StatementCall, substitute_var, walk
 from repro.ir.kernel import Kernel
+from repro.linalg.rational import frac
 from repro.schedule.functions import Schedule
 from repro.solver.problem import LinExpr, var
 
@@ -72,7 +72,7 @@ class MappedKernel:
 
 
 def _constant_extent(loop: Loop, params: dict[str, int]) -> Optional[int]:
-    env = {p: Fraction(v) for p, v in params.items()}
+    env = {p: frac(v) for p, v in params.items()}
     try:
         lowers = [e.evaluate(env) for e in loop.lowers]
         uppers = [e.evaluate(env) for e in loop.uppers]
@@ -86,7 +86,7 @@ def _constant_extent(loop: Loop, params: dict[str, int]) -> Optional[int]:
 def _effective_lower(loop: Loop, params: dict[str, int]) -> int:
     """The loop's concrete first iteration value (mappable loops have
     parameter-only bounds, so this is a plain integer)."""
-    env = {p: Fraction(v) for p, v in params.items()}
+    env = {p: frac(v) for p, v in params.items()}
     lowers = [e.evaluate(env) for e in loop.lowers]
     return math.ceil(min(lowers) if loop.lower_is_min else max(lowers))
 

@@ -20,7 +20,6 @@ The AST is then built dimension by dimension:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from repro.codegen.ast import Guard, Loop, Seq, StatementCall

@@ -11,21 +11,21 @@ iteration domains, and every dependence pair must run in order.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterator
 
 from repro.codegen.ast import Guard, Loop, Seq, StatementCall
 from repro.ir.kernel import Kernel
 from repro.ir.statement import Statement
+from repro.linalg.rational import Rat, frac
 
 
-def execute(ast: Seq, params: dict[str, int]) -> Iterator[tuple[Statement, dict[str, Fraction]]]:
+def execute(ast: Seq, params: dict[str, int]) -> Iterator[tuple[Statement, dict[str, Rat]]]:
     """Yield ``(statement, iterator values)`` in sequential execution order."""
-    env: dict[str, Fraction] = {p: Fraction(v) for p, v in params.items()}
+    env: dict[str, Rat] = {p: frac(v) for p, v in params.items()}
     yield from _run(ast, env)
 
 
-def _run(node, env: dict[str, Fraction]):
+def _run(node, env: dict[str, Rat]):
     if isinstance(node, Seq):
         for child in node.children:
             yield from _run(child, env)
@@ -35,7 +35,7 @@ def _run(node, env: dict[str, Fraction]):
         lo = math.ceil(min(lowers) if node.lower_is_min else max(lowers))
         hi = math.floor(max(uppers) if node.upper_is_max else min(uppers))
         for value in range(lo, hi + 1):
-            env[node.var] = Fraction(value)
+            env[node.var] = value
             yield from _run(node.body, env)
         env.pop(node.var, None)
     elif isinstance(node, Guard):
@@ -60,9 +60,9 @@ def check_semantics(kernel: Kernel, ast: Seq) -> list[str]:
     Returns a list of human-readable problems (empty == equivalent).
     """
     problems: list[str] = []
-    executed: dict[str, list[dict[str, Fraction]]] = {
+    executed: dict[str, list[dict[str, Rat]]] = {
         s.name: [] for s in kernel.statements}
-    order: list[tuple[Statement, dict[str, Fraction]]] = []
+    order: list[tuple[Statement, dict[str, Rat]]] = []
     for statement, point in execute(ast, kernel.params):
         executed[statement.name].append(point)
         order.append((statement, point))
@@ -98,7 +98,7 @@ def check_semantics(kernel: Kernel, ast: Seq) -> list[str]:
         for point in s.iteration_points(kernel.params):
             for access in s.accesses:
                 env = dict(point)
-                env.update({p: Fraction(v) for p, v in kernel.params.items()})
+                env.update({p: frac(v) for p, v in kernel.params.items()})
                 cell = (access.tensor.name, access.linearized(env))
                 key = (s.name, tuple(sorted(point.items())))
                 cells.setdefault(cell, []).append(

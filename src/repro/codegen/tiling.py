@@ -21,11 +21,10 @@ top of the GPU model.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from repro.codegen.ast import Guard, Loop, Seq, substitute_var, walk
+from repro.linalg.rational import frac
 from repro.schedule.functions import Schedule
 from repro.solver.problem import Constraint, LinExpr, var
 
@@ -35,7 +34,7 @@ class TilingError(Exception):
 
 
 def _constant_extent(loop: Loop, params: dict[str, int]) -> Optional[int]:
-    env = {p: Fraction(v) for p, v in params.items()}
+    env = {p: frac(v) for p, v in params.items()}
     try:
         lowers = [e.evaluate(env) for e in loop.lowers]
         uppers = [e.evaluate(env) for e in loop.uppers]
@@ -53,7 +52,7 @@ def outermost_band_chain(ast: Seq, schedule: Schedule,
     chain: list[Loop] = []
     node = ast
     band: Optional[int] = None
-    env = {p: Fraction(v) for p, v in params.items()}
+    env = {p: frac(v) for p, v in params.items()}
     while True:
         if isinstance(node, Seq):
             if len(node.children) != 1:
@@ -125,7 +124,7 @@ def tile_band(ast: Seq, schedule: Schedule, params: dict[str, int],
         # chain nesting stay valid because the prefix is contiguous).
         loop.var = tile_var
         loop.lowers = [LinExpr(const=0)]
-        loop.uppers = [LinExpr(const=math.ceil(extent / size) - 1)]
+        loop.uppers = [LinExpr(const=-(-extent // size) - 1)]
         loop.lower_is_min = False
         loop.upper_is_max = False
 

@@ -30,7 +30,6 @@ Loops that fail validation are demoted to plain loops, which is exactly the
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from repro.codegen.ast import (
@@ -44,13 +43,14 @@ from repro.codegen.ast import (
 )
 from repro.deps.relation import DependenceRelation
 from repro.ir.kernel import Kernel
+from repro.linalg.rational import frac
 from repro.schedule.functions import Schedule
 from repro.solver.problem import LinExpr, var
 
 
 def _constant_extent(loop: Loop, params: dict[str, int]) -> Optional[int]:
     """Trip count when the bounds are parameter-only expressions."""
-    env = {p: Fraction(v) for p, v in params.items()}
+    env = {p: frac(v) for p, v in params.items()}
     try:
         lowers = [e.evaluate(env) for e in loop.lowers]
         uppers = [e.evaluate(env) for e in loop.uppers]
@@ -121,7 +121,7 @@ def _unguarded_calls(node) -> list[StatementCall]:
 def _effective_lower(loop: Loop, params: dict[str, int]) -> int:
     """The loop's concrete first iteration value (bounds are parameter-only
     for validated vector loops, so this is a plain integer)."""
-    env = {p: Fraction(v) for p, v in params.items()}
+    env = {p: frac(v) for p, v in params.items()}
     lowers = [e.evaluate(env) for e in loop.lowers]
     return math.ceil(min(lowers) if loop.lower_is_min else max(lowers))
 

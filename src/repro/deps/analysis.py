@@ -15,7 +15,6 @@ and split it by precedence level so each emitted
 from __future__ import annotations
 
 from collections import OrderedDict
-from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
@@ -48,7 +47,7 @@ def _interleaved_exprs(statement: Statement, suffix: str) -> list[LinExpr]:
             exprs.append(LinExpr(const=value))
         else:
             name = source_dim(value) if suffix == "s" else target_dim(value)
-            exprs.append(LinExpr({name: Fraction(1)}))
+            exprs.append(var(name))
     return exprs
 
 

@@ -13,7 +13,6 @@ target depends on iteration ``s`` of the source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from repro.ir.access import Access
@@ -38,7 +37,7 @@ def rename_expr(expr: LinExpr, iterators: list[str], suffix: str) -> LinExpr:
     coeffs = {}
     for name, c in expr.coeffs.items():
         coeffs[renamer(name) if name in iterators else name] = c
-    return LinExpr(coeffs, expr.const)
+    return LinExpr._raw(coeffs, expr.const)
 
 
 @dataclass

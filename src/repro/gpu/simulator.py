@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Optional
 
 from repro.codegen.ast import Guard, Loop, Seq, StatementCall, statements_in
@@ -29,6 +28,7 @@ from repro.gpu.profile_cache import (
     is_miss,
     profile_cache_key,
 )
+from repro.linalg.rational import Rat
 from repro.obs.metrics import RATIO_BUCKETS
 from repro.obs.runtime import get_obs
 from repro.solver.problem import Constraint, LinExpr
@@ -135,28 +135,26 @@ class _CompiledAccess:
 class _CompiledExpr:
     """A LinExpr lowered for fast integer evaluation (rational-safe).
 
-    Coefficients with denominator 1 are narrowed to ``int`` and split from
-    the (rare) genuinely rational ones, so the common all-integral bound
-    and guard expressions evaluate with pure machine-int arithmetic — no
-    ``Fraction`` dispatch on the hot path.  ``is_integral`` lets callers
-    skip ``ceil``/``floor`` entirely for such expressions.  Evaluation
-    order (integer terms first, then rational ones) cannot change any
-    value: the arithmetic is exact, so the sum is order-independent.
+    LinExpr values are canonical (``int`` when whole), so the integral
+    coefficients are split from the (rare) genuinely rational ones and the
+    common all-integral bound and guard expressions evaluate with pure
+    machine-int arithmetic — no ``Fraction`` dispatch on the hot path.
+    ``is_integral`` lets callers skip ``ceil``/``floor`` entirely for such
+    expressions.  Evaluation order (integer terms first, then rational
+    ones) cannot change any value: the arithmetic is exact, so the sum is
+    order-independent.
     """
 
     __slots__ = ("terms", "int_terms", "frac_terms", "const", "is_integral")
 
     def __init__(self, expr: LinExpr):
-        def narrow(value: Fraction):
-            return int(value) if value.denominator == 1 else value
-        self.terms = [(name, narrow(coeff))
-                      for name, coeff in expr.coeffs.items()]
+        self.terms = list(expr.coeffs.items())
         self.int_terms = [(n, c) for n, c in self.terms if type(c) is int]
         self.frac_terms = [(n, c) for n, c in self.terms if type(c) is not int]
-        self.const = narrow(expr.const)
+        self.const = expr.const
         self.is_integral = not self.frac_terms and type(self.const) is int
 
-    def value(self, env: dict[str, int]) -> Fraction:
+    def value(self, env: dict[str, int]) -> Rat:
         total = self.const
         for name, coeff in self.int_terms:
             total += coeff * env[name]

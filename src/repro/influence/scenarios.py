@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from repro.ir.access import Access
 from repro.ir.kernel import Kernel
 from repro.ir.statement import Statement
+from repro.linalg.rational import frac
 from repro.obs.provenance import get_journal
 from repro.solver.problem import var
 
@@ -93,7 +93,7 @@ def iterator_extent(statement: Statement, iterator: str,
     shadow = statement.domain.eliminate_all(
         [it for it in statement.iterators if it != iterator])
     lowers, uppers = shadow.bounds_of(iterator)
-    env = {p: Fraction(v) for p, v in params.items()}
+    env = {p: frac(v) for p, v in params.items()}
     # Remaining bound expressions may only mention parameters now.
     los = [e.evaluate(env) for e in lowers]
     his = [e.evaluate(env) for e in uppers]

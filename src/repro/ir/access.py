@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 from repro.ir.tensor import Tensor
+from repro.linalg.rational import Rat
 from repro.solver.problem import LinExpr, var
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+|[+\-*])")
@@ -48,14 +48,14 @@ def parse_affine(text: str) -> LinExpr:
                 name = tokens[idx + 2]
                 if not name.isidentifier():
                     raise ValueError(f"expected name after '*' in {text!r}")
-                return LinExpr({name: Fraction(int(tok))}), idx + 3
+                return LinExpr({name: int(tok)}), idx + 3
             return LinExpr(const=int(tok)), idx + 1
         if tok.isidentifier():
             if idx + 2 < len(tokens) and tokens[idx + 1] == "*":
                 factor = tokens[idx + 2]
                 if not factor.isdigit():
                     raise ValueError(f"expected integer after '*' in {text!r}")
-                return LinExpr({tok: Fraction(int(factor))}), idx + 3
+                return LinExpr({tok: int(factor)}), idx + 3
             return var(tok), idx + 1
         raise ValueError(f"unexpected token {tok!r} in {text!r}")
 
@@ -127,9 +127,9 @@ class Access:
             names |= s.variables()
         return names
 
-    def coefficient(self, dim: int, name: str) -> Fraction:
+    def coefficient(self, dim: int, name: str) -> Rat:
         """Coefficient of ``name`` in the ``dim``-th subscript."""
-        return self.subscripts[dim].coeffs.get(name, Fraction(0))
+        return self.subscripts[dim].coeffs.get(name, 0)
 
     def stride_along(self, name: str) -> int:
         """Memory stride (in elements) when iterator ``name`` advances by 1.
@@ -139,24 +139,24 @@ class Access:
         access is invariant along ``name``; 1 means contiguous.
         """
         strides = self.tensor.strides()
-        total = Fraction(0)
+        total = 0
         for d, sub in enumerate(self.subscripts):
-            total += sub.coeffs.get(name, Fraction(0)) * strides[d]
+            total += sub.coeffs.get(name, 0) * strides[d]
         if total.denominator != 1:
             raise ValueError("non-integer stride; subscripts must be integral")
         return abs(int(total))
 
-    def linearized(self, point: dict[str, Fraction]) -> int:
+    def linearized(self, point: dict[str, Rat]) -> int:
         """Element offset of this access at a concrete iteration point."""
         strides = self.tensor.strides()
-        offset = Fraction(0)
+        offset = 0
         for d, sub in enumerate(self.subscripts):
             offset += sub.evaluate(point) * strides[d]
         if offset.denominator != 1:
             raise ValueError("non-integer offset")
         return int(offset)
 
-    def byte_address(self, point: dict[str, Fraction], base: int = 0) -> int:
+    def byte_address(self, point: dict[str, Rat], base: int = 0) -> int:
         """Byte address at a concrete iteration point (``base`` in bytes)."""
         return base + self.linearized(point) * self.tensor.dtype.size_bytes
 

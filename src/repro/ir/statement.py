@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from repro.ir.access import Access
+from repro.linalg.rational import Rat, frac
 from repro.sets.polyhedron import Polyhedron
 from repro.solver.problem import LinExpr, var
 
@@ -67,18 +67,18 @@ class Statement:
         entries.append(("beta", self.betas[len(self.iterators)]))
         return entries
 
-    def original_date(self, point: dict[str, Fraction]) -> tuple:
+    def original_date(self, point: dict[str, Rat]) -> tuple:
         """Concrete interleaved logical date of one execution."""
         date = []
         for kind, value in self.interleaved_entries():
             if kind == "beta":
-                date.append(Fraction(value))
+                date.append(frac(value))
             else:
-                date.append(Fraction(point[value]))
+                date.append(frac(point[value]))
         return tuple(date)
 
     def iteration_points(self, params: dict[str, int],
-                         limit: int = 100_000) -> list[dict[str, Fraction]]:
+                         limit: int = 100_000) -> list[dict[str, Rat]]:
         """Enumerate the integer points of the domain under concrete params.
 
         Used by the GPU simulator and by semantics-preservation tests; raises
@@ -86,9 +86,9 @@ class Statement:
         """
         bound_domain = self.domain.with_constraints(
             [var(p).eq(v) for p, v in params.items() if p in self.domain.dims])
-        points: list[dict[str, Fraction]] = []
+        points: list[dict[str, Rat]] = []
 
-        def recurse(assigned: dict[str, Fraction], remaining: list[str]):
+        def recurse(assigned: dict[str, Rat], remaining: list[str]):
             if not remaining:
                 points.append(dict(assigned))
                 if len(points) > limit:
@@ -100,7 +100,7 @@ class Statement:
             shadow = bound_domain.eliminate_all(remaining[1:])
             lowers, uppers = shadow.bounds_of(it)
             env = dict(assigned)
-            env.update({p: Fraction(v) for p, v in params.items()})
+            env.update({p: frac(v) for p, v in params.items()})
             los = [e.evaluate(env) for e in lowers]
             his = [e.evaluate(env) for e in uppers]
             if not los or not his:
@@ -110,7 +110,7 @@ class Statement:
             start = math.ceil(lo)
             stop = math.floor(hi)
             for value in range(start, stop + 1):
-                assigned[it] = Fraction(value)
+                assigned[it] = value
                 recurse(assigned, remaining[1:])
             assigned.pop(it, None)
 

@@ -1,8 +1,9 @@
 """Exact rational linear algebra used throughout the polyhedral stack.
 
-Everything in this package works over :class:`fractions.Fraction` so that
-scheduling decisions are never corrupted by floating-point rounding.  The
-main entry points are:
+Everything in this package works over exact rationals so that scheduling
+decisions are never corrupted by floating-point rounding.  Values are the
+canonical scalar of :mod:`repro.linalg.rational`: ``int`` when whole,
+:class:`fractions.Fraction` otherwise.  The main entry points are:
 
 * :class:`repro.linalg.matrix.Matrix` — a small dense matrix class.
 * :func:`repro.linalg.hermite.hermite_normal_form` — row-style HNF, used by
@@ -14,6 +15,7 @@ main entry points are:
 
 from repro.linalg.matrix import Matrix, Vector
 from repro.linalg.rational import (
+    div,
     frac,
     vec_add,
     vec_dot,
@@ -32,6 +34,7 @@ from repro.linalg.hermite import (
 __all__ = [
     "Matrix",
     "Vector",
+    "div",
     "frac",
     "vec_add",
     "vec_dot",

@@ -9,7 +9,6 @@ rational projector approach, :func:`hermite_normal_form` the integer form.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -95,7 +94,7 @@ def orthogonal_complement(rows: Sequence[Sequence]) -> list[list[int]]:
     input rows they span the full space.  For an empty input the identity
     basis is returned.
     """
-    rows = [list(r) for r in rows if any(Fraction(x) != 0 for x in r)]
+    rows = [list(r) for r in rows if any(x != 0 for x in r)]
     if not rows:
         dim = 0
         raise ValueError("cannot infer dimension from an empty row set; "
@@ -107,7 +106,7 @@ def orthogonal_complement(rows: Sequence[Sequence]) -> list[list[int]]:
 def orthogonal_complement_or_identity(rows: Sequence[Sequence], dim: int) -> list[list[int]]:
     """Like :func:`orthogonal_complement` but returns the identity basis when
     ``rows`` spans nothing, and [] when ``rows`` spans everything."""
-    nonzero = [list(r) for r in rows if any(Fraction(x) != 0 for x in r)]
+    nonzero = [list(r) for r in rows if any(x != 0 for x in r)]
     if not nonzero:
         eye = []
         for i in range(dim):

@@ -1,4 +1,5 @@
-"""A small dense matrix over exact rationals.
+"""A small dense matrix over exact rationals (canonical scalars: ``int``
+when whole, :class:`fractions.Fraction` otherwise).
 
 The polyhedral stack only ever manipulates matrices with a few dozen rows and
 columns, so this favours clarity over asymptotic cleverness.
@@ -6,21 +7,20 @@ columns, so this favours clarity over asymptotic cleverness.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from repro.linalg.rational import frac, vec_dot
+from repro.linalg.rational import Rat, div, frac, vec_dot
 
 Vector = list  # alias used in signatures for readability
 
 
 class Matrix:
-    """A dense matrix of :class:`fractions.Fraction` entries."""
+    """A dense matrix of canonical exact scalars."""
 
     __slots__ = ("rows", "n_rows", "n_cols")
 
     def __init__(self, rows: Iterable[Sequence]):
-        self.rows: list[list[Fraction]] = [[frac(x) for x in row] for row in rows]
+        self.rows: list[list[Rat]] = [[frac(x) for x in row] for row in rows]
         self.n_rows = len(self.rows)
         self.n_cols = len(self.rows[0]) if self.rows else 0
         for row in self.rows:
@@ -85,18 +85,18 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Matrix([[a + b for a, b in zip(ra, rb)]
+        return Matrix([[frac(a + b) for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Matrix([[a - b for a, b in zip(ra, rb)]
+        return Matrix([[frac(a - b) for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.rows, other.rows)])
 
     def __mul__(self, k) -> "Matrix":
         k = frac(k)
-        return Matrix([[k * x for x in row] for row in self.rows])
+        return Matrix([[frac(k * x) for x in row] for row in self.rows])
 
     __rmul__ = __mul__
 
@@ -138,12 +138,13 @@ class Matrix:
             if pivot_row is None:
                 continue
             mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-            inv = 1 / mat[r][c]
-            mat[r] = [x * inv for x in mat[r]]
+            pivot = mat[r][c]
+            mat[r] = [div(x, pivot) for x in mat[r]]
             for i in range(self.n_rows):
                 if i != r and mat[i][c] != 0:
                     factor = mat[i][c]
-                    mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
+                    mat[i] = [frac(x - factor * y)
+                              for x, y in zip(mat[i], mat[r])]
             pivots.append(c)
             r += 1
         return Matrix(mat), pivots
@@ -153,20 +154,20 @@ class Matrix:
         _, pivots = self.rref()
         return len(pivots)
 
-    def nullspace(self) -> list[list[Fraction]]:
+    def nullspace(self) -> list[list[Rat]]:
         """A basis of the (right) nullspace as a list of vectors."""
         red, pivots = self.rref()
         free = [c for c in range(self.n_cols) if c not in pivots]
         basis = []
         for f in free:
-            v = [Fraction(0)] * self.n_cols
-            v[f] = Fraction(1)
+            v = [0] * self.n_cols
+            v[f] = 1
             for r, p in enumerate(pivots):
                 v[p] = -red[r][f]
             basis.append(v)
         return basis
 
-    def solve(self, b: Sequence) -> list[Fraction] | None:
+    def solve(self, b: Sequence) -> list[Rat] | None:
         """One solution of ``self @ x = b`` or None if inconsistent."""
         rhs = [frac(x) for x in b]
         if len(rhs) != self.n_rows:
@@ -175,7 +176,7 @@ class Matrix:
         red, pivots = aug.rref()
         if self.n_cols in pivots:  # pivot in the rhs column => inconsistent
             return None
-        x = [Fraction(0)] * self.n_cols
+        x = [0] * self.n_cols
         for r, p in enumerate(pivots):
             x[p] = red[r][self.n_cols]
         return x
@@ -190,24 +191,24 @@ class Matrix:
             raise ValueError("matrix is singular")
         return Matrix([row[self.n_rows:] for row in red.rows])
 
-    def determinant(self) -> Fraction:
+    def determinant(self) -> Rat:
         """The determinant (fraction-free not required at these sizes)."""
         if self.n_rows != self.n_cols:
             raise ValueError("determinant of a non-square matrix")
         mat = [list(row) for row in self.rows]
         n = self.n_rows
-        det = Fraction(1)
+        det = 1
         for c in range(n):
             pivot_row = next((i for i in range(c, n) if mat[i][c] != 0), None)
             if pivot_row is None:
-                return Fraction(0)
+                return 0
             if pivot_row != c:
                 mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
                 det = -det
-            det *= mat[c][c]
-            inv = 1 / mat[c][c]
+            det = frac(det * mat[c][c])
             for i in range(c + 1, n):
                 if mat[i][c] != 0:
-                    factor = mat[i][c] * inv
-                    mat[i] = [x - factor * y for x, y in zip(mat[i], mat[c])]
+                    factor = div(mat[i][c], mat[c][c])
+                    mat[i] = [frac(x - factor * y)
+                              for x, y in zip(mat[i], mat[c])]
         return det

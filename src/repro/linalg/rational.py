@@ -1,69 +1,94 @@
-"""Small helpers for exact rational vectors.
+"""The canonical exact scalar and small helpers for exact rational vectors.
 
-Vectors are plain Python lists (or tuples) of :class:`fractions.Fraction`.
-Keeping them as built-in sequences keeps the solver code simple and makes the
-structures trivially hashable/serializable when converted to tuples.
+Every coefficient, constant and bound of the exact affine layer (linear
+expressions, constraints, polyhedra, matrices, linear programs) is one
+canonical scalar: a Python ``int`` when the value is whole, and a
+:class:`fractions.Fraction` only when its denominator is greater than 1.
+Nearly all values of the polyhedral stack are small whole numbers, and int
+arithmetic is an order of magnitude cheaper than ``Fraction`` arithmetic;
+the representation is unique, so equal values still compare, hash and
+print alike (``Fraction(3) == 3`` and both print as ``3``).
+
+:func:`frac` is the one coercion into the canonical form and :func:`div`
+the exact division.  Sums and products of canonical scalars are exact but
+need :func:`frac` again: ``Fraction(1, 2) + Fraction(1, 2)`` is a whole
+``Fraction``.  True division with ``/`` is never used on scalars: on two
+ints it would return a float.
+
+Vectors are plain Python lists (or tuples) of canonical scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
-Rat = Fraction
+Rat = Union[int, Fraction]
 
 
-def frac(value) -> Fraction:
-    """Coerce ``value`` (int, str, float-free) to an exact :class:`Fraction`.
+def frac(value) -> Rat:
+    """Coerce ``value`` (int, Fraction or str) to the canonical scalar.
 
-    Floats are rejected on purpose: silently converting binary floats would
-    smuggle rounding error into the exact pipeline.
+    Whole values become ``int``; others stay (or become) ``Fraction``.
+    Floats and bools are rejected on purpose: silently converting binary
+    floats would smuggle rounding error into the exact pipeline.
     """
-    if isinstance(value, Fraction):
+    if type(value) is int:
         return value
+    if type(value) is Fraction:
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, bool):
         raise TypeError("booleans are not rational scalars")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, (Fraction, str)):
+        return frac(Fraction(value))
     raise TypeError(f"cannot build an exact rational from {value!r}")
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+def div(a: Rat, b: Rat) -> Rat:
+    """The exact quotient ``a / b`` of two canonical scalars, canonical."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return frac(Fraction(a, b))
+
+
+def vec_add(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
     """Return ``a + b`` element-wise."""
     if len(a) != len(b):
         raise ValueError(f"vector length mismatch: {len(a)} vs {len(b)}")
-    return [x + y for x, y in zip(a, b)]
+    return [frac(x + y) for x, y in zip(a, b)]
 
 
-def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+def vec_sub(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
     """Return ``a - b`` element-wise."""
     if len(a) != len(b):
         raise ValueError(f"vector length mismatch: {len(a)} vs {len(b)}")
-    return [x - y for x, y in zip(a, b)]
+    return [frac(x - y) for x, y in zip(a, b)]
 
 
-def vec_scale(a: Sequence[Fraction], k) -> list[Fraction]:
+def vec_scale(a: Sequence[Rat], k) -> list[Rat]:
     """Return ``k * a``."""
     k = frac(k)
-    return [k * x for x in a]
+    return [frac(k * x) for x in a]
 
 
-def vec_dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+def vec_dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
     """Return the dot product of ``a`` and ``b``."""
     if len(a) != len(b):
         raise ValueError(f"vector length mismatch: {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return frac(sum(x * y for x, y in zip(a, b)))
 
 
-def is_zero_vector(a: Iterable[Fraction]) -> bool:
+def is_zero_vector(a: Iterable[Rat]) -> bool:
     """True iff every component of ``a`` is zero."""
     return all(x == 0 for x in a)
 
 
-def clear_denominators(a: Sequence[Fraction]) -> list[int]:
+def clear_denominators(a: Sequence[Rat]) -> list[int]:
     """Scale ``a`` by the lcm of its denominators and return integer entries."""
     lcm = 1
     for x in a:
@@ -72,7 +97,7 @@ def clear_denominators(a: Sequence[Fraction]) -> list[int]:
     return [int(frac(x) * lcm) for x in a]
 
 
-def primitive(a: Sequence[Fraction]) -> list[int]:
+def primitive(a: Sequence[Rat]) -> list[int]:
     """Return the primitive integer vector proportional to ``a``.
 
     The result has integer entries with gcd 1 and the same direction as

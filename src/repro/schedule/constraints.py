@@ -18,7 +18,6 @@ multipliers the builders' reduced blocks keep.  The builders below add:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from repro.deps.relation import DependenceRelation, source_dim, target_dim
@@ -26,7 +25,8 @@ from repro.ir.statement import Statement
 from repro.linalg.hermite import orthogonal_complement_or_identity
 from repro.schedule.farkas import SymbolicAffineForm, add_farkas_nonneg
 from repro.schedule.functions import ScheduleRow
-from repro.solver.problem import Constraint, LinExpr, Problem, var
+from repro.solver.problem import (Constraint, LinExpr, Problem, add_scaled,
+                                  var)
 
 
 def iter_coeff_name(stmt: str, index: int) -> str:
@@ -45,11 +45,20 @@ class DimensionProblem:
     """The ILP for one scheduling dimension."""
 
     def __init__(self, statements: Sequence[Statement], params: Sequence[str],
-                 coeff_bound: int = 7, const_bound: int = 31):
+                 coeff_bound: int = 7, const_bound: int = 31,
+                 forms: Optional[dict] = None):
         self.statements = list(statements)
         self.params = list(params)
         self.coeff_bound = coeff_bound
         self.const_bound = const_bound
+        #: Symbolic forms per ``(kind, id(relation))`` as ``(relation,
+        #: form)`` (holding the relation keeps its id unique), shared by
+        #: forks.  A scheduler passes one dict to every dimension problem
+        #: of a run, so each relation's forms are built once per run, and
+        #: each form's Farkas block is linearized once (see
+        #: :class:`SymbolicAffineForm`).  Statements and parameters must be
+        #: the same for every problem sharing it.
+        self._forms = {} if forms is None else forms
         self.problem = Problem()
         #: Bound rows of the Farkas blocks added so far, in block order;
         #: :meth:`ilp` places them after every other row.
@@ -77,6 +86,7 @@ class DimensionProblem:
         copy.params = self.params
         copy.coeff_bound = self.coeff_bound
         copy.const_bound = self.const_bound
+        copy._forms = self._forms
         copy.problem = self.problem.clone()
         copy._bound_rows = list(self._bound_rows)
         copy._farkas_counter = self._farkas_counter
@@ -146,12 +156,39 @@ class DimensionProblem:
         form.const = tgt.const - src.const
         return form
 
+    def _relation_form(self, kind: str,
+                       rel: DependenceRelation) -> SymbolicAffineForm:
+        """The form of ``rel`` that ``kind`` names, built once per shared
+        form dict: "delta" (:meth:`delta_form`), "negated" (its negation)
+        or "proximity" (``u.p + w - delta``; needs the u, w unknowns)."""
+        key = (kind, id(rel))
+        entry = self._forms.get(key)
+        if entry is not None:
+            return entry[1]
+        if kind == "delta":
+            form = self.delta_form(rel)
+        elif kind == "negated":
+            delta = self._relation_form("delta", rel)
+            form = SymbolicAffineForm(
+                {d: -c for d, c in delta.coeffs.items()}, -delta.const)
+        else:
+            delta = self._relation_form("delta", rel)
+            form = SymbolicAffineForm()
+            for p in self.params:
+                form.add_term(p, self._u_vars[p])
+            form.const = form.const + self._w_var
+            for dim, coeff in delta.coeffs.items():
+                form.add_term(dim, -1 * coeff)
+            form.const = form.const - delta.const
+        self._forms[key] = (rel, form)
+        return form
+
     # -- builders ------------------------------------------------------------------
 
     def add_validity(self, relations: Iterable[DependenceRelation]) -> None:
         """phi_T - phi_S >= 0 on every relation (weak satisfaction)."""
         for rel in relations:
-            self._add_farkas(rel.polyhedron, self.delta_form(rel))
+            self._add_farkas(rel.polyhedron, self._relation_form("delta", rel))
 
     def add_proximity(self, relations: Iterable[DependenceRelation]) -> None:
         """phi_T - phi_S <= u.p + w on every relation; declares u, w."""
@@ -163,24 +200,15 @@ class DimensionProblem:
             self._w_var = self.problem.add_variable(
                 "w", lower=0, upper=self.const_bound)
         for rel in relations:
-            delta = self.delta_form(rel)
-            form = SymbolicAffineForm()
-            for p in self.params:
-                form.add_term(p, self._u_vars[p])
-            form.const = form.const + self._w_var
-            for dim, coeff in delta.coeffs.items():
-                form.add_term(dim, -1 * coeff)
-            form.const = form.const - delta.const
-            self._add_farkas(rel.polyhedron, form)
+            self._add_farkas(rel.polyhedron,
+                             self._relation_form("proximity", rel))
 
     def add_coincidence(self, relations: Iterable[DependenceRelation]) -> None:
         """phi_T - phi_S == 0 on every relation (zero reuse distance)."""
         for rel in relations:
-            delta = self.delta_form(rel)
-            self._add_farkas(rel.polyhedron, delta)
-            negated = SymbolicAffineForm(
-                {d: -1 * c for d, c in delta.coeffs.items()}, -1 * delta.const)
-            self._add_farkas(rel.polyhedron, negated)
+            self._add_farkas(rel.polyhedron, self._relation_form("delta", rel))
+            self._add_farkas(rel.polyhedron,
+                             self._relation_form("negated", rel))
 
     def add_progression(self, previous_rows: dict[str, list[ScheduleRow]],
                         skip: Optional[set] = None) -> None:
@@ -190,8 +218,6 @@ class DimensionProblem:
         zero or dependent row, as in Pluto); statements in ``skip`` are
         exempted (influence-tree ``allow_zero`` meta)."""
         skip = skip or set()
-        one = Fraction(1)
-        zero = Fraction(0)
         for s in self.statements:
             if s.name in skip:
                 continue
@@ -203,23 +229,18 @@ class DimensionProblem:
             coeff_names = [iter_coeff_name(s.name, k) for k in range(s.depth)]
             # Eq. (3): sum of iterator coefficients >= 1.
             self.problem.add_constraint(Constraint(
-                LinExpr._raw({n: one for n in coeff_names}, Fraction(-1)),
-                ">="))
+                LinExpr._raw(dict.fromkeys(coeff_names, 1), -1), ">="))
             # Eq. (4): each complement component nonnegative, their sum >= 1.
-            sums: dict[str, Fraction] = {}
+            # The complement basis is integral (``primitive`` vectors).
+            sums: dict[str, int] = {}
             for row in basis:
-                component = {n: Fraction(value)
+                component = {n: value
                              for value, n in zip(row, coeff_names) if value}
                 self.problem.add_constraint(
-                    Constraint(LinExpr._raw(component, zero), ">="))
-                for n, v in component.items():
-                    value = sums.get(n, zero) + v
-                    if value:
-                        sums[n] = value
-                    else:
-                        sums.pop(n, None)
+                    Constraint(LinExpr._raw(component, 0), ">="))
+                add_scaled(sums, 1, component)
             self.problem.add_constraint(
-                Constraint(LinExpr._raw(sums, Fraction(-1)), ">="))
+                Constraint(LinExpr._raw(sums, -1), ">="))
 
     def add_raw_constraints(self, constraints) -> None:
         """Inject externally built constraints (the influence mechanism).
@@ -238,29 +259,25 @@ class DimensionProblem:
         """The isl-style lexicographic objective (Section IV-A-2):
         ``(sum_i u_i, w, sum of iterator coeffs, sum of parameter coeffs,
         sum of constants)``."""
-        one = Fraction(1)
-        zero = Fraction(0)
         levels: list[LinExpr] = []
         if self._u_vars is not None:
-            u_total: dict[str, Fraction] = {}
+            u_total: dict[str, int] = {}
             for p in self.params:
-                for n, c in self._u_vars[p].coeffs.items():
-                    u_total[n] = u_total.get(n, zero) + c
-            levels.append(LinExpr._raw(
-                {n: c for n, c in u_total.items() if c}, zero))
+                add_scaled(u_total, 1, self._u_vars[p].coeffs)
+            levels.append(LinExpr._raw(u_total, 0))
             levels.append(self._w_var.copy())
-        iter_total: dict[str, Fraction] = {}
-        param_total: dict[str, Fraction] = {}
-        const_total: dict[str, Fraction] = {}
+        iter_total: dict[str, int] = {}
+        param_total: dict[str, int] = {}
+        const_total: dict[str, int] = {}
         for s in self.statements:
             for k in range(s.depth):
-                iter_total[iter_coeff_name(s.name, k)] = one
+                iter_total[iter_coeff_name(s.name, k)] = 1
             for p in self.params:
-                param_total[param_coeff_name(s.name, p)] = one
-            const_total[const_coeff_name(s.name)] = one
-        levels.extend([LinExpr._raw(iter_total, zero),
-                       LinExpr._raw(param_total, zero),
-                       LinExpr._raw(const_total, zero)])
+                param_total[param_coeff_name(s.name, p)] = 1
+            const_total[const_coeff_name(s.name)] = 1
+        levels.extend([LinExpr._raw(iter_total, 0),
+                       LinExpr._raw(param_total, 0),
+                       LinExpr._raw(const_total, 0)])
         return levels
 
     def solve(self, extra_objectives: Sequence[LinExpr] = (),

@@ -36,7 +36,6 @@ sees is unchanged and presolve finds nothing left to eliminate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from repro.obs.runtime import get_obs
@@ -48,10 +47,19 @@ from repro.solver.problem import (Constraint, LinExpr, Problem,
 @dataclass
 class SymbolicAffineForm:
     """An affine form over polyhedron dims whose coefficients are LinExpr
-    over solver unknowns (schedule coefficients, bound coefficients...)."""
+    over solver unknowns (schedule coefficients, bound coefficients...).
+
+    A form remembers the reduced Farkas block of its last linearization, as
+    ``(polyhedron, block)``, so a form built once and linearized again on
+    the same polyhedron (``DimensionProblem`` keeps one per relation for a
+    whole scheduling run) skips the content key.  A form must therefore
+    not change once it has been linearized; :meth:`copy` starts afresh.
+    """
 
     coeffs: dict[str, LinExpr] = field(default_factory=dict)
     const: LinExpr = field(default_factory=LinExpr)
+    _block: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def copy(self) -> "SymbolicAffineForm":
         return SymbolicAffineForm({k: v.copy() for k, v in self.coeffs.items()},
@@ -81,9 +89,7 @@ def _normalized_inequalities(poly: Polyhedron) -> tuple[list[LinExpr], list[LinE
             equalities.append(c.expr)
             continue
         expr = c.expr if c.sense == ">=" else -c.expr
-        key = (tuple(sorted((n, v.numerator, v.denominator)
-                            for n, v in expr.coeffs.items())),
-               expr.const.numerator, expr.const.denominator)
+        key = expr.signature()
         if key not in seen:
             seen.add(key)
             inequalities.append(expr)
@@ -103,7 +109,6 @@ def _eliminate_equalities(dims: list[str], equalities: list[LinExpr],
     equalities = [e.copy() for e in equalities]
     inequalities = [e.copy() for e in inequalities]
 
-    zero = Fraction(0)
     while equalities:
         equality = equalities.pop()
         pivot = next((d for d in dims if equality.coeffs.get(d)), None)
@@ -111,29 +116,10 @@ def _eliminate_equalities(dims: list[str], equalities: list[LinExpr],
             if equality.const != 0:
                 raise ValueError("inconsistent equality in non-empty polyhedron")
             continue
-        k = equality.coeffs[pivot]
-        # pivot = substitution where equality = k*pivot + rest == 0.
-        scale = -1 / k
-        substitution = LinExpr._raw(
-            {n: scale * c for n, c in equality.coeffs.items() if n != pivot},
-            scale * equality.const)
-
-        def substitute(expr: LinExpr) -> LinExpr:
-            c = expr.coeffs.get(pivot)
-            if not c:
-                return expr
-            # ``without + c * substitution`` without the intermediate copies.
-            merged = {n: v for n, v in expr.coeffs.items() if n != pivot}
-            for n, v in substitution.coeffs.items():
-                value = merged.get(n, zero) + c * v
-                if value:
-                    merged[n] = value
-                else:
-                    merged.pop(n, None)
-            return LinExpr._raw(merged, expr.const + c * substitution.const)
-
-        equalities = [substitute(e) for e in equalities]
-        inequalities = [substitute(e) for e in inequalities]
+        substitution = equality.solved_for(pivot)
+        equalities = [e.substitute(pivot, substitution) for e in equalities]
+        inequalities = [e.substitute(pivot, substitution)
+                        for e in inequalities]
         # Substitute in the symbolic form: the (symbolic) coefficient of the
         # pivot redistributes onto the substitution's dims and constant.
         pivot_coeff = form.coeffs.pop(pivot, LinExpr())
@@ -184,14 +170,14 @@ def _block_template(dims: list[str], inequalities: list[LinExpr],
                 coeffs[name] = -c
         equalities.append(Constraint(LinExpr._raw(coeffs, base.const), "=="))
     coeffs = dict(form.const.coeffs)
-    coeffs[names[0]] = Fraction(-1)
+    coeffs[names[0]] = -1
     for name, g in zip(multipliers, inequalities):
         if g.const:
             coeffs[name] = -g.const
     equalities.append(Constraint(LinExpr._raw(coeffs, form.const.const), "=="))
 
     kept, bounds, trail = eliminate_pinned(
-        equalities, set(names), dict.fromkeys(names, Fraction(0)),
+        equalities, set(names), dict.fromkeys(names, 0),
         dict.fromkeys(names))
     eliminated = {name for name, _ in trail}
 
@@ -221,13 +207,20 @@ _LINEARIZATION_CACHE_MAX = 50_000
 
 
 def _linearize(poly: Polyhedron, form: SymbolicAffineForm) -> tuple:
-    """The cached :func:`_block_template` of ``form >= 0`` on ``poly``."""
-    # Fractions are flattened to (numerator, denominator) int pairs: unique
-    # representation, and int tuples hash far faster than Fractions.
+    """The cached :func:`_block_template` of ``form >= 0`` on ``poly``.
+
+    The block the form remembers from linearizing on this very polyhedron
+    counts as a hit, as the content-keyed lookup would."""
+    metrics = get_obs().metrics
+    remembered = form._block
+    if remembered is not None and remembered[0] is poly:
+        if metrics.enabled:
+            metrics.count("solver.farkas.hits")
+        return remembered[1]
+    # Canonical scalars are a unique representation; the key holds them as
+    # they are.  Insertion order is kept (see above), so no sorting.
     def sig(e: LinExpr) -> tuple:
-        return (tuple((n, c.numerator, c.denominator)
-                      for n, c in e.coeffs.items()),
-                e.const.numerator, e.const.denominator)
+        return (tuple(e.coeffs.items()), e.const)
 
     key = (
         tuple(poly.dims),
@@ -235,20 +228,20 @@ def _linearize(poly: Polyhedron, form: SymbolicAffineForm) -> tuple:
         tuple((d, sig(e)) for d, e in form.coeffs.items()),
         sig(form.const),
     )
-    metrics = get_obs().metrics
-    cached = _LINEARIZATION_CACHE.get(key)
-    if cached is not None:
+    template = _LINEARIZATION_CACHE.get(key)
+    if template is not None:
         if metrics.enabled:
             metrics.count("solver.farkas.hits")
-        return cached
-    if metrics.enabled:
-        metrics.count("solver.farkas.misses")
-    equalities, inequalities = _normalized_inequalities(poly)
-    template = _block_template(*_eliminate_equalities(
-        poly.dims, equalities, inequalities, form))
-    if len(_LINEARIZATION_CACHE) >= _LINEARIZATION_CACHE_MAX:
-        _LINEARIZATION_CACHE.clear()
-    _LINEARIZATION_CACHE[key] = template
+    else:
+        if metrics.enabled:
+            metrics.count("solver.farkas.misses")
+        equalities, inequalities = _normalized_inequalities(poly)
+        template = _block_template(*_eliminate_equalities(
+            poly.dims, equalities, inequalities, form))
+        if len(_LINEARIZATION_CACHE) >= _LINEARIZATION_CACHE_MAX:
+            _LINEARIZATION_CACHE.clear()
+        _LINEARIZATION_CACHE[key] = template
+    form._block = (poly, template)
     return template
 
 

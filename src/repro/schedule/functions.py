@@ -12,10 +12,10 @@ by the mapping/codegen passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from repro.ir.statement import Statement
+from repro.linalg.rational import Rat
 from repro.solver.problem import LinExpr
 
 
@@ -52,18 +52,18 @@ class ScheduleRow:
 
     def as_expr(self) -> LinExpr:
         """The row as a LinExpr over iterator and parameter names."""
-        coeffs: dict[str, Fraction] = {}
+        coeffs: dict[str, int] = {}
         for name, c in zip(self.iterators, self.iter_coeffs):
             if c:
-                coeffs[name] = Fraction(c)
+                coeffs[name] = c
         for name, c in zip(self.param_names, self.param_coeffs):
             if c:
-                coeffs[name] = coeffs.get(name, Fraction(0)) + Fraction(c)
+                coeffs[name] = coeffs.get(name, 0) + c
         return LinExpr(coeffs, self.const)
 
-    def evaluate(self, point: dict[str, Fraction],
-                 params: dict[str, int]) -> Fraction:
-        env = {name: Fraction(value) for name, value in params.items()}
+    def evaluate(self, point: dict[str, Rat],
+                 params: dict[str, int]) -> Rat:
+        env = dict(params)
         env.update(point)
         return self.as_expr().evaluate(env)
 
@@ -151,7 +151,7 @@ class Schedule:
         """Full iterator rank for every statement (enough dims for codegen)."""
         return all(self.rank_of(s.name) == s.depth for s in self.statements)
 
-    def date_of(self, name: str, point: dict[str, Fraction],
+    def date_of(self, name: str, point: dict[str, Rat],
                 params: dict[str, int]) -> tuple:
         """The logical date of one statement execution."""
         return tuple(r.evaluate(point, params) for r in self.rows[name])

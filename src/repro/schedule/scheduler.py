@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from repro.deps.analysis import compute_dependences
@@ -46,7 +45,7 @@ from repro.schedule.constraints import (
 from repro.schedule.functions import DimensionInfo, Schedule, ScheduleRow
 from repro.solver.budget import SolveBudget, use_budget
 from repro.solver.dedup import SolveCache, get_solve_cache, use_solve_cache
-from repro.solver.problem import Constraint, LinExpr
+from repro.solver.problem import Constraint, LinExpr, var
 from repro.solver.warmstart import WarmStartHandle, get_warm_pool
 
 __all__ = ["SchedulingError", "SchedulerOptions", "SchedulerStats",
@@ -120,6 +119,10 @@ class InfluencedScheduler:
         # excellent incumbent for re-solving the same depth with fewer
         # constraints (sibling fallback, restart-without-influence).
         self._dim_handles: dict[int, WarmStartHandle] = {}
+        # Symbolic forms of the relations (and, riding on them, their
+        # reduced Farkas blocks), shared by every dimension problem of one
+        # schedule() call; see DimensionProblem.
+        self._forms: dict = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -131,6 +134,7 @@ class InfluencedScheduler:
         self._obs = get_obs()
         self._journal = get_journal()
         self._dim_handles = {}
+        self._forms = {}
         # Deduplicate identical solves within this run when no wider scope
         # (e.g. the pipeline's per-compile cache) is already installed.
         if get_solve_cache() is None:
@@ -298,7 +302,8 @@ class InfluencedScheduler:
         base = DimensionProblem(self.kernel.statements,
                                 self.kernel.parameter_names,
                                 coeff_bound=self.options.coeff_bound,
-                                const_bound=self.options.const_bound)
+                                const_bound=self.options.const_bound,
+                                forms=self._forms)
         base.add_validity(active)
         base.add_proximity(list(active) + list(self.input_relations))
         return base
@@ -443,8 +448,7 @@ class InfluencedScheduler:
             total = LinExpr()
             for s in statements:
                 if position < s.depth:
-                    total = total + LinExpr(
-                        {iter_coeff_name(s.name, position): Fraction(1)})
+                    total = total + var(iter_coeff_name(s.name, position))
             levels.append(total)
         return levels
 
@@ -582,8 +586,7 @@ class InfluencedScheduler:
                 raise ValueError(f"influence constraint mentions future "
                                  f"dimension {dim} at dim {current_dim}")
             if dim == current_dim:
-                expr = expr + coeff * LinExpr(
-                    {self._current_name(stmt, which): Fraction(1)})
+                expr = expr + coeff * var(self._current_name(stmt, which))
             else:
                 expr = expr + coeff * self._solved_value(
                     schedule, stmt, dim, which)
@@ -599,13 +602,13 @@ class InfluencedScheduler:
         raise ValueError(f"bad theta component {which!r}")
 
     def _solved_value(self, schedule: Schedule, stmt: str, dim: int,
-                      which: str) -> Fraction:
+                      which: str) -> int:
         row = schedule.rows[stmt][dim]
         if which == "0":
-            return Fraction(row.const)
+            return row.const
         if which.startswith("p[") and which.endswith("]"):
             param = which[2:-1]
-            return Fraction(row.param_coeffs[row.param_names.index(param)])
+            return row.param_coeffs[row.param_names.index(param)]
         if which.startswith("i"):
-            return Fraction(row.iter_coeffs[int(which[1:])])
+            return row.iter_coeffs[int(which[1:])]
         raise ValueError(f"bad theta component {which!r}")

@@ -13,9 +13,9 @@ dimensions.  It supports the operations the polyhedral stack needs:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from repro.linalg.rational import Rat, frac
 from repro.obs.logutil import logger
 from repro.obs.runtime import get_obs
 from repro.solver.ilp import BranchLimitExceeded, integer_feasible
@@ -75,7 +75,8 @@ class Polyhedron:
         new_constraints = []
         for c in self.constraints:
             coeffs = {mapping.get(n, n): v for n, v in c.expr.coeffs.items()}
-            new_constraints.append(Constraint(LinExpr(coeffs, c.expr.const), c.sense))
+            new_constraints.append(
+                Constraint(LinExpr._raw(coeffs, c.expr.const), c.sense))
         return Polyhedron(new_dims, new_constraints)
 
     # -- queries --------------------------------------------------------------
@@ -85,26 +86,19 @@ class Polyhedron:
         width = len(self.dims)
         a_ub, b_ub, a_eq, b_eq, int_rows = lower_constraints(
             self.constraints, {d: i for i, d in enumerate(self.dims)}, width)
-        # Constraint coefficients are exact Fractions (LinExpr coerces on
+        # Constraint coefficients are canonical scalars (LinExpr coerces on
         # entry), so the re-validating public constructor is skipped.
         return LinearProgram._trusted(
-            [Fraction(0)] * width, a_ub, b_ub, a_eq, b_eq,
+            [0] * width, a_ub, b_ub, a_eq, b_eq,
             [None] * width, [None] * width, int_rows)
 
     def canonical(self) -> tuple:
         """A hashable canonical form (dims + sorted constraint signatures).
 
-        Fractions are flattened to ``(numerator, denominator)`` int pairs —
-        a unique representation whose tuples hash much faster than
-        ``Fraction`` instances (whose ``__hash__`` computes a modular
-        inverse each call)."""
-        sigs = []
-        for c in self.constraints:
-            coeffs = tuple(sorted((n, v.numerator, v.denominator)
-                                  for n, v in c.expr.coeffs.items()))
-            sigs.append((c.sense, coeffs,
-                         c.expr.const.numerator, c.expr.const.denominator))
-        return (tuple(self.dims), tuple(sorted(sigs)))
+        Coefficients are canonical scalars, a unique representation, so
+        the signatures hold them as they are."""
+        sigs = sorted((c.sense, *c.expr.signature()) for c in self.constraints)
+        return (tuple(self.dims), tuple(sigs))
 
     def is_empty(self, integer: bool = True, max_nodes: int = 2000) -> bool:
         """True iff the set contains no (integer) point.
@@ -150,17 +144,18 @@ class Polyhedron:
                 max_nodes, len(self.dims), self.dims, len(self.constraints))
             return False
 
-    def contains(self, point: dict[str, Fraction]) -> bool:
+    def contains(self, point: dict[str, Rat]) -> bool:
         """True iff ``point`` (a full assignment) satisfies every constraint."""
         missing = set(self.dims) - set(point)
         if missing:
             raise KeyError(f"point misses dimensions {sorted(missing)}")
         return all(c.satisfied_by(point) for c in self.constraints)
 
-    def sample(self, box: int = 1000) -> Optional[dict[str, Fraction]]:
+    def sample(self, box: int = 1000) -> Optional[dict[str, Rat]]:
         """An integer point with all coordinates in ``[-box, box]`` or None."""
-        boxed = self._to_lp().with_bounds([Fraction(-box)] * len(self.dims),
-                                          [Fraction(box)] * len(self.dims))
+        box = frac(box)
+        boxed = self._to_lp().with_bounds([-box] * len(self.dims),
+                                          [box] * len(self.dims))
         from repro.solver.ilp import solve_ilp
         result = solve_ilp(boxed)
         if result.status is not LPStatus.OPTIMAL:
@@ -197,46 +192,27 @@ class Polyhedron:
         # Exact substitution through an equality when available.
         for c in self.constraints:
             if c.sense == "==" and c.expr.coeffs.get(dim):
-                coeff = c.expr.coeffs[dim]
-                # dim = rest / (-coeff) where expr = coeff*dim + rest == 0.
-                rest = LinExpr({n: v for n, v in c.expr.coeffs.items() if n != dim},
-                               c.expr.const)
-                substitution = rest * Fraction(-1, 1) * (1 / coeff)
-                new_constraints = []
-                for other in self.constraints:
-                    if other is c:
-                        continue
-                    k = other.expr.coeffs.get(dim, Fraction(0))
-                    if k == 0:
-                        new_constraints.append(other)
-                    else:
-                        without = LinExpr(
-                            {n: v for n, v in other.expr.coeffs.items() if n != dim},
-                            other.expr.const)
-                        new_constraints.append(
-                            Constraint(without + k * substitution, other.sense))
+                substitution = c.expr.solved_for(dim)
+                new_constraints = [
+                    Constraint(other.expr.substitute(dim, substitution),
+                               other.sense)
+                    for other in self.constraints if other is not c]
                 dims = [d for d in self.dims if d != dim]
                 return Polyhedron(dims, new_constraints)
 
         lowers, uppers, others = [], [], []
         for expr in self._normalized():
-            k = expr.coeffs.get(dim, Fraction(0))
+            k = expr.coeffs.get(dim, 0)
             if k == 0:
                 others.append(Constraint(expr, ">="))
             elif k > 0:
-                # k*dim + rest >= 0  =>  dim >= -rest/k
-                rest = LinExpr({n: v for n, v in expr.coeffs.items() if n != dim},
-                               expr.const)
-                lowers.append((-1 / k) * rest)
+                lowers.append(expr.solved_for(dim))
             else:
-                # k*dim + rest >= 0 with k<0  =>  dim <= rest/(-k)
-                rest = LinExpr({n: v for n, v in expr.coeffs.items() if n != dim},
-                               expr.const)
-                uppers.append((1 / -k) * rest)
+                uppers.append(expr.solved_for(dim))
         combined = list(others)
         for lo in lowers:
             for hi in uppers:
-                combined.append(hi - lo >= 0)
+                combined.append(Constraint(hi - lo, ">="))
         dims = [d for d in self.dims if d != dim]
         return Polyhedron(dims, combined)
 
@@ -256,15 +232,11 @@ class Polyhedron:
         """
         lowers, uppers = [], []
         for expr in self._normalized():
-            k = expr.coeffs.get(dim, Fraction(0))
-            if k == 0:
-                continue
-            rest = LinExpr({n: v for n, v in expr.coeffs.items() if n != dim},
-                           expr.const)
+            k = expr.coeffs.get(dim, 0)
             if k > 0:
-                lowers.append((-1 / k) * rest)
-            else:
-                uppers.append((1 / -k) * rest)
+                lowers.append(expr.solved_for(dim))
+            elif k < 0:
+                uppers.append(expr.solved_for(dim))
         return lowers, uppers
 
     # -- misc ----------------------------------------------------------------------

@@ -9,10 +9,10 @@ termination.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from repro.errors import BranchLimitExceeded
+from repro.linalg.rational import Rat
 from repro.obs.runtime import get_obs
 from repro.solver.budget import get_budget
 from repro.solver.lp import LinearProgram, LPResult, LPStatus, solve_lp
@@ -28,11 +28,11 @@ def _report_bb_nodes(nodes: int) -> None:
         metrics.count("solver.bb_nodes", nodes)
 
 
-def _is_integral(value: Fraction) -> bool:
+def _is_integral(value: Rat) -> bool:
     return value.denominator == 1
 
 
-def _first_fractional(x: Sequence[Fraction], integer_mask: Sequence[bool]) -> Optional[int]:
+def _first_fractional(x: Sequence[Rat], integer_mask: Sequence[bool]) -> Optional[int]:
     for i, (v, is_int) in enumerate(zip(x, integer_mask)):
         if is_int and not _is_integral(v):
             return i
@@ -42,7 +42,7 @@ def _first_fractional(x: Sequence[Fraction], integer_mask: Sequence[bool]) -> Op
 def solve_ilp(lp: LinearProgram,
               integer_mask: Optional[Sequence[bool]] = None,
               max_nodes: int = 100_000,
-              incumbent_bound: Optional[Fraction] = None) -> LPResult:
+              incumbent_bound: Optional[Rat] = None) -> LPResult:
     """Solve a mixed-integer program by branch and bound.
 
     ``integer_mask[i]`` marks variable ``i`` as integral (all variables by
@@ -99,7 +99,7 @@ def solve_ilp(lp: LinearProgram,
                 best = result
                 continue
             value = result.x[branch_var]
-            floor_val = Fraction(value.numerator // value.denominator)
+            floor_val = value.numerator // value.denominator
             # Explore the floor side first (schedule coefficients tend small).
             up_lower = list(lower)
             up_lower[branch_var] = floor_val + 1
@@ -127,7 +127,7 @@ def integer_feasible(lp: LinearProgram,
     already solved it (``solve_lp`` of ``lp`` with its objective zeroed);
     it is then not solved a second time.
     """
-    zero_obj = lp.with_objective([Fraction(0)] * lp.n_vars)
+    zero_obj = lp.with_objective([0] * lp.n_vars)
     if integer_mask is None:
         integer_mask = [True] * lp.n_vars
 
@@ -157,7 +157,7 @@ def integer_feasible(lp: LinearProgram,
             if branch_var is None:
                 return True
             value = result.x[branch_var]
-            floor_val = Fraction(value.numerator // value.denominator)
+            floor_val = value.numerator // value.denominator
             up_lower = list(lower)
             up_lower[branch_var] = floor_val + 1
             stack.append((up_lower, list(upper), None))

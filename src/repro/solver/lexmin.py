@@ -10,18 +10,18 @@ that here: minimize objective 0, pin it with an equality, minimize objective
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
 from typing import Optional, Sequence
 
+from repro.linalg.rational import Rat, frac
 from repro.solver.lp import LinearProgram, LPResult, LPStatus
 from repro.solver.ilp import solve_ilp
 
 
 def lexicographic_minimize(lp: LinearProgram,
-                           objectives: Sequence[Sequence[Fraction]],
+                           objectives: Sequence[Sequence[Rat]],
                            integer_mask: Optional[Sequence[bool]] = None,
                            max_nodes: int = 100_000,
-                           incumbent_bound: Optional[Fraction] = None) -> LPResult:
+                           incumbent_bound: Optional[Rat] = None) -> LPResult:
     """Lexicographically minimize ``objectives`` over the feasible set of ``lp``.
 
     ``lp.objective`` is ignored; each row of ``objectives`` is one level of
@@ -39,7 +39,7 @@ def lexicographic_minimize(lp: LinearProgram,
     current = lp
     result: Optional[LPResult] = None
     bound = incumbent_bound
-    levels = [[Fraction(c) for c in level] for level in objectives]
+    levels = [[frac(c) for c in level] for level in objectives]
     for index, level in enumerate(levels):
         if len(level) != lp.n_vars:
             raise ValueError("objective level length does not match variable count")
@@ -56,6 +56,6 @@ def lexicographic_minimize(lp: LinearProgram,
         )
         if index + 1 < len(levels):
             nxt = levels[index + 1]
-            bound = sum((c * v for c, v in zip(nxt, result.x)), Fraction(0))
+            bound = frac(sum(c * v for c, v in zip(nxt, result.x)))
     assert result is not None
     return result

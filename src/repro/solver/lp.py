@@ -9,8 +9,9 @@ The solver accepts problems in the general form::
 
 and reduces them internally to standard form (equalities over non-negative
 variables) before running a tableau simplex with Bland's anti-cycling rule.
-Programs come in and results go out as :class:`fractions.Fraction`, so
-results are exact.
+Programs come in and results go out as canonical exact scalars (``int``
+when whole, :class:`fractions.Fraction` otherwise; see
+:mod:`repro.linalg.rational`), so results are exact.
 
 Inside, the tableau holds no fractions.  As in isl's ``isl_tab``, each row
 is a sparse dict of Python ``int`` numerators plus an ``int`` right-hand
@@ -33,15 +34,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from repro.linalg.rational import frac
+from repro.linalg.rational import Rat, div, frac
 from repro.obs.runtime import get_obs
 from repro.solver.budget import get_budget
-
-_F0 = Fraction(0)
 
 
 class LPStatus(enum.Enum):
@@ -56,13 +54,13 @@ class LPStatus(enum.Enum):
 class LinearProgram:
     """A minimization LP in general (inequality/equality/bounds) form."""
 
-    objective: list[Fraction]
-    a_ub: list[list[Fraction]] = field(default_factory=list)
-    b_ub: list[Fraction] = field(default_factory=list)
-    a_eq: list[list[Fraction]] = field(default_factory=list)
-    b_eq: list[Fraction] = field(default_factory=list)
-    lower: list[Optional[Fraction]] = field(default_factory=list)
-    upper: list[Optional[Fraction]] = field(default_factory=list)
+    objective: list[Rat]
+    a_ub: list[list[Rat]] = field(default_factory=list)
+    b_ub: list[Rat] = field(default_factory=list)
+    a_eq: list[list[Rat]] = field(default_factory=list)
+    b_eq: list[Rat] = field(default_factory=list)
+    lower: list[Optional[Rat]] = field(default_factory=list)
+    upper: list[Optional[Rat]] = field(default_factory=list)
 
     def __post_init__(self):
         n = len(self.objective)
@@ -72,7 +70,7 @@ class LinearProgram:
         self.a_eq = [[frac(x) for x in row] for row in self.a_eq]
         self.b_eq = [frac(x) for x in self.b_eq]
         if not self.lower:
-            self.lower = [Fraction(0)] * n
+            self.lower = [0] * n
         if not self.upper:
             self.upper = [None] * n
         self.lower = [None if lo is None else frac(lo) for lo in self.lower]
@@ -93,8 +91,10 @@ class LinearProgram:
 
         ``__post_init__`` coerces and validates every matrix entry — right
         for hand-written programs, pure overhead for machine-built ones.
-        All entries must already be exact :class:`Fraction`s (bounds may be
-        None) with consistent shapes.  ``int_rows``, when given, must be
+        All entries must already be canonical scalars — ``int`` when whole,
+        ``Fraction`` only with a denominator greater than 1, as
+        :func:`repro.linalg.rational.frac` makes them (bounds may be None) —
+        with consistent shapes.  ``int_rows``, when given, must be
         :func:`integer_row` of every ``a_ub`` row, then every ``a_eq`` row.
         """
         lp = object.__new__(cls)
@@ -122,8 +122,8 @@ class LinearProgram:
             self.objective, self.a_ub, self.b_ub, self.a_eq, self.b_eq,
             lower, upper, self.integer_rows())
 
-    def with_objective(self, objective: list[Fraction]) -> "LinearProgram":
-        """This program with another objective (exact Fractions), sharing
+    def with_objective(self, objective: list[Rat]) -> "LinearProgram":
+        """This program with another objective (canonical scalars), sharing
         the constraint matrix as :meth:`with_bounds` does."""
         return LinearProgram._trusted(
             objective, self.a_ub, self.b_ub, self.a_eq, self.b_eq,
@@ -138,15 +138,20 @@ class LinearProgram:
         return self._int_rows
 
 
-def _nonzero(row: list[Fraction]) -> list[tuple[int, Fraction]]:
-    return [(j, a) for j, a in enumerate(row) if a.numerator]
+def _nonzero(row: list[Rat]) -> list[tuple[int, Rat]]:
+    return [(j, a) for j, a in enumerate(row) if a]
 
 
-def integer_row(terms: list[tuple[int, Fraction]]
+def integer_row(terms: list[tuple[int, Rat]]
                 ) -> tuple[int, list[tuple[int, int]]]:
     """A row's ``(column, coefficient)`` terms as ``(den, [(column,
     numerator), ...])``: integer numerators over the lcm of the
     coefficients' denominators, zero terms dropped."""
+    for _, a in terms:
+        if type(a) is not int:
+            break
+    else:  # all whole: the terms are their own numerators
+        return 1, [(j, a) for j, a in terms if a]
     den = 1
     for _, a in terms:
         d = a.denominator
@@ -169,8 +174,8 @@ class LPResult:
     """
 
     status: LPStatus
-    x: Optional[list[Fraction]] = None
-    objective: Optional[Fraction] = None
+    x: Optional[list[Rat]] = None
+    objective: Optional[Rat] = None
     basis: Optional[list[int]] = None
 
 
@@ -186,7 +191,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
             return LPResult(LPStatus.UNBOUNDED)
         x_std = tableau.primal_solution()
         x = std.recover(x_std)
-        value = sum((c * v for c, v in zip(lp.objective, x)), _F0)
+        value = frac(sum(c * v for c, v in zip(lp.objective, x)))
         return LPResult(LPStatus.OPTIMAL, x, value, basis=list(tableau.basis))
     finally:
         metrics = get_obs().metrics
@@ -197,12 +202,6 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 
 # Kinds of the original-to-standard variable mapping.
 _SHIFT, _REFLECT, _FREE = range(3)
-
-
-def _exact(bound: Fraction):
-    """``bound`` as an ``int`` when integral: the standardizer's shift
-    arithmetic then stays on ints."""
-    return bound.numerator if bound.denominator == 1 else bound
 
 
 class _Standardizer:
@@ -224,16 +223,16 @@ class _Standardizer:
         #   (_FREE, j, k)      x_i = y_j - y_k
         self.mapping: list[tuple] = []
         self.n_std_vars = 0
-        extra_ub: list[tuple[int, Fraction]] = []  # (std var, bound) rows y_j <= b
+        extra_ub: list[tuple[int, Rat]] = []  # (std var, bound) rows y_j <= b
 
         for lo, hi in zip(lp.lower, lp.upper):
             j = self._new_var()
             if lo is not None:
-                self.mapping.append((_SHIFT, j, _exact(lo)))
+                self.mapping.append((_SHIFT, j, lo))
                 if hi is not None:
                     extra_ub.append((j, hi - lo))
             elif hi is not None:
-                self.mapping.append((_REFLECT, j, _exact(hi)))
+                self.mapping.append((_REFLECT, j, hi))
             else:
                 self.mapping.append((_FREE, j, self._new_var()))
 
@@ -265,14 +264,14 @@ class _Standardizer:
         # objective on the recovered point.
         den, terms = integer_row(_nonzero(lp.objective))
         self.objective, _, self.objective_den = self._translate(
-            den, terms, _F0)
+            den, terms, 0)
 
     def _new_var(self) -> int:
         self.n_std_vars += 1
         return self.n_std_vars - 1
 
     def _translate(self, den: int, terms: list[tuple[int, int]],
-                   b: Fraction) -> tuple[dict[int, int], int, int]:
+                   b: Rat) -> tuple[dict[int, int], int, int]:
         """Rewrite ``(terms . x) / den = b`` over the standard variables as
         ``(coeffs . y) / den' = rhs / den'``.  ``den'`` is ``den`` unless
         ``b`` or a bound brings in a new denominator."""
@@ -307,16 +306,16 @@ class _Standardizer:
         self.den.append(den)
         self.row_slack.append(slack)
 
-    def recover(self, y: list[Fraction]) -> list[Fraction]:
+    def recover(self, y: list[Rat]) -> list[Rat]:
         """Map a standard-form point back to original variables."""
         x = []
         for kind, j, other in self.mapping:
             if kind == _SHIFT:
-                x.append(other + y[j])
+                x.append(frac(other + y[j]))
             elif kind == _REFLECT:
-                x.append(other - y[j])
+                x.append(frac(other - y[j]))
             else:
-                x.append(y[j] - y[other])
+                x.append(frac(y[j] - y[other]))
         return x
 
 
@@ -549,9 +548,9 @@ class _Tableau:
             self.rhs[i] //= g
             self.den[i] = den // g
 
-    def primal_solution(self) -> list[Fraction]:
-        x = [_F0] * self.n_vars
+    def primal_solution(self) -> list[Rat]:
+        x = [0] * self.n_vars
         for i, b in enumerate(self.basis):
             if b < self.n_vars:
-                x[b] = Fraction(self.rhs[i], self.den[i])
+                x[b] = div(self.rhs[i], self.den[i])
         return x

@@ -18,10 +18,9 @@ error-prone, so this module provides:
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.linalg.rational import frac
+from repro.linalg.rational import Rat, div, frac
 from repro.obs.runtime import get_obs
 from repro.solver.budget import get_budget
 from repro.solver.dedup import get_solve_cache, is_miss
@@ -30,20 +29,25 @@ from repro.solver.lexmin import lexicographic_minimize
 from repro.solver.lp import LinearProgram, LPStatus, integer_row
 from repro.solver.warmstart import WarmStartHandle, incumbent_bound
 
-Scalar = Union[int, Fraction, str]
+Scalar = Union[Rat, str]
 
 
 class LinExpr:
-    """An affine expression over named variables."""
+    """An affine expression over named variables.
+
+    Coefficients and the constant are canonical exact scalars (see
+    :mod:`repro.linalg.rational`): ``int`` when whole, ``Fraction``
+    otherwise.  Zero coefficients are never stored.
+    """
 
     __slots__ = ("coeffs", "const")
 
-    def __init__(self, coeffs: Optional[dict[str, Fraction]] = None, const=0):
-        self.coeffs: dict[str, Fraction] = {}
+    def __init__(self, coeffs: Optional[dict[str, Rat]] = None, const=0):
+        self.coeffs: dict[str, Rat] = {}
         if coeffs:
             for name, c in coeffs.items():
                 c = frac(c)
-                if c != 0:
+                if c:
                     self.coeffs[name] = c
         self.const = frac(const)
 
@@ -53,16 +57,18 @@ class LinExpr:
     def of(cls, value) -> "LinExpr":
         if isinstance(value, LinExpr):
             return value
-        return cls(const=frac(value))
+        return cls._raw({}, frac(value))
 
     @classmethod
-    def _raw(cls, coeffs: dict, const: Fraction) -> "LinExpr":
+    def _raw(cls, coeffs: dict, const: Rat) -> "LinExpr":
         """Constructor for callers that guarantee the invariants.
 
-        ``coeffs`` must be a fresh dict of zero-free exact Fractions and
-        ``const`` an exact Fraction; the normalizing loop of ``__init__``
-        is skipped.  Hot paths (presolve substitution, Farkas matching)
-        build their dicts directly and hand them off through this.
+        ``coeffs`` must be a fresh dict of nonzero canonical scalars and
+        ``const`` a canonical scalar: ``int`` when whole, ``Fraction`` only
+        with a denominator greater than 1 (:func:`frac` makes one).  The
+        normalizing loop of ``__init__`` is skipped.  Hot paths (presolve
+        substitution, Farkas matching, Fourier–Motzkin) build their dicts
+        directly and hand them off through this.
         """
         expr = object.__new__(cls)
         expr.coeffs = coeffs
@@ -70,55 +76,86 @@ class LinExpr:
         return expr
 
     def copy(self) -> "LinExpr":
-        return LinExpr(dict(self.coeffs), self.const)
+        return LinExpr._raw(dict(self.coeffs), self.const)
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _combined(self, k: Rat, other: "LinExpr") -> "LinExpr":
+        """``self + k * other`` for a nonzero canonical ``k``; the result's
+        coefficients keep ``self``'s order, then ``other``'s new names."""
+        return LinExpr._raw(add_scaled(dict(self.coeffs), k, other.coeffs),
+                            frac(self.const + k * other.const))
+
     def __add__(self, other) -> "LinExpr":
-        other = LinExpr.of(other)
-        coeffs = dict(self.coeffs)
-        for name, c in other.coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) + c
-        return LinExpr(coeffs, self.const + other.const)
+        return self._combined(1, LinExpr.of(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LinExpr":
-        return LinExpr({n: -c for n, c in self.coeffs.items()}, -self.const)
+        return LinExpr._raw({n: -c for n, c in self.coeffs.items()},
+                            -self.const)
 
     def __sub__(self, other) -> "LinExpr":
-        return self + (-LinExpr.of(other))
+        return self._combined(-1, LinExpr.of(other))
 
     def __rsub__(self, other) -> "LinExpr":
-        return LinExpr.of(other) + (-self)
+        return LinExpr.of(other)._combined(-1, self)
 
     def __mul__(self, k) -> "LinExpr":
         k = frac(k)
-        return LinExpr({n: k * c for n, c in self.coeffs.items()}, k * self.const)
+        if not k:
+            return LinExpr._raw({}, 0)
+        return LinExpr._raw({n: frac(k * c) for n, c in self.coeffs.items()},
+                            frac(k * self.const))
 
     __rmul__ = __mul__
+
+    def substitute(self, name: str, expr: "LinExpr") -> "LinExpr":
+        """This expression with variable ``name`` replaced by ``expr``.
+
+        Equal to ``without + c * expr`` (``without`` drops ``name``, ``c`` is
+        its coefficient), coefficient order included, without building the
+        two intermediate expressions.  Returns ``self`` when ``name`` does
+        not occur.
+        """
+        c = self.coeffs.get(name)
+        if not c:
+            return self
+        coeffs = {n: v for n, v in self.coeffs.items() if n != name}
+        return LinExpr._raw(add_scaled(coeffs, c, expr.coeffs),
+                            frac(self.const + c * expr.const))
+
+    def solved_for(self, name: str) -> "LinExpr":
+        """``-rest / k`` where ``self = k*name + rest`` with ``k != 0``: the
+        value of ``name`` where ``self == 0``.  Where ``self >= 0`` it is a
+        lower bound on ``name`` when ``k > 0`` and an upper bound when
+        ``k < 0``."""
+        scale = div(-1, self.coeffs[name])
+        return LinExpr._raw({n: frac(scale * v)
+                             for n, v in self.coeffs.items() if n != name},
+                            frac(scale * self.const))
 
     # -- comparisons produce constraints -------------------------------------
 
     def __le__(self, other) -> "Constraint":
-        return Constraint(self - LinExpr.of(other), "<=")
+        return Constraint(self - other, "<=")
 
     def __ge__(self, other) -> "Constraint":
-        return Constraint(self - LinExpr.of(other), ">=")
+        return Constraint(self - other, ">=")
 
     def eq(self, other) -> "Constraint":
         """Equality constraint (``==`` is kept as identity comparison)."""
-        return Constraint(self - LinExpr.of(other), "==")
+        return Constraint(self - other, "==")
 
     # -- equality (structural; ``.eq()`` builds constraints instead) ----------
 
     def signature(self) -> tuple:
         """Canonical content: sorted coefficient items plus the constant.
 
-        The constructor already normalizes (zero coefficients dropped, all
-        values :class:`Fraction`), so two expressions are ``==`` iff their
-        signatures are equal — ``__eq__``/``__hash__`` both defer to it,
-        keeping the pair consistent under coefficient normalization.
+        Every value is a canonical scalar and zero coefficients are never
+        stored, so two expressions are ``==`` iff their signatures are
+        equal — ``__eq__``/``__hash__`` both defer to it, keeping the pair
+        consistent.
         """
         return (tuple(sorted(self.coeffs.items())), self.const)
 
@@ -132,12 +169,12 @@ class LinExpr:
 
     # -- inspection ------------------------------------------------------------
 
-    def evaluate(self, assignment: dict[str, Fraction]) -> Fraction:
+    def evaluate(self, assignment: dict[str, Rat]) -> Rat:
         """Value of the expression under a full variable assignment."""
         total = self.const
         for name, c in self.coeffs.items():
             total += c * frac(assignment[name])
-        return total
+        return frac(total)
 
     def variables(self) -> set[str]:
         return set(self.coeffs)
@@ -152,9 +189,22 @@ class LinExpr:
         return " + ".join(parts)
 
 
+def add_scaled(coeffs: dict, k: Rat, other: dict) -> dict:
+    """``coeffs += k * other`` in place over canonical scalars, dropping
+    zeros; names new to ``coeffs`` are appended in ``other``'s order.
+    Returns ``coeffs``."""
+    for n, v in other.items():
+        value = frac(coeffs.get(n, 0) + k * v)
+        if value:
+            coeffs[n] = value
+        else:
+            coeffs.pop(n, None)
+    return coeffs
+
+
 def var(name: str) -> LinExpr:
     """A :class:`LinExpr` consisting of the single variable ``name``."""
-    return LinExpr({name: Fraction(1)})
+    return LinExpr._raw({name: 1}, 0)
 
 
 class Constraint:
@@ -181,7 +231,7 @@ class Constraint:
     def __hash__(self):
         return hash((self.expr, self.sense))
 
-    def satisfied_by(self, assignment: dict[str, Fraction]) -> bool:
+    def satisfied_by(self, assignment: dict[str, Rat]) -> bool:
         value = self.expr.evaluate(assignment)
         if self.sense == "<=":
             return value <= 0
@@ -200,7 +250,6 @@ def lower_constraints(constraints: Iterable[Constraint],
     b_eq``, plus the simplex's sparse integer rows (every ``a_ub`` row, then
     every ``a_eq`` row; see :meth:`LinearProgram._trusted`), built from the
     same coefficients so the simplex never scans dense rows for nonzeros."""
-    zero = Fraction(0)
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     ub_rows, eq_rows = [], []
     for c in constraints:
@@ -210,7 +259,7 @@ def lower_constraints(constraints: Iterable[Constraint],
             terms = [(index[name], -v) for name, v in c.expr.coeffs.items()]
         else:
             terms = [(index[name], v) for name, v in c.expr.coeffs.items()]
-        row = [zero] * width
+        row = [0] * width
         for j, v in terms:
             row[j] = v
         if c.sense == "==":
@@ -254,7 +303,6 @@ def eliminate_pinned(constraints: Sequence[Constraint], eligible: set[str],
     # Built at the first victim: most problems have nothing to eliminate,
     # and then a scan of the equalities is all the pass costs.
     occurs: Optional[dict[str, set[int]]] = None
-    zero = Fraction(0)
     for idx in range(n_original):
         c = rows[idx]
         if c.sense != "==":
@@ -273,27 +321,14 @@ def eliminate_pinned(constraints: Sequence[Constraint], eligible: set[str],
         for n in coeffs:
             if n in eligible:
                 occurs[n].discard(idx)
-        scale = -1 / coeffs[victim]
-        expr = LinExpr._raw({n: scale * v for n, v in coeffs.items()
-                             if n != victim}, scale * c.expr.const)
+        expr = c.expr.solved_for(victim)
         trail.append((victim, expr))
         fresh = [n for n in expr.coeffs if n in eligible]
         for j in occurs.pop(victim):
             other = rows[j]
-            coeff = other.expr.coeffs[victim]
-            # ``without + coeff * expr`` without the two intermediate
-            # LinExpr copies.
-            merged = {n: v for n, v in other.expr.coeffs.items()
-                      if n != victim}
-            for n, v in expr.coeffs.items():
-                value = merged.get(n, zero) + coeff * v
-                if value:
-                    merged[n] = value
-                else:
-                    merged.pop(n, None)
-            rows[j] = Constraint(
-                LinExpr._raw(merged, other.expr.const + coeff * expr.const),
-                other.sense)
+            substituted = other.expr.substitute(victim, expr)
+            rows[j] = Constraint(substituted, other.sense)
+            merged = substituted.coeffs
             for n in fresh:
                 if n in merged:
                     occurs.setdefault(n, set()).add(j)
@@ -331,8 +366,8 @@ class Problem:
         # Column index per name, maintained incrementally so lowering does
         # not rebuild the mapping on every call.
         self._index: dict[str, int] = {}
-        self._lower: dict[str, Optional[Fraction]] = {}
-        self._upper: dict[str, Optional[Fraction]] = {}
+        self._lower: dict[str, Optional[Rat]] = {}
+        self._upper: dict[str, Optional[Rat]] = {}
         self._integer: dict[str, bool] = {}
         self._constraints: list[Constraint] = []
         # Cached objective-independent part of ``lower_to_lp`` (constraint
@@ -401,9 +436,9 @@ class Problem:
 
     # -- lowering ---------------------------------------------------------------
 
-    def _row(self, expr: LinExpr) -> list[Fraction]:
+    def _row(self, expr: LinExpr) -> list[Rat]:
         index = self._index
-        row = [Fraction(0)] * len(self._order)
+        row = [0] * len(self._order)
         for name, c in expr.coeffs.items():
             row[index[name]] = c
         return row
@@ -426,10 +461,10 @@ class Problem:
                              [self._upper[n] for n in self._order])
         (a_ub, b_ub, a_eq, b_eq, int_rows), lower, upper = self._lowered
         obj_row = self._row(objective) if objective is not None \
-            else [Fraction(0)] * width
-        # All entries are exact Fractions by construction (``add_variable``
-        # and the LinExpr constructor coerce on entry), so the re-validating
-        # public constructor is skipped.
+            else [0] * width
+        # All entries are canonical scalars by construction
+        # (``add_variable`` and the LinExpr constructor coerce on entry), so
+        # the re-validating public constructor is skipped.
         return LinearProgram._trusted(
             obj_row, a_ub, b_ub, a_eq, b_eq, lower, upper, int_rows)
 
@@ -481,8 +516,8 @@ class Problem:
         return reduced, eliminated
 
     @staticmethod
-    def _recover(assignment: dict[str, Fraction],
-                 eliminated: list[tuple[str, LinExpr]]) -> dict[str, Fraction]:
+    def _recover(assignment: dict[str, Rat],
+                 eliminated: list[tuple[str, LinExpr]]) -> dict[str, Rat]:
         for name, expr in reversed(eliminated):
             assignment[name] = expr.evaluate(assignment)
         return assignment
@@ -492,17 +527,15 @@ class Problem:
     def _expr_key(self, expr: Optional[LinExpr]) -> Optional[tuple]:
         """Positional signature of an objective expression.
 
-        Fractions are flattened to ``(numerator, denominator)`` int pairs
-        throughout the key machinery: the representation is unique, and
-        hashing ints is far cheaper than ``Fraction.__hash__`` (which
-        computes a modular inverse per value).
+        Values are canonical scalars, a unique representation, so the key
+        holds them as they are; whole ones are ints, which hash far faster
+        than ``Fraction``s.
         """
         if expr is None:
             return None
         index = self._index
-        return (tuple(sorted((index[n], c.numerator, c.denominator)
-                             for n, c in expr.coeffs.items())),
-                expr.const.numerator, expr.const.denominator)
+        return (tuple(sorted((index[n], c) for n, c in expr.coeffs.items())),
+                expr.const)
 
     def _content_key(self, kind: str, objective_key,
                      max_nodes: int) -> tuple:
@@ -518,18 +551,12 @@ class Problem:
         index = self._index
         constraints = tuple(
             (c.sense,
-             tuple((index[n], v.numerator, v.denominator)
-                   for n, v in c.expr.coeffs.items()),
-             c.expr.const.numerator, c.expr.const.denominator)
+             tuple((index[n], v) for n, v in c.expr.coeffs.items()),
+             c.expr.const)
             for c in self._constraints)
-        lower, upper = self._lower, self._upper
-        declarations = tuple(
-            (None if lower[n] is None
-             else (lower[n].numerator, lower[n].denominator),
-             None if upper[n] is None
-             else (upper[n].numerator, upper[n].denominator),
-             self._integer[n])
-            for n in self._order)
+        lower, upper, integer = self._lower, self._upper, self._integer
+        declarations = tuple((lower[n], upper[n], integer[n])
+                             for n in self._order)
         return (kind, max_nodes, declarations, constraints, objective_key)
 
     # -- solving ----------------------------------------------------------------
@@ -538,8 +565,8 @@ class Problem:
               max_nodes: int = 100_000,
               presolve: bool = True,
               warm: Optional[WarmStartHandle] = None,
-              _incumbent_bound: Optional[Fraction] = None,
-              ) -> Optional[dict[str, Fraction]]:
+              _incumbent_bound: Optional[Rat] = None,
+              ) -> Optional[dict[str, Rat]]:
         """Minimize ``objective`` (feasibility check if None).
 
         Returns the assignment dict, or None if infeasible/unbounded.
@@ -605,8 +632,8 @@ class Problem:
                max_nodes: int = 100_000,
                presolve: bool = True,
                warm: Optional[WarmStartHandle] = None,
-               _incumbent_bound: Optional[Fraction] = None,
-               ) -> Optional[dict[str, Fraction]]:
+               _incumbent_bound: Optional[Rat] = None,
+               ) -> Optional[dict[str, Rat]]:
         """Lexicographically minimize the given objective expressions.
 
         ``warm`` candidates seed the first level's incumbent bound; later
@@ -692,17 +719,8 @@ class Problem:
                     seen.add(name)
                     names.append(name)
         lower, upper = self._lower, self._upper
-        key = (tuple(
-                   (tuple(sorted((n, c.numerator, c.denominator)
-                                 for n, c in obj.coeffs.items())),
-                    obj.const.numerator, obj.const.denominator)
-                   for obj in objectives),
-               tuple((n,
-                      None if lower[n] is None
-                      else (lower[n].numerator, lower[n].denominator),
-                      None if upper[n] is None
-                      else (upper[n].numerator, upper[n].denominator))
-                     for n in names))
+        key = (tuple(obj.signature() for obj in objectives),
+               tuple((n, lower[n], upper[n]) for n in names))
         cached = _FOLD_CACHE.get(key, _FOLD_MISS)
         if cached is not _FOLD_MISS:
             return cached
@@ -713,26 +731,20 @@ class Problem:
         return folded
 
     def _fold_objectives(self, objectives: Sequence[LinExpr]) -> Optional[LinExpr]:
-        spans: list[Fraction] = []
+        spans: list[Rat] = []
         for obj in objectives:
-            span = Fraction(0)
+            span = 0
             for name, coeff in obj.coeffs.items():
                 lo, hi = self._lower[name], self._upper[name]
                 if lo is None or hi is None:
                     return None
                 span += abs(coeff) * (hi - lo)
-            spans.append(span)
-        coeffs: dict[str, Fraction] = {}
-        const = Fraction(0)
-        zero = Fraction(0)
-        weight = Fraction(1)
+            spans.append(frac(span))
+        coeffs: dict[str, Rat] = {}
+        const = 0
+        weight = 1
         for obj, span in zip(reversed(objectives), reversed(spans)):
-            for name, coeff in obj.coeffs.items():
-                value = coeffs.get(name, zero) + weight * coeff
-                if value:
-                    coeffs[name] = value
-                else:
-                    coeffs.pop(name, None)
-            const += weight * obj.const
-            weight *= span + 1
-        return LinExpr(coeffs, const)
+            add_scaled(coeffs, weight, obj.coeffs)
+            const = frac(const + weight * obj.const)
+            weight = frac(weight * (span + 1))
+        return LinExpr._raw(coeffs, const)

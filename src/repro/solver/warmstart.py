@@ -32,8 +32,9 @@ golden files.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import Iterator, Optional
+
+from repro.linalg.rational import Rat, frac
 
 #: Most-recent candidates kept per handle; feasibility checks are O(nnz) so
 #: a few candidates cost far less than one saved branch-and-bound node.
@@ -47,9 +48,9 @@ class WarmStartHandle:
 
     def __init__(self):
         #: Most-recent-first full variable assignments of prior optima.
-        self.candidates: list[dict[str, Fraction]] = []
+        self.candidates: list[dict[str, Rat]] = []
 
-    def offer(self, assignment: Optional[dict[str, Fraction]]) -> None:
+    def offer(self, assignment: Optional[dict[str, Rat]]) -> None:
         """Record a solved assignment."""
         if assignment:
             self.candidates = ([dict(assignment)]
@@ -122,7 +123,7 @@ def use_warm_pool(pool: Optional[WarmStartPool]) -> Iterator[
 
 
 def incumbent_bound(problem, objective,
-                    handle: Optional[WarmStartHandle]) -> Optional[Fraction]:
+                    handle: Optional[WarmStartHandle]) -> Optional[Rat]:
     """Objective value of the first handle candidate feasible on ``problem``.
 
     ``problem`` is a (typically presolve-reduced) ``Problem``; a candidate is
@@ -153,9 +154,9 @@ def incumbent_bound(problem, objective,
     return None
 
 
-def _respects_declarations(problem, assignment: dict[str, Fraction]) -> bool:
+def _respects_declarations(problem, assignment: dict[str, Rat]) -> bool:
     for name, value in assignment.items():
-        if problem._integer[name] and Fraction(value).denominator != 1:
+        if problem._integer[name] and frac(value).denominator != 1:
             return False
         lo = problem._lower[name]
         if lo is not None and value < lo:

@@ -29,7 +29,6 @@ schedule verification, rung consistency and the footprint lower bound.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from repro.codegen.ast import Loop, StatementCall, walk
@@ -131,7 +130,7 @@ def _aligned_vectorization(compiled: CompiledOperator,
                             composed = composed \
                                 + c * call.iterator_exprs.get(name, var(name))
                         offset = offset + strides[d] * composed
-                    if abs(offset.coeffs.get(lane, Fraction(0))) != 1:
+                    if abs(offset.coeffs.get(lane, 0)) != 1:
                         continue  # not lane-contiguous; no vector claim
                     terms = [c for name, c in offset.coeffs.items()
                              if name != lane and name not in params]

@@ -87,7 +87,7 @@ def restart_scan_presolved(problem: Problem,
             if victim is None:
                 continue
             k = c.expr.coeffs[victim]
-            scale = -1 / k
+            scale = Fraction(-1) / k
             expr = LinExpr._raw(
                 {n: scale * v for n, v in c.expr.coeffs.items()
                  if n != victim},
