@@ -11,10 +11,7 @@ from conftest import seed, write_artifact
 
 from repro.deps.analysis import compute_dependences
 from repro.influence import build_influence_tree
-from repro.obs import MetricsRegistry, Obs, Tracer, use_obs
 from repro.schedule import InfluencedScheduler
-from repro.solver.dedup import SolveCache, use_solve_cache
-from repro.solver.warmstart import WarmStartPool, use_warm_pool
 from repro.workloads import NETWORKS, generate_network_suite
 
 
@@ -30,17 +27,11 @@ def _aggregate():
         "scc_separations": 0,
         "influence_abandoned": 0,
     }
-    obs = Obs(Tracer(enabled=False), MetricsRegistry())
     for network in NETWORKS:
         for _, kernel in generate_network_suite(network, seed=seed(), limit=4):
             scheduler = InfluencedScheduler(kernel)
-            # Influenced and plain construction of one operator share a
-            # solver reuse scope, mirroring the pipeline's per-operator
-            # scoping, so the artifact reports realistic reuse rates.
-            with use_obs(obs), use_solve_cache(SolveCache()), \
-                    use_warm_pool(WarmStartPool()):
-                scheduler.schedule(build_influence_tree(kernel))
-                InfluencedScheduler(kernel).schedule()
+            scheduler.schedule(build_influence_tree(kernel))
+            InfluencedScheduler(kernel).schedule()
             stats = scheduler.stats
             totals["operators"] += 1
             totals["ilp_solves"] += stats.ilp_solves
@@ -51,11 +42,6 @@ def _aggregate():
             totals["ancestor_backtracks"] += stats.ancestor_backtracks
             totals["scc_separations"] += stats.scc_separations
             totals["influence_abandoned"] += int(stats.influence_abandoned)
-    counters = obs.metrics.counters
-    for name in ("solver.warmstart.hits", "solver.warmstart.misses",
-                 "solver.dedup.hits", "solver.dedup.misses"):
-        totals[name.replace("solver.", "").replace(".", "_")] = \
-            int(counters.get(name, 0))
     return totals
 
 
@@ -72,12 +58,6 @@ def test_backtracking_artifact(benchmark, out_dir):
                 "ancestor_backtracks", "scc_separations",
                 "influence_abandoned"):
         lines.append(f"{key:<24s}{totals[key]:>8d}{totals[key] / n:>14.2f}")
-    for label, prefix in (("warm-start", "warmstart"), ("dedup", "dedup")):
-        hits = totals[f"{prefix}_hits"]
-        misses = totals[f"{prefix}_misses"]
-        rate = hits / (hits + misses) * 100 if hits + misses else 0.0
-        lines.append(f"solver {label}: {hits} hits / {misses} misses "
-                     f"({rate:.1f}% hit rate)")
     write_artifact("backtracking.txt", "\n".join(lines))
 
     # The paper's claim: fallbacks are rare on AI/DL operators.

@@ -14,7 +14,6 @@ and split it by precedence level so each emitted
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from itertools import product
 from typing import Iterable
 
@@ -27,6 +26,7 @@ from repro.deps.relation import (
 from repro.ir.kernel import Kernel
 from repro.ir.signature import kernel_signature
 from repro.ir.statement import Statement
+from repro.memo import Memo
 from repro.sets.polyhedron import Polyhedron
 from repro.solver.problem import Constraint, LinExpr, var
 
@@ -34,9 +34,9 @@ from repro.solver.problem import Constraint, LinExpr, var
 # pipeline's ScheduleCache: every consumer reads relations through statement
 # *names*, so an entry built from one kernel object serves every
 # content-equal kernel.  Entries are immutable tuples; callers get a fresh
-# list so mutating a result cannot corrupt the memo.
-_DEPENDENCES_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
-_DEPENDENCES_MEMO_MAX = 512
+# list so mutating a result cannot corrupt the memo.  Process-wide: its
+# counters depend on what the process evaluated before (see DESIGN.md).
+DEPENDENCES_MEMO = Memo("cache.deps", 512)
 
 
 def _interleaved_exprs(statement: Statement, suffix: str) -> list[LinExpr]:
@@ -126,9 +126,8 @@ def compute_dependences(kernel: Kernel,
     the paper considers them for proximity (Section IV-A-2).
     """
     key = (kernel_signature(kernel), include_input)
-    cached = _DEPENDENCES_MEMO.get(key)
+    cached = DEPENDENCES_MEMO.get(key)
     if cached is not None:
-        _DEPENDENCES_MEMO.move_to_end(key)
         return list(cached)
     params = kernel.parameter_names
     relations: list[DependenceRelation] = []
@@ -150,7 +149,5 @@ def compute_dependences(kernel: Kernel,
                     source=source, target=target, kind=kind,
                     polyhedron=poly, level=level,
                     source_access=src_access, target_access=tgt_access))
-    _DEPENDENCES_MEMO[key] = tuple(relations)
-    while len(_DEPENDENCES_MEMO) > _DEPENDENCES_MEMO_MAX:
-        _DEPENDENCES_MEMO.popitem(last=False)
+    DEPENDENCES_MEMO.put(key, tuple(relations))
     return relations

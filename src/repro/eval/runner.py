@@ -56,8 +56,6 @@ from repro.pipeline.passes import PassContext, merge_metric_dicts
 from repro.schedule.scheduler import SchedulerOptions
 from repro.solver.budget import SolveBudget
 from repro.gpu.profile_cache import ProfileCache, use_profile_cache
-from repro.solver.dedup import SolveCache, use_solve_cache
-from repro.solver.warmstart import WarmStartPool, use_warm_pool
 from repro.workloads.generator import generate_network_suite
 from repro.workloads.networks import NETWORKS
 
@@ -240,18 +238,13 @@ def evaluate_operator(pipeline: AkgPipeline, name: str, op_class: str,
     degradation: dict[str, str] = {}
     errors: list[str] = []
     vectorized = False
-    # One solver reuse scope across all four variants of this operator:
-    # identical constraint systems (e.g. novec vs infl) replay from the
-    # dedup cache, and near-identical ones (per-cluster and per-statement
-    # sub-problems of the same kernel) share warm-start incumbent bounds.
-    # Scoping at the operator keeps serial and parallel evaluation
-    # metric-identical — either way an operator is evaluated wholly inside
-    # one process, with the scope freshly installed.  The profile cache
-    # follows the same rule: content-identical launches across the four
-    # variants (e.g. the tvm variant's unfused clusters, degradation
-    # rungs re-lowering the baseline mapping) dedup their simulation.
-    with use_solve_cache(SolveCache()), use_warm_pool(WarmStartPool()), \
-            use_profile_cache(ProfileCache()):
+    # One profile cache across all four variants of this operator:
+    # content-identical launches (e.g. the tvm variant's unfused clusters,
+    # degradation rungs re-lowering the baseline mapping) dedup their
+    # simulation.  Scoping at the operator keeps serial and parallel
+    # evaluation metric-identical — either way an operator is evaluated
+    # wholly inside one process, with the scope freshly installed.
+    with use_profile_cache(ProfileCache()):
         for variant in VARIANTS:
             if beat is not None:
                 beat()

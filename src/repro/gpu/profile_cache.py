@@ -5,20 +5,18 @@ Structurally identical mapped kernels are simulated again and again: the
 fire, the ``tvm`` variant's single-statement clusters reproduce the whole
 kernel for unfused operators, degradation rungs re-lower to the baseline
 mapping, and the differential oracle re-measures every launch the variant
-loop already measured.  This cache is the same content-hash trick as
-:mod:`repro.solver.dedup`, applied to :func:`repro.gpu.simulate_kernel`:
-the key is the mapped kernel's *content* — the kernel IR signature (names
+loop already measured.  This cache keys :func:`repro.gpu.simulate_kernel`
+on the mapped kernel's *content* — the kernel IR signature (names
 erased), the rendered loop AST, the launch geometry — plus the
 architecture and the sampling width, so renamed-but-identical launches
 hit.
 
-The cache is ambient, mirroring ``solver/dedup.py``: the evaluation
-runner installs one per *operator evaluation* (all four variants of one
-operator share it), and ``simulate_kernel`` consults it via
-:func:`get_profile_cache`.  The scope is never wider than one operator:
-each operator is evaluated wholly inside one process in both serial and
-parallel evaluation, so the ``sim.profile_cache.*`` metric streams stay
-identical between the two — the same discipline as the warm-start pool.
+The cache is ambient: the evaluation runner installs one per *operator
+evaluation* (all four variants of one operator share it), and
+``simulate_kernel`` consults it via :func:`get_profile_cache`.  The scope
+is never wider than one operator: each operator is evaluated wholly inside
+one process in both serial and parallel evaluation, so the
+``sim.profile_cache.*`` metric streams stay identical between the two.
 
 A replayed profile is bitwise-identical to simulating by construction —
 the simulator is a deterministic pure function of the key's content.
@@ -29,11 +27,11 @@ Only the profile's ``name`` is rewritten to the requesting kernel's name
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.ir.signature import kernel_signature
+from repro.memo import Memo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.codegen.cuda import MappedKernel
@@ -42,8 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Entries kept per cache (LRU).  A single operator evaluation stays well
 #: under this; the bound only guards against pathological workloads.
 MAX_ENTRIES = 1024
-
-_MISS = object()
 
 
 def profile_cache_key(mapped: "MappedKernel", arch: "GpuArch",
@@ -68,44 +64,14 @@ def profile_cache_key(mapped: "MappedKernel", arch: "GpuArch",
     return (sig, arch, sample_blocks)
 
 
-class ProfileCache:
-    """LRU of simulated :class:`KernelProfile`\\ s, keyed on content."""
+class ProfileCache(Memo):
+    """Simulated :class:`KernelProfile`\\ s keyed on content, on a
+    :class:`~repro.memo.Memo` named ``sim.profile_cache``."""
 
-    __slots__ = ("max_entries", "_entries", "hits", "misses")
+    __slots__ = ()
 
     def __init__(self, max_entries: int = MAX_ENTRIES):
-        self.max_entries = max_entries
-        self._entries: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, key):
-        """Return the cached profile for ``key`` or the module-private miss
-        sentinel (use :func:`is_miss`)."""
-        value = self._entries.get(key, _MISS)
-        if value is _MISS:
-            self.misses += 1
-        else:
-            self._entries.move_to_end(key)
-            self.hits += 1
-        return value
-
-    def store(self, key, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> dict:
-        return {"entries": len(self._entries),
-                "hits": self.hits, "misses": self.misses}
-
-
-def is_miss(value) -> bool:
-    return value is _MISS
+        super().__init__("sim.profile_cache", max_entries)
 
 
 _current: Optional[ProfileCache] = None

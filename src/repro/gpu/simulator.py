@@ -23,11 +23,7 @@ from repro.codegen.ast import Guard, Loop, Seq, StatementCall, statements_in
 from repro.codegen.cuda import MappedKernel
 from repro.gpu.arch import GpuArch, V100
 from repro.gpu.memory import MemoryHierarchy, warp_access
-from repro.gpu.profile_cache import (
-    get_profile_cache,
-    is_miss,
-    profile_cache_key,
-)
+from repro.gpu.profile_cache import get_profile_cache, profile_cache_key
 from repro.linalg.rational import Rat
 from repro.obs.metrics import RATIO_BUCKETS
 from repro.obs.runtime import get_obs
@@ -598,17 +594,16 @@ def simulate_kernel(mapped: MappedKernel, arch: GpuArch = V100,
     profile: Optional[KernelProfile] = None
     if cache is not None:
         key = profile_cache_key(mapped, arch, sample_blocks)
-        found = cache.lookup(key)
-        if not is_miss(found):
+        found = cache.get(key)
+        if found is not None:
             # Names are erased from the key; restore the caller's (the
             # `replace` also guarantees the cached entry is never aliased).
             profile = replace(found, name=mapped.kernel.name)
-    cached = profile is not None
     with obs.span("gpu.kernel", kernel=mapped.kernel.name) as span:
         if profile is None:
             profile = _simulate(mapped, arch, sample_blocks)
             if cache is not None:
-                cache.store(key, profile)
+                cache.put(key, profile)
         span.set(**profile.counters())
     metrics = obs.metrics
     if metrics.enabled:
@@ -620,7 +615,4 @@ def simulate_kernel(mapped: MappedKernel, arch: GpuArch = V100,
         metrics.observe("gpu.kernel_seconds", profile.time)
         metrics.observe("gpu.coalescing_efficiency",
                         profile.coalescing_efficiency, bounds=RATIO_BUCKETS)
-        if cache is not None:
-            metrics.count("sim.profile_cache.hits" if cached
-                          else "sim.profile_cache.misses")
     return profile

@@ -70,26 +70,10 @@ class DimensionScenario:
         return self.vector_width > 1
 
 
-# Extents are asked for again and again with identical content: every
-# scenario alternative re-ranks the same iterators, and the pipeline's
-# schedule variants rebuild scenarios for the same statements.  The answer
-# is a pure function of (domain, iterator set, iterator, parameters), so it
-# is memoized process-wide on that content (same lifetime argument as the
-# polyhedron emptiness cache: forked evaluation workers inherit it, keeping
-# serial and parallel runs on identical code paths).
-_EXTENT_CACHE: dict = {}
-_EXTENT_CACHE_MAX = 20_000
-
-
 def iterator_extent(statement: Statement, iterator: str,
                     params: dict[str, int]) -> int:
     """Trip count of one iterator (max over outer values for non-rectangular
     domains), computed from the domain bounds under concrete parameters."""
-    key = (statement.domain.canonical(), tuple(statement.iterators),
-           iterator, tuple(sorted(params.items())))
-    cached = _EXTENT_CACHE.get(key)
-    if cached is not None:
-        return cached
     shadow = statement.domain.eliminate_all(
         [it for it in statement.iterators if it != iterator])
     lowers, uppers = shadow.bounds_of(iterator)
@@ -99,11 +83,7 @@ def iterator_extent(statement: Statement, iterator: str,
     his = [e.evaluate(env) for e in uppers]
     if not los or not his:
         raise ValueError(f"unbounded iterator {iterator} in {statement.name}")
-    extent = int(min(his) - max(los)) + 1
-    if len(_EXTENT_CACHE) >= _EXTENT_CACHE_MAX:
-        _EXTENT_CACHE.clear()
-    _EXTENT_CACHE[key] = extent
-    return extent
+    return int(min(his) - max(los)) + 1
 
 
 def _vector_width_for(accesses: Sequence[Access], extent: int) -> int:

@@ -8,8 +8,8 @@ constraint set per dimension, backtracking when an ILP turns infeasible.
 The :class:`ProvenanceJournal` records exactly these events as structured,
 JSON-safe entries, so ``repro explain`` can render the decision path —
 which constraint was injected per dimension, which scenarios were
-considered with their static Algorithm 2 costs, which were pruned, where the
-fallback ladder fired, and how often the warm-start/dedup reuse paths hit.
+considered with their static Algorithm 2 costs, which were pruned, and
+where the fallback ladder fired.
 
 The journal mirrors :mod:`repro.obs.runtime`: an ambient handle installed
 with :func:`use_journal` and fetched with :func:`get_journal`.  The default
@@ -142,13 +142,7 @@ def format_decision_path(events: list[dict], indent: str = "") -> str:
                 flags.append("supplementary")
             if not e.get("progression", True):
                 flags.append("no-progression")
-            reuse = []
-            if e.get("warmstart_hits"):
-                reuse.append(f"warm-start x{e['warmstart_hits']}")
-            if e.get("dedup_hits"):
-                reuse.append(f"dedup x{e['dedup_hits']}")
             suffix = f" [{', '.join(flags)}]" if flags else ""
-            suffix += f" ({', '.join(reuse)})" if reuse else ""
             node = f" node={e['node']}" if e.get("node") else ""
             lines.append(f"{indent}  dim {e['dim']}: {verdict}{suffix}{node}")
             for text in e.get("injected", ()):

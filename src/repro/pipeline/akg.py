@@ -35,8 +35,6 @@ from repro.pipeline.passes import (
 )
 from repro.schedule.scheduler import SchedulerOptions, SchedulerStats
 from repro.schedule.serialize import schedule_content_hash
-from repro.solver.dedup import SolveCache, get_solve_cache, use_solve_cache
-from repro.solver.warmstart import WarmStartPool, get_warm_pool, use_warm_pool
 
 VARIANTS = ("isl", "tvm", "novec", "infl")
 
@@ -238,27 +236,9 @@ class AkgPipeline:
         """
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; pick from {VARIANTS}")
-        attempts = self._attempts(kernel, variant)
-        # One solve cache and warm-start pool per compile: degradation rungs
-        # re-pose many of the same dimension ILPs (and the tvm variant's
-        # per-statement clusters overlap heavily), so identical systems
-        # replay and near-identical ones share incumbent bounds.  The scope
-        # is at most per-operator, never per-session: each operator's
-        # evaluation happens wholly inside one process in both serial and
-        # parallel evaluation, keeping their metric streams identical.  When
-        # a wider per-operator scope is already installed (the evaluation
-        # runner wraps all four variants), reuse it instead of shadowing it.
-        with ExitStack() as scopes:
-            if get_solve_cache() is None:
-                scopes.enter_context(use_solve_cache(SolveCache()))
-            if get_warm_pool() is None:
-                scopes.enter_context(use_warm_pool(WarmStartPool()))
-            return self._compile_attempts(kernel, variant, attempts)
-
-    def _compile_attempts(self, kernel: Kernel, variant: str,
-                          attempts) -> CompiledOperator:
         last_error: Optional[ReproError] = None
-        for level, tag, clusters, influence, enable_vec in attempts:
+        for level, tag, clusters, influence, enable_vec in \
+                self._attempts(kernel, variant):
             try:
                 compiled = self._compile_once(kernel, variant, tag, clusters,
                                               influence, enable_vec)
@@ -293,11 +273,11 @@ class AkgPipeline:
     def compile_and_measure(self, kernel: Kernel,
                             variant: str) -> OperatorTiming:
         # Content-identical launches dedup within this call.  Per-call
-        # scope, mirroring `compile`'s solve cache: never wider than one
-        # operator, so serial and parallel evaluations keep identical
-        # metric streams.  A wider ambient cache (the evaluation runner's
-        # per-operator scope, where novec/infl coincide whenever
-        # vectorization does not fire) is reused instead of shadowed.
+        # scope: never wider than one operator, so serial and parallel
+        # evaluations keep identical metric streams.  A wider ambient cache
+        # (the evaluation runner's per-operator scope, where novec/infl
+        # coincide whenever vectorization does not fire) is reused instead
+        # of shadowed.
         with ExitStack() as scopes:
             if get_profile_cache() is None:
                 scopes.enter_context(use_profile_cache(ProfileCache()))

@@ -24,13 +24,13 @@ share an entry when the whole solve is bit-for-bit identical.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import astuple, dataclass
 from typing import Optional
 
 from repro.influence.scenarios import CostWeights
 from repro.ir.kernel import Kernel
 from repro.ir.signature import kernel_signature
+from repro.memo import Memo
 from repro.schedule.scheduler import SchedulerOptions, SchedulerStats
 
 __all__ = ["ScheduleCache", "ScheduleCacheEntry", "kernel_signature"]
@@ -45,17 +45,12 @@ class ScheduleCacheEntry:
     stats: Optional[SchedulerStats]
 
 
-class ScheduleCache:
-    """LRU cache of schedule-prefix results, keyed by kernel content."""
+class ScheduleCache(Memo):
+    """Schedule-prefix results keyed by kernel content, on a :class:`Memo`
+    named ``cache`` (so it counts ``cache.{hits,misses,evictions}``)."""
 
     def __init__(self, max_entries: int = 4096):
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[tuple, ScheduleCacheEntry]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        super().__init__("cache", max_entries)
 
     def key_for(self, kernel: Kernel, *, influence: bool,
                 options: SchedulerOptions,
@@ -67,34 +62,7 @@ class ScheduleCache:
         return (kernel_signature(kernel), bool(influence),
                 astuple(options), astuple(weights))
 
-    def lookup(self, key: tuple) -> Optional[ScheduleCacheEntry]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
     def store(self, key: tuple, *, relations, schedule,
               stats: Optional[SchedulerStats] = None) -> None:
-        self._entries[key] = ScheduleCacheEntry(relations=relations,
-                                                schedule=schedule,
-                                                stats=stats)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "entries": len(self._entries), "hit_rate": self.hit_rate}
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
+        self.put(key, ScheduleCacheEntry(relations=relations,
+                                         schedule=schedule, stats=stats))

@@ -200,9 +200,9 @@ def format_pass_summary(metrics: dict) -> str:
         rate = hits / (hits + misses) * 100.0
         lines.append(f"  schedule cache: {hits} hits / {misses} misses "
                      f"({rate:.1f}% hit rate)")
-    for label, prefix in (("solver warm-start", "solver.warmstart"),
-                          ("solver dedup", "solver.dedup"),
-                          ("profile cache", "sim.profile_cache")):
+    for label, prefix in (("profile cache", "sim.profile_cache"),
+                          ("dependence memo", "cache.deps"),
+                          ("emptiness memo", "cache.emptiness")):
         reuse_hits = int(counters.get(f"{prefix}.hits", 0))
         reuse_misses = int(counters.get(f"{prefix}.misses", 0))
         if reuse_hits or reuse_misses:
@@ -222,11 +222,10 @@ def format_pass_summary(metrics: dict) -> str:
         rendered = ", ".join(f"{k}={v}" for k, v in fastpath.items())
         lines.append(f"  simulator fast path: {rendered}")
     histograms = metrics.get("histograms", {})
-    for hist_name in ("solver.solve_seconds", "solver.warmstart.reuse_seconds"):
-        hist = histograms.get(hist_name)
-        if hist:
-            lines.append(format_histogram_line(hist_name,
-                                               Histogram.from_dict(hist)))
+    hist = histograms.get("solver.solve_seconds")
+    if hist:
+        lines.append(format_histogram_line("solver.solve_seconds",
+                                           Histogram.from_dict(hist)))
     return "\n".join(lines)
 
 
@@ -418,17 +417,14 @@ class CompilationSession:
                 key = self.cache.key_for(kernel, influence=influence,
                                          options=self.options,
                                          weights=self.weights)
-                entry = self.cache.lookup(key)
+                entry = self.cache.get(key)
                 if entry is not None:
                     state.relations = entry.relations
                     state.schedule = entry.schedule
                     state.scheduler_stats = entry.stats
                     state.from_cache = True
-                    self.context.count("cache.hits")
                     self.context.record("cache-hit", kernel=kernel.name,
                                         variant=variant)
-                else:
-                    self.context.count("cache.misses")
             for p in passes:
                 if state.from_cache and p.cacheable:
                     continue

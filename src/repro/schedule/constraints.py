@@ -67,10 +67,6 @@ class DimensionProblem:
         self._declare_schedule_variables()
         self._u_vars: Optional[dict[str, LinExpr]] = None
         self._w_var: Optional[LinExpr] = None
-        #: Assignment of every column of the most recent successful
-        #: :meth:`solve` (for warm-start handles); ``None`` until solved or
-        #: when infeasible.
-        self.last_assignment: Optional[dict] = None
 
     def fork(self) -> "DimensionProblem":
         """Independent copy sharing the constraints built so far.
@@ -92,7 +88,6 @@ class DimensionProblem:
         copy._farkas_counter = self._farkas_counter
         copy._u_vars = self._u_vars
         copy._w_var = self._w_var
-        copy.last_assignment = None
         return copy
 
     def ilp(self) -> Problem:
@@ -282,8 +277,7 @@ class DimensionProblem:
 
     def solve(self, extra_objectives: Sequence[LinExpr] = (),
               injected_objectives: Sequence[LinExpr] = (),
-              max_nodes: int = 60_000,
-              warm=None) -> Optional[dict[str, list[int]]]:
+              max_nodes: int = 60_000) -> Optional[dict[str, list[int]]]:
         """Solve the dimension ILP; returns per-statement coefficient rows
         ``[iter_coeffs..., param_coeffs..., const]`` or None.
 
@@ -293,10 +287,6 @@ class DimensionProblem:
         objective is folded into a single weighted expression when all its
         variables are bounded (they are, by construction), so one
         branch-and-bound run decides the dimension.
-
-        ``warm`` is forwarded to ``Problem.solve`` — prior
-        solutions offered through a warm-start handle tighten the
-        branch-and-bound incumbent without changing the result.
         """
         levels = self.objectives()
         if injected_objectives:
@@ -306,12 +296,9 @@ class DimensionProblem:
         ilp = self.ilp()
         folded = ilp.fold_objectives(levels)
         if folded is not None:
-            assignment = ilp.solve(objective=folded, max_nodes=max_nodes,
-                                   warm=warm)
+            assignment = ilp.solve(objective=folded, max_nodes=max_nodes)
         else:
-            assignment = ilp.lexmin(levels, max_nodes=max_nodes,
-                                    warm=warm)
-        self.last_assignment = assignment
+            assignment = ilp.lexmin(levels, max_nodes=max_nodes)
         if assignment is None:
             return None
         out: dict[str, list[int]] = {}

@@ -22,8 +22,8 @@ relations collapse drastically), substituting into the symbolic form.
 Then the multipliers the matching equalities pin are eliminated too, once
 per (polyhedron, symbolic form) pair, as Pluto does: the block is reduced
 over placeholder multiplier names with the same routine presolve uses
-(:func:`repro.solver.problem.eliminate_pinned`) and cached as a template.
-``add_farkas_nonneg`` only renames the placeholders.  A block's rows are
+(:func:`repro.solver.problem.eliminate_pinned`) and remembered by the form
+as a template.  ``add_farkas_nonneg`` only renames the placeholders.  A block's rows are
 what presolving the raw block inside a scheduling ILP would leave, because
 no two blocks share a continuous column (schedule and bound unknowns are
 integer, every block has its own multipliers, and no objective mentions a
@@ -52,7 +52,7 @@ class SymbolicAffineForm:
     A form remembers the reduced Farkas block of its last linearization, as
     ``(polyhedron, block)``, so a form built once and linearized again on
     the same polyhedron (``DimensionProblem`` keeps one per relation for a
-    whole scheduling run) skips the content key.  A form must therefore
+    whole scheduling run) skips the reduction.  A form must therefore
     not change once it has been linearized; :meth:`copy` starts afresh.
     """
 
@@ -188,59 +188,25 @@ def _block_template(dims: list[str], inequalities: list[LinExpr],
             live(kept), live(bounds))
 
 
-# The same (polyhedron, symbolic form) pair is linearized over and over:
-# coincidence/plain retries, sibling fallbacks and the tvm variant's
-# per-statement clusters all rebuild identical dimension problems.  The
-# normalization, equality elimination and multiplier elimination depend only
-# on content, so the reduced block is memoized process-wide (same lifetime
-# argument as ``repro.sets.polyhedron._EMPTINESS_CACHE``: forked evaluation
-# workers inherit the warm cache, keeping serial and parallel metric streams
-# equal).
-#
-# Keys must preserve *order* — constraint order and coefficient insertion
-# order — because ``_eliminate_equalities`` picks pivots in encounter order
-# and ``eliminate_pinned`` victims in insertion order, so
-# differently-ordered-but-equal systems may reduce differently.  Cached
-# templates are immutable by contract: ``add_farkas_nonneg`` only reads them.
-_LINEARIZATION_CACHE: dict = {}
-_LINEARIZATION_CACHE_MAX = 50_000
-
-
 def _linearize(poly: Polyhedron, form: SymbolicAffineForm) -> tuple:
-    """The cached :func:`_block_template` of ``form >= 0`` on ``poly``.
+    """The :func:`_block_template` of ``form >= 0`` on ``poly``.
 
-    The block the form remembers from linearizing on this very polyhedron
-    counts as a hit, as the content-keyed lookup would."""
+    A form remembers the block of its last linearization; asked again on
+    that very polyhedron, it answers from memory (``solver.farkas.hits``).
+    The coincidence/plain retries of one dimension and the dimensions of
+    one schedule share their forms, so most linearizations are such
+    repeats."""
     metrics = get_obs().metrics
     remembered = form._block
     if remembered is not None and remembered[0] is poly:
         if metrics.enabled:
             metrics.count("solver.farkas.hits")
         return remembered[1]
-    # Canonical scalars are a unique representation; the key holds them as
-    # they are.  Insertion order is kept (see above), so no sorting.
-    def sig(e: LinExpr) -> tuple:
-        return (tuple(e.coeffs.items()), e.const)
-
-    key = (
-        tuple(poly.dims),
-        tuple((c.sense, sig(c.expr)) for c in poly.constraints),
-        tuple((d, sig(e)) for d, e in form.coeffs.items()),
-        sig(form.const),
-    )
-    template = _LINEARIZATION_CACHE.get(key)
-    if template is not None:
-        if metrics.enabled:
-            metrics.count("solver.farkas.hits")
-    else:
-        if metrics.enabled:
-            metrics.count("solver.farkas.misses")
-        equalities, inequalities = _normalized_inequalities(poly)
-        template = _block_template(*_eliminate_equalities(
-            poly.dims, equalities, inequalities, form))
-        if len(_LINEARIZATION_CACHE) >= _LINEARIZATION_CACHE_MAX:
-            _LINEARIZATION_CACHE.clear()
-        _LINEARIZATION_CACHE[key] = template
+    if metrics.enabled:
+        metrics.count("solver.farkas.misses")
+    equalities, inequalities = _normalized_inequalities(poly)
+    template = _block_template(*_eliminate_equalities(
+        poly.dims, equalities, inequalities, form))
     form._block = (poly, template)
     return template
 

@@ -44,9 +44,7 @@ from repro.schedule.constraints import (
 )
 from repro.schedule.functions import DimensionInfo, Schedule, ScheduleRow
 from repro.solver.budget import SolveBudget, use_budget
-from repro.solver.dedup import SolveCache, get_solve_cache, use_solve_cache
 from repro.solver.problem import Constraint, LinExpr, var
-from repro.solver.warmstart import WarmStartHandle, get_warm_pool
 
 __all__ = ["SchedulingError", "SchedulerOptions", "SchedulerStats",
            "InfluencedScheduler"]
@@ -113,12 +111,6 @@ class InfluencedScheduler:
         self.stats = SchedulerStats()
         self._obs = NULL_OBS
         self._journal = NULL_JOURNAL
-        # Warm-start handles per dimension index, reset per schedule() call.
-        # They deliberately survive dimension withdrawals and the
-        # influenced -> plain restart: a previously solved dimension is an
-        # excellent incumbent for re-solving the same depth with fewer
-        # constraints (sibling fallback, restart-without-influence).
-        self._dim_handles: dict[int, WarmStartHandle] = {}
         # Symbolic forms of the relations (and, riding on them, their
         # reduced Farkas blocks), shared by every dimension problem of one
         # schedule() call; see DimensionProblem.
@@ -133,17 +125,9 @@ class InfluencedScheduler:
         self.stats = SchedulerStats()
         self._obs = get_obs()
         self._journal = get_journal()
-        self._dim_handles = {}
         self._forms = {}
-        # Deduplicate identical solves within this run when no wider scope
-        # (e.g. the pipeline's per-compile cache) is already installed.
-        if get_solve_cache() is None:
-            cache_scope = use_solve_cache(SolveCache())
-        else:
-            cache_scope = nullcontext()
-        with cache_scope, \
-                self._obs.span("scheduler.schedule", kernel=self.kernel.name,
-                               influenced=tree is not None) as span:
+        with self._obs.span("scheduler.schedule", kernel=self.kernel.name,
+                            influenced=tree is not None) as span:
             self._journal.note("schedule-start", kernel=self.kernel.name,
                                influenced=tree is not None)
             try:
@@ -352,26 +336,10 @@ class InfluencedScheduler:
             raise_fault(action, "scheduler.dimension",
                         kernel=self.kernel.name, dim=schedule.n_dims)
         self.stats.ilp_solves += 1
-        reuse_before = self._reuse_counters()
-        pool = get_warm_pool()
-        # Prior solutions at this depth (sibling retries, supplementary
-        # dimensions, the plain restart), at the same depth of sibling
-        # scenarios via the ambient pool (other variants, clusters and
-        # degradation rungs of the same operator), and at the previous
-        # depth are plausibly feasible here too; offer them all as
-        # incumbent-bound candidates.
-        dim = schedule.n_dims
-        warm = WarmStartHandle.merged(
-            self._dim_handles.get(dim),
-            pool.peek(dim) if pool is not None else None,
-            self._dim_handles.get(dim - 1))
-        if not warm:
-            warm = None
         try:
             rows = problem.solve(extra_objectives=extra,
                                  injected_objectives=injected,
-                                 max_nodes=self.options.max_ilp_nodes,
-                                 warm=warm)
+                                 max_nodes=self.options.max_ilp_nodes)
         except BranchLimitExceeded:
             # A degenerate per-dimension ILP is treated like infeasibility:
             # backtrack rather than abort the whole construction.
@@ -390,16 +358,9 @@ class InfluencedScheduler:
                         feasible=rows is not None)
         self._journal_dimension(schedule, cursor, coincidence,
                                 with_progression, translated,
-                                feasible=rows is not None,
-                                reuse_before=reuse_before)
+                                feasible=rows is not None)
         if rows is None:
             return None
-        if problem.last_assignment is not None:
-            handle = self._dim_handles.setdefault(schedule.n_dims,
-                                                  WarmStartHandle())
-            handle.offer(problem.last_assignment)
-            if pool is not None:
-                pool.handle(schedule.n_dims).offer(problem.last_assignment)
         out = {}
         for s in statements:
             coeffs = rows[s.name]
@@ -408,29 +369,14 @@ class InfluencedScheduler:
                 coeffs[s.depth:s.depth + len(params)], coeffs[-1])
         return out
 
-    def _reuse_counters(self) -> Optional[tuple[float, float]]:
-        """Warm-start/dedup hit counters (for per-dimension journal deltas);
-        None when the journal or the metrics registry is off."""
-        if not self._journal.enabled or not self._obs.metrics.enabled:
-            return None
-        counters = self._obs.metrics.counters
-        return (counters.get("solver.warmstart.hits", 0.0),
-                counters.get("solver.dedup.hits", 0.0))
-
     def _journal_dimension(self, schedule: Schedule, cursor, coincidence: bool,
                            with_progression: bool, translated, feasible: bool,
-                           reuse_before: Optional[tuple] = None,
                            **extra) -> None:
         """One provenance event per dimension ILP attempt: the injected
         constraint set, the tree node it came from, and the verdict."""
         if not self._journal.enabled:
             return
         node = cursor.node if cursor is not None else None
-        if reuse_before is not None:
-            after = self._reuse_counters()
-            if after is not None:
-                extra["warmstart_hits"] = int(after[0] - reuse_before[0])
-                extra["dedup_hits"] = int(after[1] - reuse_before[1])
         self._journal.dimension(
             schedule.n_dims,
             coincidence=coincidence,

@@ -16,15 +16,16 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from repro.linalg.rational import Rat, frac
+from repro.memo import Memo
 from repro.obs.logutil import logger
 from repro.obs.runtime import get_obs
 from repro.solver.ilp import BranchLimitExceeded, integer_feasible
 from repro.solver.lp import LinearProgram, LPStatus, solve_lp
 from repro.solver.problem import Constraint, LinExpr, lower_constraints, var
 
-# Memoized emptiness answers, keyed by canonical form.  Bounded; cleared
-# wholesale when it grows past the cap (simple and good enough here).
-_EMPTINESS_CACHE: dict = {}
+# Memoized emptiness answers, keyed by canonical form.  Process-wide: its
+# counters depend on what the process evaluated before (see DESIGN.md).
+EMPTINESS_MEMO = Memo("cache.emptiness", 50_000)
 
 
 class Polyhedron:
@@ -32,17 +33,22 @@ class Polyhedron:
 
     def __init__(self, dims: Sequence[str], constraints: Iterable[Constraint] = ()):
         self.dims: list[str] = list(dims)
-        if len(set(self.dims)) != len(self.dims):
+        known = set(self.dims)
+        if len(known) != len(self.dims):
             raise ValueError(f"duplicate dimensions in {self.dims}")
         self.constraints: list[Constraint] = []
-        for c in constraints:
-            self._check(c)
-            self.constraints.append(c)
+        self._extend(constraints, known)
 
-    def _check(self, constraint: Constraint) -> None:
-        extra = constraint.expr.variables() - set(self.dims)
-        if extra:
-            raise ValueError(f"constraint uses unknown dimensions {sorted(extra)}")
+    def _extend(self, constraints: Iterable[Constraint],
+                known: set[str]) -> None:
+        """Append ``constraints``, each checked to use only ``known``
+        (this set's dimensions)."""
+        for c in constraints:
+            extra = c.expr.coeffs.keys() - known
+            if extra:
+                raise ValueError(
+                    f"constraint uses unknown dimensions {sorted(extra)}")
+            self.constraints.append(c)
 
     # -- construction -------------------------------------------------------
 
@@ -52,14 +58,17 @@ class Polyhedron:
         return cls(dims)
 
     def copy(self) -> "Polyhedron":
-        return Polyhedron(self.dims, list(self.constraints))
+        """An independent copy; the source's constraints were checked when
+        they entered it, so they are not checked again."""
+        out = object.__new__(Polyhedron)
+        out.dims = list(self.dims)
+        out.constraints = list(self.constraints)
+        return out
 
     def with_constraints(self, constraints: Iterable[Constraint]) -> "Polyhedron":
         """A new polyhedron with extra constraints added."""
         out = self.copy()
-        for c in constraints:
-            out._check(c)
-            out.constraints.append(c)
+        out._extend(constraints, set(self.dims))
         return out
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
@@ -111,13 +120,11 @@ class Polyhedron:
         the scheduler asks the same satisfaction questions many times.
         """
         key = (self.canonical(), integer)
-        cached = _EMPTINESS_CACHE.get(key)
+        cached = EMPTINESS_MEMO.get(key)
         if cached is not None:
             return cached
         result = self._is_empty_uncached(integer, max_nodes)
-        if len(_EMPTINESS_CACHE) > 50_000:
-            _EMPTINESS_CACHE.clear()
-        _EMPTINESS_CACHE[key] = result
+        EMPTINESS_MEMO.put(key, result)
         return result
 
     def _is_empty_uncached(self, integer: bool, max_nodes: int) -> bool:

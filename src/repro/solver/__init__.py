@@ -13,24 +13,16 @@ library.  It provides:
 * :mod:`repro.solver.budget` — ambient wall-clock/pivot/node budgets; the
   hot loops above charge against the active budget and raise a typed
   :class:`repro.errors.SolverTimeout` when it runs out.
-* :mod:`repro.solver.warmstart` — :class:`WarmStartHandle`, incumbent-bound
-  reuse of prior solutions that provably cannot change any result.
-* :mod:`repro.solver.dedup` — ambient content-keyed cache replaying solves
-  of structurally identical constraint systems.
 
 :class:`Problem` calls the simplex and branch and bound directly; there is
-one solver.  Tier-1 checks that its reuse paths (warm-start bounds, solve
-replay) never change an answer by re-running goldens and end-to-end
-records with both switched off (the ``cold_solver`` test fixture).
+one solver, and no solve is cached or warm-started.
 """
 
 from repro.solver.budget import SolveBudget, get_budget, use_budget
-from repro.solver.dedup import SolveCache, get_solve_cache, use_solve_cache
 from repro.solver.lp import LinearProgram, LPResult, LPStatus, solve_lp
 from repro.solver.ilp import BranchLimitExceeded, solve_ilp, integer_feasible
 from repro.solver.lexmin import lexicographic_minimize
 from repro.solver.problem import LinExpr, Constraint, Problem, var
-from repro.solver.warmstart import WarmStartHandle, incumbent_bound
 
 __all__ = [
     "LinearProgram",
@@ -48,9 +40,4 @@ __all__ = [
     "SolveBudget",
     "get_budget",
     "use_budget",
-    "WarmStartHandle",
-    "incumbent_bound",
-    "SolveCache",
-    "get_solve_cache",
-    "use_solve_cache",
 ]

@@ -22,14 +22,6 @@ distinguishes them from the per-call ``max_nodes`` cap: exceeding
 scheduler treats that single dimension as infeasible (backtracking
 ladder); exhausting a budget raises :class:`SolverTimeout` and aborts
 the whole attempt (degradation ladder in the pipeline).
-
-Interaction with solver reuse (``repro.solver.warmstart`` /
-``repro.solver.dedup``): warm-started solves still run the simplex and
-branch and bound, so every pivot and node they execute is charged as
-usual — a warm start simply leaves fewer of them to charge.  Replays
-from the content-keyed solve cache do no solver work at all and charge
-nothing, but they still call :meth:`ActiveBudget.check_deadline` so an
-expired deadline fires even on an all-hit attempt.
 """
 
 from __future__ import annotations

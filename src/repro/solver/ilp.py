@@ -50,14 +50,15 @@ def solve_ilp(lp: LinearProgram,
     integrality requirements, or status INFEASIBLE/UNBOUNDED.
 
     ``incumbent_bound`` is the objective value of a *known feasible integral
-    point* (from a warm-start handle or a previous lexicographic level).  It
-    enables one extra prune — discarding nodes whose relaxation is *strictly*
-    worse than the bound — which provably cannot change the returned point:
-    every subtree it removes contains only values worse than the optimum, and
-    the first node at which the plain search would accept an incumbent of
-    value <= bound is reached unpruned.  The candidate is never seeded as
-    ``best`` (that could win objective ties against the point the cold search
-    finds first), so warm results stay bitwise-identical to cold ones.
+    point* (the optimum of the previous lexicographic level).  It enables
+    one extra prune — discarding nodes whose relaxation is *strictly* worse
+    than the bound — which provably cannot change the returned point: every
+    subtree it removes contains only values worse than the optimum, and the
+    first node at which the plain search would accept an incumbent of value
+    <= bound is reached unpruned.  The point is never seeded as ``best``
+    (that could win objective ties against the point the unbounded search
+    finds first), so bounded results stay bitwise-identical to unbounded
+    ones.
     """
     if integer_mask is None:
         integer_mask = [True] * lp.n_vars

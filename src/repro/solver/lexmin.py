@@ -20,8 +20,7 @@ from repro.solver.ilp import solve_ilp
 def lexicographic_minimize(lp: LinearProgram,
                            objectives: Sequence[Sequence[Rat]],
                            integer_mask: Optional[Sequence[bool]] = None,
-                           max_nodes: int = 100_000,
-                           incumbent_bound: Optional[Rat] = None) -> LPResult:
+                           max_nodes: int = 100_000) -> LPResult:
     """Lexicographically minimize ``objectives`` over the feasible set of ``lp``.
 
     ``lp.objective`` is ignored; each row of ``objectives`` is one level of
@@ -31,14 +30,13 @@ def lexicographic_minimize(lp: LinearProgram,
     Levels chain their incumbents: the optimum of level ``k`` is a feasible
     integral point of level ``k+1``'s pinned problem, so its value under the
     next objective seeds that solve's strict bound (see
-    :func:`repro.solver.ilp.solve_ilp`).  ``incumbent_bound`` optionally
-    seeds level 0 the same way (e.g. from a warm-start candidate).
+    :func:`repro.solver.ilp.solve_ilp`).
     """
     if not objectives:
         raise ValueError("need at least one objective level")
     current = lp
     result: Optional[LPResult] = None
-    bound = incumbent_bound
+    bound: Optional[Rat] = None
     levels = [[frac(c) for c in level] for level in objectives]
     for index, level in enumerate(levels):
         if len(level) != lp.n_vars:

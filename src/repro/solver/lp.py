@@ -168,9 +168,8 @@ class LPResult:
     """Result of an LP solve: status, primal point and objective value.
 
     ``basis`` is the final simplex basis (standard-form column indices, one
-    per tableau row).  It is diagnostic state for warm-start handles; it is
-    never replayed into a later solve, so results stay pivot-for-pivot
-    reproducible.
+    per tableau row).  It is diagnostic state; it is never replayed into a
+    later solve, so results stay pivot-for-pivot reproducible.
     """
 
     status: LPStatus

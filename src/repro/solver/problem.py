@@ -22,12 +22,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 from repro.linalg.rational import Rat, div, frac
 from repro.obs.runtime import get_obs
-from repro.solver.budget import get_budget
-from repro.solver.dedup import get_solve_cache, is_miss
 from repro.solver.ilp import solve_ilp
 from repro.solver.lexmin import lexicographic_minimize
 from repro.solver.lp import LinearProgram, LPStatus, integer_row
-from repro.solver.warmstart import WarmStartHandle, incumbent_bound
 
 Scalar = Union[Rat, str]
 
@@ -348,16 +345,6 @@ def eliminate_pinned(constraints: Sequence[Constraint], eligible: set[str],
     return kept, rows[n_original:], trail
 
 
-# Memo for :meth:`Problem.fold_objectives`: the fold is pure content →
-# content (level signatures + the mentioned variables' bounds) and every
-# scheduling dimension of a kernel folds the same objective, so results are
-# shared process-wide.  Entries (None included — the unbounded case) are
-# immutable by contract.
-_FOLD_CACHE: dict = {}
-_FOLD_CACHE_MAX = 4096
-_FOLD_MISS = object()
-
-
 class Problem:
     """Collects named variables and constraints; lowers to LinearProgram."""
 
@@ -373,8 +360,7 @@ class Problem:
         # Cached objective-independent part of ``lower_to_lp`` (constraint
         # matrix and bounds columns); invalidated by ``add_variable`` /
         # ``add_constraint``.  Solving the same problem under several
-        # objectives (lexmin levels, warm/cold comparisons) re-lowers for
-        # free.
+        # objectives (lexmin levels) re-lowers for free.
         self._lowered: Optional[tuple] = None
 
     # -- declaration -----------------------------------------------------------
@@ -522,179 +508,58 @@ class Problem:
             assignment[name] = expr.evaluate(assignment)
         return assignment
 
-    # -- content keys (for the ambient solve cache) ------------------------------
-
-    def _expr_key(self, expr: Optional[LinExpr]) -> Optional[tuple]:
-        """Positional signature of an objective expression.
-
-        Values are canonical scalars, a unique representation, so the key
-        holds them as they are; whole ones are ints, which hash far faster
-        than ``Fraction``s.
-        """
-        if expr is None:
-            return None
-        index = self._index
-        return (tuple(sorted((index[n], c) for n, c in expr.coeffs.items())),
-                expr.const)
-
-    def _content_key(self, kind: str, objective_key,
-                     max_nodes: int) -> tuple:
-        """Name-erased content of the whole problem.
-
-        Variables appear only as column positions, so two problems that
-        differ in nothing but variable names (e.g. per-statement sub-kernels
-        of the ``tvm`` variant) share a key.  Constraint order and each
-        constraint's coefficient *insertion* order are preserved — presolve's
-        victim selection walks them in order, so order is part of the
-        content that determines the exact result.
-        """
-        index = self._index
-        constraints = tuple(
-            (c.sense,
-             tuple((index[n], v) for n, v in c.expr.coeffs.items()),
-             c.expr.const)
-            for c in self._constraints)
-        lower, upper, integer = self._lower, self._upper, self._integer
-        declarations = tuple((lower[n], upper[n], integer[n])
-                             for n in self._order)
-        return (kind, max_nodes, declarations, constraints, objective_key)
+    def _solve_presolved(self, protect: set[str],
+                         solve_reduced) -> Optional[dict[str, Rat]]:
+        """Presolve (keeping ``protect``), hand the reduced problem to
+        ``solve_reduced`` and recover the eliminated values.  Feeds the
+        ``solver.solve_seconds`` histogram."""
+        started = time.perf_counter()
+        try:
+            reduced, eliminated = self.presolved(protect=protect)
+            sub = solve_reduced(reduced)
+            return None if sub is None else self._recover(sub, eliminated)
+        finally:
+            metrics = get_obs().metrics
+            if metrics.enabled:
+                metrics.observe("solver.solve_seconds",
+                                time.perf_counter() - started)
 
     # -- solving ----------------------------------------------------------------
 
     def solve(self, objective: Optional[LinExpr] = None,
               max_nodes: int = 100_000,
-              presolve: bool = True,
-              warm: Optional[WarmStartHandle] = None,
-              _incumbent_bound: Optional[Rat] = None,
-              ) -> Optional[dict[str, Rat]]:
+              presolve: bool = True) -> Optional[dict[str, Rat]]:
         """Minimize ``objective`` (feasibility check if None).
 
         Returns the assignment dict, or None if infeasible/unbounded.
-        ``warm`` offers prior solutions as incumbent bounds; the result is
-        bitwise-identical to a cold solve (see :mod:`repro.solver.warmstart`).
         """
         if presolve:
-            # Public entry: the recursive presolve=False call below is part
-            # of the same solve, so only this level feeds the histogram.
-            started = time.perf_counter()
-            warm_hit = False
-            try:
-                metrics = get_obs().metrics
-                cache = get_solve_cache()
-                if cache is not None:
-                    key = self._content_key("solve", self._expr_key(objective),
-                                            max_nodes)
-                    value = cache.lookup(key)
-                    if not is_miss(value):
-                        if metrics.enabled:
-                            metrics.count("solver.dedup.hits")
-                        budget = get_budget()
-                        if budget is not None:
-                            budget.check_deadline()
-                        if value is None:
-                            return None
-                        return dict(zip(self._order, value))
-                    if metrics.enabled:
-                        metrics.count("solver.dedup.misses")
-                protect = objective.variables() if objective is not None else set()
-                reduced, eliminated = self.presolved(protect=protect)
-                bound = None
-                if warm is not None and warm:
-                    bound = incumbent_bound(reduced, objective, warm)
-                    warm_hit = bound is not None
-                    if metrics.enabled:
-                        metrics.count("solver.warmstart.hits" if warm_hit
-                                      else "solver.warmstart.misses")
-                sub = reduced.solve(objective, max_nodes=max_nodes,
-                                    presolve=False, _incumbent_bound=bound)
-                result = None if sub is None else self._recover(sub, eliminated)
-                if cache is not None:
-                    cache.store(key, None if result is None
-                                else [result[n] for n in self._order])
-                return result
-            finally:
-                metrics = get_obs().metrics
-                if metrics.enabled:
-                    elapsed = time.perf_counter() - started
-                    metrics.observe("solver.solve_seconds", elapsed)
-                    if warm_hit:
-                        metrics.observe("solver.warmstart.reuse_seconds",
-                                        elapsed)
+            protect = objective.variables() if objective is not None else set()
+            return self._solve_presolved(protect, lambda reduced: reduced.solve(
+                objective, max_nodes=max_nodes, presolve=False))
         lp = self.lower_to_lp(objective)
         result = solve_ilp(lp, integer_mask=self.integer_mask(),
-                           max_nodes=max_nodes,
-                           incumbent_bound=_incumbent_bound)
+                           max_nodes=max_nodes)
         if result.status is not LPStatus.OPTIMAL:
             return None
         return dict(zip(self._order, result.x))
 
     def lexmin(self, objectives: Sequence[LinExpr],
                max_nodes: int = 100_000,
-               presolve: bool = True,
-               warm: Optional[WarmStartHandle] = None,
-               _incumbent_bound: Optional[Rat] = None,
-               ) -> Optional[dict[str, Rat]]:
-        """Lexicographically minimize the given objective expressions.
-
-        ``warm`` candidates seed the first level's incumbent bound; later
-        levels chain their own incumbents (see
-        :func:`repro.solver.lexmin.lexicographic_minimize`).
-        """
+               presolve: bool = True) -> Optional[dict[str, Rat]]:
+        """Lexicographically minimize the given objective expressions (see
+        :func:`repro.solver.lexmin.lexicographic_minimize`)."""
         if presolve:
-            started = time.perf_counter()
-            warm_hit = False
-            try:
-                metrics = get_obs().metrics
-                cache = get_solve_cache()
-                if cache is not None:
-                    key = self._content_key(
-                        "lexmin",
-                        tuple(self._expr_key(obj) for obj in objectives),
-                        max_nodes)
-                    value = cache.lookup(key)
-                    if not is_miss(value):
-                        if metrics.enabled:
-                            metrics.count("solver.dedup.hits")
-                        budget = get_budget()
-                        if budget is not None:
-                            budget.check_deadline()
-                        if value is None:
-                            return None
-                        return dict(zip(self._order, value))
-                    if metrics.enabled:
-                        metrics.count("solver.dedup.misses")
-                protect = set()
-                for obj in objectives:
-                    protect |= obj.variables()
-                reduced, eliminated = self.presolved(protect=protect)
-                bound = None
-                if warm is not None and warm and objectives:
-                    bound = incumbent_bound(reduced, objectives[0], warm)
-                    warm_hit = bound is not None
-                    if metrics.enabled:
-                        metrics.count("solver.warmstart.hits" if warm_hit
-                                      else "solver.warmstart.misses")
-                sub = reduced.lexmin(objectives, max_nodes=max_nodes,
-                                     presolve=False, _incumbent_bound=bound)
-                result = None if sub is None else self._recover(sub, eliminated)
-                if cache is not None:
-                    cache.store(key, None if result is None
-                                else [result[n] for n in self._order])
-                return result
-            finally:
-                metrics = get_obs().metrics
-                if metrics.enabled:
-                    elapsed = time.perf_counter() - started
-                    metrics.observe("solver.solve_seconds", elapsed)
-                    if warm_hit:
-                        metrics.observe("solver.warmstart.reuse_seconds",
-                                        elapsed)
+            protect: set[str] = set()
+            for obj in objectives:
+                protect |= obj.variables()
+            return self._solve_presolved(protect, lambda reduced: reduced.lexmin(
+                objectives, max_nodes=max_nodes, presolve=False))
         lp = self.lower_to_lp()
         rows = [self._row(obj) for obj in objectives]
         result = lexicographic_minimize(lp, rows,
                                         integer_mask=self.integer_mask(),
-                                        max_nodes=max_nodes,
-                                        incumbent_bound=_incumbent_bound)
+                                        max_nodes=max_nodes)
         if result.status is not LPStatus.OPTIMAL:
             return None
         return dict(zip(self._order, result.x))
@@ -705,32 +570,7 @@ class Problem:
 
         Returns None when some level has an unbounded range (callers should
         fall back to true lexicographic solving).
-
-        The result depends only on the levels' content and the bounds of the
-        variables they mention — identical for every scheduling dimension of
-        a kernel — so it is memoized process-wide.  Returned expressions are
-        shared and must not be mutated.
         """
-        names: list[str] = []
-        seen: set[str] = set()
-        for obj in objectives:
-            for name in obj.coeffs:
-                if name not in seen:
-                    seen.add(name)
-                    names.append(name)
-        lower, upper = self._lower, self._upper
-        key = (tuple(obj.signature() for obj in objectives),
-               tuple((n, lower[n], upper[n]) for n in names))
-        cached = _FOLD_CACHE.get(key, _FOLD_MISS)
-        if cached is not _FOLD_MISS:
-            return cached
-        folded = self._fold_objectives(objectives)
-        if len(_FOLD_CACHE) >= _FOLD_CACHE_MAX:
-            _FOLD_CACHE.clear()
-        _FOLD_CACHE[key] = folded
-        return folded
-
-    def _fold_objectives(self, objectives: Sequence[LinExpr]) -> Optional[LinExpr]:
         spans: list[Rat] = []
         for obj in objectives:
             span = 0

@@ -4,8 +4,8 @@ Pins a deterministic hypothesis profile so the property tests draw the
 same examples on every machine: tier-1 and CI results stay reproducible,
 and a failing example reported by CI replays locally.  Set
 ``HYPOTHESIS_PROFILE=dev`` to get fresh random examples while iterating.
-Also provides the ``cold_solver`` and ``reference_simulator`` control-arm
-fixtures (``tests/control_arms.py``).
+Also provides the ``reference_simulator`` control-arm fixture
+(``tests/control_arms.py``).
 """
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ def _isolated_run_store(tmp_path, monkeypatch):
     """Point the ambient run store at a per-test directory so CLI tests
     never append run records into the developer's ``.repro/runs``."""
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
-
-
-@pytest.fixture
-def cold_solver(monkeypatch):
-    """Solve every problem cold (see ``tests/control_arms.py``)."""
-    control_arms.cold_solver(monkeypatch)
 
 
 @pytest.fixture

@@ -473,7 +473,8 @@ class TestProfileCache:
         with use_profile_cache(cache):
             a = simulate_kernel(first, sample_blocks=2)
             b = simulate_kernel(second, sample_blocks=2)
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
+        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1,
+                                 "evictions": 0}
         # The replayed profile carries the requester's name, same counters.
         assert b.name == "copy_renamed"
         assert a.name == first.kernel.name
@@ -535,14 +536,15 @@ class TestProfileCache:
         with use_profile_cache(ProfileCache()) as cache:
             a = pipeline.compile_and_measure(kernel, "novec")
             b = pipeline.compile_and_measure(kernel, "infl")
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
+        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1,
+                                 "evictions": 0}
         assert [p.counters() for p in a.profiles] \
             == [p.counters() for p in b.profiles]
 
     def test_lru_bound(self):
         cache = ProfileCache(max_entries=2)
         for index in range(3):
-            cache.store(("key", index), index)
+            cache.put(("key", index), index)
         assert len(cache) == 2
-        assert cache.lookup(("key", 0)) is not None  # evicted -> miss
+        assert cache.get(("key", 0)) is None  # evicted -> miss
         assert cache.misses == 1

@@ -17,13 +17,16 @@ def _config(**overrides):
 
 @pytest.fixture(scope="module")
 def warm_process():
-    """Warm the process-global emptiness memo before measuring.
+    """Warm the process-wide memos before measuring.
 
-    ``repro.sets.polyhedron._EMPTINESS_CACHE`` persists for the life of the
-    process: the first evaluation pays extra solver work (LP solves, pivots)
-    that later runs — and forked workers, which inherit the warm cache —
-    skip.  Warming once makes the serial and parallel runs below start from
-    the same cache state, so their solver counters match exactly."""
+    The dependence memo (``repro.deps.analysis.DEPENDENCES_MEMO``,
+    ``cache.deps``) and the emptiness memo
+    (``repro.sets.polyhedron.EMPTINESS_MEMO``, ``cache.emptiness``)
+    persist for the life of the process: the first evaluation misses and
+    pays extra solver work (LP solves, pivots) that later runs — and forked
+    workers, which inherit the warm memos — skip.  Warming once makes the
+    serial and parallel runs below start from the same memo state, so their
+    solver and memo counters match exactly."""
     evaluate_network("LSTM", _config())
 
 

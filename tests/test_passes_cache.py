@@ -242,8 +242,8 @@ class TestScheduleCache:
         for index in range(4):
             cache.store((index,), relations=[], schedule=None)
         assert len(cache) == 2
-        assert cache.lookup((0,)) is None  # evicted, counted as a miss
-        assert cache.lookup((3,)) is not None
+        assert cache.get((0,)) is None  # evicted, counted as a miss
+        assert cache.get((3,)) is not None
 
     def test_disabled_cache(self):
         pipeline = AkgPipeline(sample_blocks=2, enable_cache=False)

@@ -132,6 +132,14 @@ class TestFormatDecisionPath:
         journal.backtrack("sibling", dim=1)
         assert "FALLBACK sibling" in format_decision_path(journal.events)
 
+    def test_render_ignores_retired_reuse_counts(self):
+        # Journals written while solves were warm-started or replayed carry
+        # per-dimension reuse counts; they still render, without them.
+        text = format_decision_path([{
+            "kind": "dimension", "dim": 0, "feasible": True,
+            "coincidence": True, "warmstart_hits": 2, "dedup_hits": 1}])
+        assert text == "  dim 0: built [coincident]"
+
     def test_render_pruned_scenarios(self):
         journal = ProvenanceJournal()
         journal.scenario("S", ["i"], 2.0, vector_width=0, rank=3, kept=False)

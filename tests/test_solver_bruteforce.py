@@ -6,7 +6,7 @@ rows with coefficients in [-3, 3]) are solved by ``Problem.solve``,
 enumerating every lattice point of the box.  The feasibility verdict and
 the optimal objective value(s) must agree exactly.  Farkas-shaped programs
 (continuous multipliers tied to the unknowns by equalities) come from the
-strategy of ``tests/test_warmstart_parity.py``; the enumerator solves each
+strategy of ``tests/strategies.py``; the enumerator solves each
 multiplier from its equality.
 
 The tier-1 profile runs a few dozen examples; the ``slow`` profile, run by
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.sets.polyhedron import Polyhedron
 from repro.solver.problem import Constraint, LinExpr, Problem
-from tests.test_warmstart_parity import farkas_like_problems
+from tests.strategies import farkas_like_problems
 
 BOX = 4
 TIER1_EXAMPLES = 40

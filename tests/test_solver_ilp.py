@@ -62,6 +62,21 @@ class TestILP:
         with pytest.raises(BranchLimitExceeded):
             solve_ilp(problem, max_nodes=1)
 
+    def test_incumbent_bound_prunes_nodes(self):
+        # With a bound equal to the optimum, branch and bound may prune
+        # strictly-worse subtrees — but the status and point are unchanged.
+        p = Problem()
+        x = p.add_variable("x", lower=0, upper=4)
+        y = p.add_variable("y", lower=0, upper=4)
+        p.add_constraint(x + y >= 3)
+        lp = p.lower_to_lp(x + 2 * y)
+        plain = solve_ilp(lp, integer_mask=p.integer_mask())
+        bounded = solve_ilp(lp, integer_mask=p.integer_mask(),
+                            incumbent_bound=plain.objective)
+        assert bounded.status is LPStatus.OPTIMAL
+        assert bounded.x == plain.x
+        assert bounded.objective == plain.objective
+
     def test_mask_length_check(self):
         with pytest.raises(ValueError):
             solve_ilp(boxed_lp([1, 1]), integer_mask=[True])

@@ -132,11 +132,6 @@ class TestCommittedGoldens:
             "family golden must pin the template baseline"
 
 
-@pytest.mark.usefixtures("cold_solver")
-class TestCommittedGoldensColdSolver(TestCommittedGoldens):
-    """No solve replayed from the dedup cache, no warm-start bound."""
-
-
 @pytest.mark.usefixtures("reference_simulator")
 class TestCommittedGoldensReferenceSimulator(TestCommittedGoldens):
     """Every launch simulated on the reference interpreter."""
