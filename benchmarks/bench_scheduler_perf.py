@@ -139,12 +139,13 @@ def _compile_cases(pipeline):
 
 
 def test_bench_pipeline_cold(benchmark):
-    """Full-pipeline compile cost with nothing to reuse: each round gets a
-    fresh pipeline, so its schedule cache is empty and every schedule is
-    solved.  This is the series where solver changes show.  The warm-up
-    round fills the process-global memos (dependences, Farkas
-    linearizations, emptiness answers), so every measured round starts from
-    the same state."""
+    """Full-pipeline compile cost with an empty schedule cache: each round
+    gets a fresh pipeline, so every schedule is solved.  This is the
+    series where solver changes show.  It is not fully cold: the two
+    process-wide memos, dependences and emptiness answers, outlive the
+    pipeline, and the warm-up round fills them, so every timed round
+    starts warm on both and skips most dependence analysis and emptiness
+    solving."""
     from repro.pipeline import AkgPipeline
 
     def fresh_pipeline():

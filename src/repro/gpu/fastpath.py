@@ -57,16 +57,19 @@ where each lane reads along its own row) repeat their previous issue for
 most iterations: every lane stays in one sector for ``sector / element``
 iterations.
 
-Statement loops.  A sequential loop segment whose one live child is a
-statement call, with lane-invariant bounds, is issued by one routine
-(:meth:`_FastSimulator._fissue_scalar`; a lone scalar issue is its
-one-value case).  Each access's address steps by its stride on the loop
-variable, so its residue modulo the sector — and with it the warp
-signature and pattern — repeats with a period dividing the sector size,
-while its base sector advances by a fixed amount per period.  The first
-period does the pattern lookups of single issues; later iterations reuse
-its patterns, counting the same memo hits and costs, and only drive the
-hierarchy.
+Statement loops.  A sequential loop segment whose live children are all
+statement calls, with lane-invariant bounds, is issued by one routine
+(:meth:`_FastSimulator._issue_calls`; a lone scalar issue, and a mapped
+loop body made of statement calls, are its one-value cases).  Per value of the loop
+variable it issues every live call in turn.  Each access's address steps
+by its stride on the loop variable, so its residue modulo the sector —
+and with it the warp signature and pattern — repeats with a period
+dividing the sector size, while its base sector advances by a fixed
+amount per period; the calls' joint period is the least common multiple
+of theirs, again a divisor of the sector size.  The first joint period
+does the pattern lookups of single issues; later iterations reuse its
+patterns, counting the same memo hits and costs, and only drive the
+hierarchy, call after call.
 
 Loop segment plans.  Fused operators lower to *union* loops: polyhedral
 code generation without loop separation emits one loop over the union of
@@ -75,21 +78,30 @@ of it.  Walking such a loop tests every guard on every iteration, so
 each sequential loop runs a static plan instead, built once per loop
 node: one entry per body child (a ``forvec`` child contributes one per
 ``(child, lane value)`` pair, in :meth:`_FastSimulator._frun_vector`'s
-order, with the lane value substituted as a constant), and for each
-entry the conditions of its guard chain (nested single-child guards,
-folded into one conjunction) that are *exact*: integral, lane-invariant
-and over the loop variable plus names fixed for the whole loop.  On each
-entry to the loop, every exact chain's solution interval on the loop
-variable is solved with integer floor/ceil arithmetic, the range is cut
-at the interval endpoints, and each segment runs only its live entries,
-in order; segments where none is live are skipped.  A chain whose
-conditions are all exact runs its innermost body with no guard
-evaluation; one with conditions outside the exact subset (rational,
-lane-variant) is pruned where its exact part is false and evaluates its
-guards normally elsewhere.  Guards are pure, so the sequence of memory
-operations — and every counter — is unchanged.  A loop with no guarded
-child is the one-segment case; the (iteration, child) pairs never walked
-are counted as ``sim.fastpath.pruned_iterations``.
+order, with the lane value substituted as a constant).  Each entry
+carries its *lifted* conditions: one conjunction per statement path
+beneath the child, collected through guards and nested sequential loops,
+keeping the conditions that are *exact* — integral, lane-invariant and
+over the loop variable plus names fixed for the whole loop (no nested
+loop or ``forvec`` assigns them).  Lifting stops at a mapped loop, which
+shifts its variable on every run and so must run wherever the reference
+reaches it.  On each entry to the loop, every conjunction's solution
+interval on the loop variable is solved with integer floor/ceil
+arithmetic, the range is cut at the interval endpoints, and each segment
+runs only the entries live on it (some conjunction holds), in order;
+segments where none is live are skipped, and a nested loop whose
+statements cannot run on a value is never entered there.  A child with
+no statement beneath it is never live.  A guard chain (nested
+single-child guards) whose conditions are all exact runs its innermost
+body with no guard evaluation; one with conditions outside the exact
+subset (rational, lane-variant) is pruned where its exact part is false
+and evaluates its guards normally elsewhere.  Guards are pure and
+skipped subtrees issue nothing, so the sequence of memory operations —
+and every counter — is unchanged.  A loop with no conditional child is
+the one-segment case.  ``sim.fastpath.pruned_iterations`` counts the
+(value, entry) pairs of planned loops left unwalked, lifted skips
+included; the pairs of a nested loop that is never entered are not
+counted again.
 
 Constructs outside this model (currently: a mapped loop whose lower bound
 has nonzero thread coefficients, or an unknown AST node) raise
@@ -199,31 +211,36 @@ def _live_span(conditions, env: dict, lo: int, hi: int):
 def _segments(entries, env: dict, lo: int, hi: int):
     """Cut ``[lo, hi]`` at the live spans of a loop plan's entries.
 
-    Returns ``(segments, pruned)``: ``segments`` lists ``(start, stop,
-    live runs)`` for the half-open value ranges where at least one entry
-    is live, in ascending order with the runs in entry order; ``pruned``
-    counts the (value, entry) pairs left unwalked."""
-    spans = []
+    An entry is ``(paths, run)``: ``paths`` is ``None`` for an always-live
+    entry, else a tuple of normalized condition conjunctions, and the
+    entry is live where any of them holds.  Returns ``(segments,
+    pruned)``: ``segments`` lists ``(start, stop, live runs)`` for the
+    half-open value ranges where at least one entry is live, in ascending
+    order with the runs in entry order; ``pruned`` counts the (value,
+    entry) pairs left unwalked."""
+    spans = []  # (first, last, entry index, run), in entry order
     cuts = {lo, hi + 1}
-    for conditions, run in entries:
-        if conditions is None:
-            spans.append((lo, hi, run))
+    for index, (paths, run) in enumerate(entries):
+        if paths is None:
+            spans.append((lo, hi, index, run))
             continue
-        span = _live_span(conditions, env, lo, hi)
-        if span is not None:
-            cuts.add(span[0])
-            cuts.add(span[1] + 1)
-            spans.append((span[0], span[1], run))
+        for conditions in paths:
+            span = _live_span(conditions, env, lo, hi)
+            if span is not None:
+                cuts.add(span[0])
+                cuts.add(span[1] + 1)
+                spans.append((span[0], span[1], index, run))
     total = (hi - lo + 1) * len(entries)
-    if len(cuts) == 2:
-        if not spans:
-            return (), total
-        return ((lo, hi + 1, [run for _, _, run in spans]),), \
-            total - (hi - lo + 1) * len(spans)
     cuts = sorted(cuts)
     segments = []
     for start, stop in zip(cuts, cuts[1:]):
-        live = [run for first, last, run in spans if first <= start <= last]
+        live = []
+        previous = -1
+        for first, last, index, run in spans:
+            # An entry's spans are adjacent in `spans`: keep its first hit.
+            if index != previous and first <= start <= last:
+                live.append(run)
+                previous = index
         if live:
             segments.append((start, stop, live))
             total -= (stop - start) * len(live)
@@ -270,7 +287,7 @@ class _FastState:
         self.guard_cache: dict = {}   # (id, warp, dep values) -> pass mask
         self.loop_plans: dict = {}    # id(loop) -> (lowers, uppers, deps)
         self.loop_cache: dict = {}    # (id, warp, dep values) -> bounds
-        self.mapped_plans: dict = {}  # id(loop) -> (lowers, deps)
+        self.mapped_plans: dict = {}  # id(loop) -> (lowers, deps, runs)
         self.mapped_cache: dict = {}  # (id, dep values) -> lower shift
         # (id(call), warp_start, stepped var) -> the per-access strides
         # and offset vectors a statement issue needs (`_call_plan`).
@@ -409,7 +426,7 @@ class _FastSimulator(_Simulator):
             if mask:
                 self._frun(node.body, mask)
         elif isinstance(node, StatementCall):
-            self._fissue_scalar(node, mask)
+            self._issue_calls(((None, 0, node, 0),), mask)
         elif isinstance(node, Loop):
             if node.mapping:
                 self._frun_mapped(node, mask)
@@ -500,9 +517,15 @@ class _FastSimulator(_Simulator):
                     raise FallbackNeeded(
                         f"lane-variant lower bound on mapped loop "
                         f"{loop.var!r}")
-            plan = (lower_exprs, self._expr_deps(lower_exprs))
+            children = loop.body.children
+            # A body of statement calls only issues them in one pass.
+            runs = (tuple((None, 0, child, 0) for child in children)
+                    if children and all(isinstance(child, StatementCall)
+                                        for child in children)
+                    else None)
+            plan = (lower_exprs, self._expr_deps(lower_exprs), runs)
             self._mapped_plans[id(loop)] = plan
-        lower_exprs, deps = plan
+        lower_exprs, deps, runs = plan
         # The shift is lane-invariant, hence identical across warp slots.
         key = (id(loop), tuple(env[name] for name in deps))
         lo = self._mapped_cache.get(key, _UNSET)
@@ -517,7 +540,10 @@ class _FastSimulator(_Simulator):
             self._mapped_cache[key] = lo
         if lo:
             env[loop.var] += lo
-        self._frun(loop.body, mask)
+        if runs is None:
+            self._frun(loop.body, mask)
+        else:
+            self._issue_calls(runs, mask)
 
     def _frun_loop(self, loop: Loop, mask: int) -> None:
         env = self._env
@@ -537,7 +563,7 @@ class _FastSimulator(_Simulator):
             # variable, so leave the env untouched too.
             return
         if entries is None:
-            # No guarded child: the one-segment case.
+            # No conditional child: the one-segment case.
             segments = ((lo, hi + 1, runs),)
         else:
             segments, pruned = _segments(entries, env, lo, hi)
@@ -545,20 +571,21 @@ class _FastSimulator(_Simulator):
         var = loop.var
         frun = self._frun
         for start, stop, live in segments:
-            if lane_masks is None and len(live) == 1 and live[0][0] is None \
-                    and not live[0][3]:
-                # Lane-invariant bounds, one plain child: every value runs
-                # with the caller's mask unchanged.
-                target = live[0][2]
-                if isinstance(target, StatementCall):
-                    # A statement loop: issue the whole segment at once.
+            if lane_masks is None:
+                # Lane-invariant bounds: every value runs with the
+                # caller's mask unchanged.
+                if all(type(run[2]) is StatementCall and not run[3]
+                       for run in live):
+                    # Only statement calls: issue the whole segment at once.
                     env[var] = start
-                    self._fissue_scalar(target, mask, var, stop - start)
+                    self._issue_calls(live, mask, var, stop - start)
                     continue
-                for value in range(start, stop):
-                    env[var] = value
-                    frun(target, mask)
-                continue
+                if len(live) == 1 and live[0][0] is None and not live[0][3]:
+                    target = live[0][2]
+                    for value in range(start, stop):
+                        env[var] = value
+                        frun(target, mask)
+                    continue
             for value in range(start, stop):
                 if lane_masks is None:
                     sub_mask = mask
@@ -591,13 +618,9 @@ class _FastSimulator(_Simulator):
         entry per body child — a ``forvec`` child contributes one entry
         per ``(child, lane value)`` in :meth:`_frun_vector`'s order.
 
-        Each entry is ``(conditions, run)``: ``conditions`` is ``None``
-        for an always-live child, else the child's guard-chain conditions
-        that are exact on the loop variable; ``run`` is ``(lane var, lane
-        value, target, vector width)``, where the target of a fully exact
-        chain is its innermost body (no guard is evaluated) and that of a
-        partly exact chain is the chain itself.  ``entries`` is ``None``
-        when no entry has conditions."""
+        Each entry is ``(paths, run)`` (see :meth:`_plan_entry`); ``run``
+        is ``(lane var, lane value, target, vector width)``.  ``entries``
+        is ``None`` when every entry is always live."""
         lower_exprs, upper_exprs = self._compiled_bounds(loop)
         deps = self._expr_deps(lower_exprs + upper_exprs)
         # Names whose env values stay fixed for the whole loop: bound at
@@ -624,57 +647,92 @@ class _FastSimulator(_Simulator):
                 entries.append(self._plan_entry(child, loop.var, bound,
                                                 None, 0))
         runs = [run for _, run in entries]
-        if all(conditions is None for conditions, _ in entries):
+        if all(paths is None for paths, _ in entries):
             entries = None
         return (lower_exprs, upper_exprs, deps, entries, runs,
                 tuple(lane_vars))
 
     def _plan_entry(self, child, var: str, bound: set, lane_var, lane_value):
-        """``(conditions, run)`` of one body child (see :meth:`_plan_loop`):
-        its guard chain — nested single-child guards — folded into one
-        conjunction, keeping the conditions that are integral,
-        lane-invariant and over ``var`` plus ``bound`` names only."""
-        conditions = []
+        """``(paths, run)`` of one body child (see :meth:`_plan_loop`).
+
+        ``paths`` holds one conjunction per statement path beneath the
+        child: the conditions on that path, through guards and nested
+        sequential loops, that are integral, lane-invariant and over
+        ``var`` plus ``bound`` names only (:meth:`_exact_conditions`).
+        Wherever every conjunction is false no statement beneath the child
+        can run, so the child is skipped.  ``paths`` is ``()`` for a child
+        with no statement and ``None`` for one with an unconditional path.
+
+        Lifting stops at a mapped loop, which is a path end: it shifts its
+        variable's env value on every run, so it must run wherever the
+        reference reaches it.  Conditions over a name that a nested loop
+        or ``forvec`` assigns are not exact for the whole loop, so they
+        are left out, which only widens a path's span.
+
+        The run's target is the child, or the innermost body of its guard
+        chain (nested single-child guards) when every condition of the
+        chain is exact: wherever a path holds, so does the whole chain,
+        and no guard needs evaluating."""
+        chain = ()
         exact = True
         node = child
         while isinstance(node, Guard):
-            for sense, expr in self._compiled_conditions(node):
-                condition = self._exact_condition(sense, expr, var, bound,
-                                                  lane_var, lane_value)
-                if condition is None:
-                    exact = False
-                else:
-                    conditions.append(condition)
+            conditions, all_exact = self._exact_conditions(
+                node, var, bound, lane_var, lane_value)
+            chain += conditions
+            exact = exact and all_exact
             children = node.body.children
             node = children[0] if len(children) == 1 else node.body
-        if node is child or not conditions:
-            return (None, (lane_var, lane_value, child, 0))
-        return (tuple(conditions),
+        paths = []
+        stack = [(node, chain)]
+        while stack:
+            below, conditions = stack.pop()
+            if isinstance(below, Guard):
+                stack.append((below.body, conditions + self._exact_conditions(
+                    below, var, bound, lane_var, lane_value)[0]))
+            elif isinstance(below, Seq):
+                stack.extend((grand, conditions)
+                             for grand in reversed(below.children))
+            elif isinstance(below, Loop) and not below.mapping:
+                stack.append((below.body, conditions))
+            elif not conditions:
+                # A statement call, mapped loop or unknown node that runs
+                # wherever the child does.
+                return (None, (lane_var, lane_value, child, 0))
+            elif conditions not in paths:
+                paths.append(conditions)
+        return (tuple(paths),
                 (lane_var, lane_value, node if exact else child, 0))
 
-    def _exact_condition(self, sense: str, expr, var: str, bound: set,
-                         lane_var, lane_value):
-        """``expr sense 0`` in :func:`_live_span`'s normalized form, or
-        ``None`` when it is not exact: rational, lane-variant, or over a
-        name not fixed for the whole loop."""
-        if not expr.is_integral:
-            return None
-        a = 0
-        const = expr.const
-        terms = []
+    def _exact_conditions(self, guard: Guard, var: str, bound: set,
+                          lane_var, lane_value) -> tuple:
+        """``(conditions, all exact)``: the conditions of ``guard`` that
+        are exact, in :func:`_live_span`'s normalized form, and whether
+        every one is.  A condition ``expr sense 0`` is not exact when it
+        is rational, lane-variant, or over a name not fixed for the whole
+        loop."""
+        exact = []
         params = self.params
-        for name, coeff in expr.terms:
-            if name == var:
-                a = coeff
-            elif name == lane_var:
-                const += coeff * lane_value
-            elif name in params:
-                const += coeff * params[name]
-            elif name in bound:
-                terms.append((name, coeff))
+        for sense, expr in self._compiled_conditions(guard):
+            if not expr.is_integral:
+                continue
+            a = 0
+            const = expr.const
+            terms = []
+            for name, coeff in expr.terms:
+                if name == var:
+                    a = coeff
+                elif name == lane_var:
+                    const += coeff * lane_value
+                elif name in params:
+                    const += coeff * params[name]
+                elif name in bound:
+                    terms.append((name, coeff))
+                else:
+                    break
             else:
-                return None
-        return _normalized_condition(sense, a, const, terms)
+                exact.append(_normalized_condition(sense, a, const, terms))
+        return tuple(exact), len(exact) == len(guard.conditions)
 
     def _loop_bounds(self, loop: Loop, lower_exprs, upper_exprs):
         """``(lo, hi, lane_masks)`` for the current warp slot and env:
@@ -734,11 +792,12 @@ class _FastSimulator(_Simulator):
     # -- issue ---------------------------------------------------------------
 
     def _call_plan(self, call: StatementCall, var):
-        """``(entries, requested bytes per lane, period)`` of one statement
-        issue in the current warp slot: an entry ``(access, stride on var,
-        offsets, offset id, elem bytes, is_write)`` per access, and the
-        number of steps of ``var`` after which every access's base
-        residue modulo the sector repeats."""
+        """``(entries, requested bytes per lane, period, strides)`` of one
+        statement issue in the current warp slot: an entry ``(access,
+        stride on var, offsets, offset id, elem bytes, is_write)`` per
+        access, the number of steps of ``var`` after which every access's
+        base residue modulo the sector repeats, and the accesses' strides
+        on ``var``."""
         key = (id(call), self._warp_start, var)
         plan = self._call_plans.get(key)
         if plan is None:
@@ -755,113 +814,139 @@ class _FastSimulator(_Simulator):
                 off, off_id = self._offsets_of(access)
                 entries.append((access, stride, off, off_id, n_bytes,
                                 access.is_write))
-            plan = (tuple(entries), requested, sector // divisor)
+            plan = (tuple(entries), requested, sector // divisor,
+                    tuple(entry[1] for entry in entries))
             self._call_plans[key] = plan
         return plan
 
-    def _fissue_scalar(self, call: StatementCall, mask: int,
-                       var=None, count: int = 1) -> None:
-        """Issue ``call`` ``count`` times under ``mask``, stepping ``var``
-        by one from its env value after each issue.
+    def _issue_calls(self, runs, mask: int, var=None, count: int = 1) -> None:
+        """Issue the statement calls of ``runs`` in turn, ``count`` times
+        under ``mask``, stepping ``var`` by one from its env value after
+        each round.
 
-        Scalar issue is the one-value case; :meth:`_frun_loop` passes a
-        whole statement loop segment (see the module docstring).  The
-        first ``period`` steps, the phases, do the pattern lookups and
-        costs of a single issue each; every later step repeats the
-        lookups, costs and patterns of its phase, and :meth:`_issue_steps`
-        drives the hierarchy."""
+        A run is ``(lane var, lane value, call, 0)``; the lane var, when
+        set, takes its value for the call's issues.  A lone scalar issue
+        is the one-call, one-value case and a mapped loop body made of
+        calls the one-value case; :meth:`_frun_loop` passes every live
+        call of a statement loop segment (see the module docstring).
+        The first ``period`` steps — the least common multiple of the
+        calls' residue periods, a divisor of the sector size — do the
+        pattern lookups and costs of single issues; every later step
+        repeats the lookups, costs and patterns of its phase, and
+        :meth:`_issue_steps` drives the hierarchy with them."""
         if not mask:
             return
-        entries, requested, period = self._call_plan(call, var)
         env = self._env
         sector = self._sector
         patterns = self._patterns
         per_cycle = self._sectors_per_cycle
         mem_cycles = self._mem_instr_cycles
+        plans = []
+        period = 1
+        for run in runs:
+            plan = self._call_plan(run[2], var)
+            plans.append(plan)
+            if plan[2] != period:
+                period = math.lcm(period, plan[2])
         n_phases = period if period < count else count
-        phases = []  # (ops, issue cycles, sectors, load sectors) per phase
-        memo_hits = 0
-        for step in range(n_phases):
-            ops = []
-            cycles = sectors = loads = 0
-            for access, stride, off, off_id, n_bytes, is_write in entries:
-                base_sector, res = divmod(access.address(env) + stride * step,
-                                          sector)
-                key = (off_id, res, n_bytes, mask)
-                pattern = patterns.get(key)
-                if pattern is None:
-                    pattern = self._new_pattern(key, off)
-                else:
-                    memo_hits += 1
-                ops.append((base_sector, pattern, is_write))
-                n_sectors = pattern.n_sectors
-                replay = -(-n_sectors // per_cycle)
-                cycles += replay if replay > mem_cycles else mem_cycles
-                sectors += n_sectors
-                if not is_write:
-                    loads += n_sectors
-            phases.append((tuple(ops), cycles, sectors, loads))
+        full, rest = divmod(count, n_phases)
+        # Within one period every issue is its own slot and drives the
+        # hierarchy at once (lookups touch no cache state); otherwise the
+        # first period's slots are kept, in issue order: (operations,
+        # sectors, load sectors, strides) each.  A call without memory
+        # operations leaves the hierarchy alone.
+        one_pass = n_phases == count
         memory = self.memory
-        collapsed = 0
-        if count == 1:
-            ops, cycles, sectors, loads = phases[0]
-            if ops and issue_warp_patterns(memory, ops, sectors, loads):
-                collapsed = 1
-        else:
-            if entries:
-                collapsed = self._issue_steps(phases, entries, period, count)
-            full, rest = divmod(count, n_phases)
-            cycles = (full * sum(phase[1] for phase in phases)
-                      + sum(phase[1] for phase in phases[:rest]))
-            sectors = (full * sum(phase[2] for phase in phases)
-                       + sum(phase[2] for phase in phases[:rest]))
-            memo_hits += (count - n_phases) * len(entries)
+        order = []
+        memo_hits = cycles = sectors = 0
+        for step in range(n_phases):
+            # This phase's steps: `full` periods plus the remainder.
+            times = full + (step < rest)
+            for (lane_var, lane_value, _, _), (entries, _, _, strides) \
+                    in zip(runs, plans):
+                if lane_var is not None:
+                    env[lane_var] = lane_value
+                ops = []
+                step_cycles = step_sectors = loads = 0
+                for access, stride, off, off_id, n_bytes, is_write in entries:
+                    base_sector, res = divmod(
+                        access.address(env) + stride * step, sector)
+                    key = (off_id, res, n_bytes, mask)
+                    pattern = patterns.get(key)
+                    if pattern is None:
+                        pattern = self._new_pattern(key, off)
+                    else:
+                        memo_hits += 1
+                    ops.append((base_sector, pattern, is_write))
+                    n_sectors = pattern.n_sectors
+                    replay = -(-n_sectors // per_cycle)
+                    step_cycles += replay if replay > mem_cycles else mem_cycles
+                    step_sectors += n_sectors
+                    if not is_write:
+                        loads += n_sectors
+                cycles += step_cycles * times
+                sectors += step_sectors * times
+                if not ops:
+                    continue
+                if not one_pass:
+                    order.append((tuple(ops), step_sectors, loads, strides))
+                elif issue_warp_patterns(memory, tuple(ops), step_sectors,
+                                         loads):
+                    self.collapsed_issues += 1
+        if order:
+            self.collapsed_issues += self._issue_steps(
+                order, period, len(order) * count // n_phases)
         n_active = mask.bit_count()
-        flops = call.statement.flops
+        for (_, _, call, _), (entries, requested, _, _) in zip(runs, plans):
+            memo_hits += (count - n_phases) * len(entries)
+            flops = call.statement.flops
+            self.mem_instrs += len(entries) * count
+            self.bytes_req += requested * n_active * count
+            self.arith_instrs += flops * count
+            cycles += flops * count * self._arith_instr_cycles
+            self.flops += flops * count * n_active
         self.memo_hits += memo_hits
-        self.collapsed_issues += collapsed
-        self.scalar_issues += count
-        self.mem_instrs += len(entries) * count
+        self.scalar_issues += count * len(runs)
         self.sectors += sectors
-        self.bytes_req += requested * n_active * count
-        self.arith_instrs += flops * count
-        self.issue_cycles += cycles + flops * count * self._arith_instr_cycles
-        self.flops += flops * count * n_active
+        self.issue_cycles += cycles
 
-    def _issue_steps(self, phases, entries, period: int, count: int) -> int:
-        """Drive the hierarchy with ``count`` issues of a statement loop
-        from its ``phases`` (see :meth:`_fissue_scalar`) and return how
-        many collapsed.  Step ``cycle * period + phase`` issues its
-        phase's operations with each base sector advanced by ``cycle *
-        stride * period // sector``; a step known to repeat the step
-        before passes the same operations object again, which
-        :func:`~repro.gpu.memory.issue_warp_patterns` compares by
-        identity first."""
+    def _issue_steps(self, order, period: int, n_issues: int) -> int:
+        """Drive the hierarchy with ``n_issues`` statement issues that
+        cycle through the slots ``order`` of the first ``period`` steps
+        (see :meth:`_issue_calls`) and return how many collapsed.  Issue
+        ``cycle * len(order) + index`` issues its slot's operations with
+        each base sector advanced by ``cycle * stride * period // sector``;
+        an issue known to repeat the issue before passes the same
+        operations object again, which
+        :func:`~repro.gpu.memory.issue_warp_patterns` compares by identity
+        first."""
         memory = self.memory
         sector = self._sector
-        n_phases = len(phases)
-        advances = [entry[1] * period // sector for entry in entries]
-        # Which steps repeat the step before: within a period, when the
-        # phases' operations are equal; across a period boundary, when the
-        # first phase's, advanced, equal the last phase's.
-        repeats = [False] + [phases[phase][0] == phases[phase - 1][0]
-                             for phase in range(1, n_phases)]
-        if count > n_phases:
-            repeats[0] = phases[-1][0] == tuple(
-                (base + advance, pattern, is_write)
-                for (base, pattern, is_write), advance
-                in zip(phases[0][0], advances))
+        n_slots = len(order)
+        advances = [tuple(stride * period // sector for stride in slot[3])
+                    for slot in order]
+        # Which issues repeat the issue before: within a period, when the
+        # slots' operations and advances are equal; across a period
+        # boundary, when the first slot's operations, advanced, equal the
+        # last slot's.
+        repeats = [advances[0] == advances[-1] and order[-1][0] == tuple(
+            (base + advance, pattern, is_write)
+            for (base, pattern, is_write), advance
+            in zip(order[0][0], advances[0]))]
+        repeats += [order[index][0] == order[index - 1][0]
+                    and advances[index] == advances[index - 1]
+                    for index in range(1, n_slots)]
         collapsed = 0
         previous = None
-        for step in range(count):
-            cycle, phase = divmod(step, n_phases)
-            ops, _, sectors, loads = phases[phase]
-            if step and repeats[phase]:
+        for issue in range(n_issues):
+            cycle, index = divmod(issue, n_slots)
+            ops, sectors, loads, _ = order[index]
+            if issue and repeats[index]:
                 ops = previous
             elif cycle:
                 ops = tuple((base + cycle * advance, pattern, is_write)
                             for (base, pattern, is_write), advance
-                            in zip(ops, advances))
+                            in zip(ops, advances[index]))
             if issue_warp_patterns(memory, ops, sectors, loads):
                 collapsed += 1
             previous = ops

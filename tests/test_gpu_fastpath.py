@@ -8,6 +8,7 @@ cache-hierarchy counters (``dram_writes`` depends on raw-``set``
 iteration order inside :func:`repro.gpu.memory.warp_access`).
 """
 
+import collections
 import copy
 import dataclasses
 import os
@@ -23,6 +24,7 @@ from repro.gpu.profile_cache import (
     get_profile_cache,
     use_profile_cache,
 )
+from repro.gpu import fastpath
 from repro.gpu.arch import V100
 from repro.gpu.fastpath import (
     _FastSimulator,
@@ -57,6 +59,61 @@ def _parity(mapped, sample_blocks=4, arch=None):
     assert fast.counters() == reference.counters()
     return fast
 
+
+
+class _Spy:
+    """Counts what the fast path's mechanisms did while simulating:
+    ``entries`` maps each sequential or mapped loop node (by id) to the
+    times it was entered, ``lifted_skips`` counts the (value, entry) pairs
+    skipped for an entry whose target is a loop (conditions lifted from
+    beneath it), and ``issues`` lists the ``(calls, count)`` of every
+    statement issue."""
+
+    def __enter__(self):
+        self.entries = collections.Counter()
+        self.lifted_skips = 0
+        self.issues = []
+        cls = _FastSimulator
+        self._saved = (fastpath._segments, cls._frun_loop, cls._frun_mapped,
+                       cls._issue_calls)
+        segments, frun_loop, frun_mapped, issue_calls = self._saved
+
+        def spy_segments(entries, env, lo, hi):
+            result = segments(entries, env, lo, hi)
+            for _, run in entries:
+                if isinstance(run[2], Loop):
+                    walked = sum(stop - start for start, stop, live
+                                 in result[0]
+                                 if any(other is run for other in live))
+                    self.lifted_skips += hi - lo + 1 - walked
+            return result
+
+        def spy_loop(sim, loop, mask):
+            self.entries[id(loop)] += 1
+            return frun_loop(sim, loop, mask)
+
+        def spy_mapped(sim, loop, mask):
+            self.entries[id(loop)] += 1
+            return frun_mapped(sim, loop, mask)
+
+        def spy_issue(sim, runs, mask, var=None, count=1):
+            self.issues.append((len(runs), count))
+            return issue_calls(sim, runs, mask, var, count)
+
+        fastpath._segments = spy_segments
+        cls._frun_loop = spy_loop
+        cls._frun_mapped = spy_mapped
+        cls._issue_calls = spy_issue
+        return self
+
+    def __exit__(self, *exc):
+        cls = _FastSimulator
+        (fastpath._segments, cls._frun_loop, cls._frun_mapped,
+         cls._issue_calls) = self._saved
+
+    def multi_call(self, calls=2):
+        """The issues of at least ``calls`` calls in one pass."""
+        return [issue for issue in self.issues if issue[0] >= calls]
 
 ZOO = {
     "copy": lambda: copy_kernel(64, 96),
@@ -198,18 +255,22 @@ class TestSegmentPlans:
 
     @given(chains=st.lists(st.one_of(
                st.none(),
-               st.lists(st.tuples(_SENSES, st.integers(-3, 3),
-                                  st.integers(-12, 12)),
-                        min_size=1, max_size=3)),
+               st.lists(st.lists(st.tuples(_SENSES, st.integers(-3, 3),
+                                           st.integers(-12, 12)),
+                                 min_size=1, max_size=3),
+                        max_size=3)),
                min_size=1, max_size=5),
            lo=st.integers(-6, 6), width=st.integers(1, 16))
     @settings(max_examples=200, deadline=None)
     def test_segments_match_per_value_liveness(self, chains, lo, width):
+        """An entry is live where any of its paths holds: none for an
+        entry without paths, every value for an unconditional one."""
         hi = lo + width - 1
-        entries = [(None if chain is None else
-                    tuple(_normalized_condition(sense, a, c, [])
-                          for sense, a, c in chain), index)
-                   for index, chain in enumerate(chains)]
+        entries = [(None if paths is None else
+                    tuple(tuple(_normalized_condition(sense, a, c, [])
+                                for sense, a, c in path) for path in paths),
+                    index)
+                   for index, paths in enumerate(chains)]
         segments, pruned = _segments(entries, {}, lo, hi)
         walked = {}
         previous = lo - 1
@@ -220,9 +281,10 @@ class TestSegmentPlans:
                 walked[value] = list(live)
         expected_pruned = 0
         for value in range(lo, hi + 1):
-            live = [index for index, chain in enumerate(chains)
-                    if chain is None or all(_holds(a * value + c, sense)
-                                            for sense, a, c in chain)]
+            live = [index for index, paths in enumerate(chains)
+                    if paths is None
+                    or any(all(_holds(a * value + c, sense)
+                               for sense, a, c in path) for path in paths)]
             assert walked.get(value, []) == live
             expected_pruned += len(chains) - len(live)
         assert pruned == expected_pruned
@@ -414,6 +476,189 @@ class TestSegmentPlans:
                                  _FastSimulator)
         assert sim.collapsed_issues > 0
         assert sim.memo_hits + len(sim._patterns) == sim.mem_instrs
+
+    # Lifted liveness: a child loop is skipped wherever no statement
+    # beneath it can run.
+    @staticmethod
+    def _loop(var, upper, body):
+        upper = (LinExpr(const=upper) if isinstance(upper, int)
+                 else upper)
+        return Loop(var, [LinExpr(const=0)], [upper], Seq([body]))
+
+    def test_statement_two_loops_below_outer_guard(self):
+        """``for u: for w: for x: if (u == 5) S``: the outer loop walks
+        its child loop at u = 5 only."""
+        def build(call, thread_var):
+            inner = self._guard([({"u": 1}, -5, "==")],
+                                self._call(call, LinExpr({thread_var: 1}),
+                                           LinExpr({"w": 4, "x": 1})))
+            return self._loop("u", 11,
+                              self._loop("w", 3, self._loop("x", 2, inner)))
+        mutant = self._row_mutant(build)
+        loops = {node.var: node for node in walk(mutant.ast)
+                 if isinstance(node, Loop)}
+        with _Spy() as spy:
+            counters = self._assert_parity(mutant, arch=self.ROOMY_L1)
+        entered = spy.entries[id(loops["u"])]
+        assert entered > 0
+        assert spy.entries[id(loops["w"])] == entered
+        assert spy.entries[id(loops["x"])] == 4 * entered
+        assert spy.lifted_skips == 11 * entered
+        assert counters["sim.fastpath.pruned_iterations"] == 11 * entered
+
+    def test_subtree_without_statement_is_skipped(self):
+        def build(call, thread_var):
+            empty = self._loop("w", 3, self._guard([({"u": 1}, -2, "==")],
+                                                   Seq([])))
+            row = self._call(call, LinExpr({thread_var: 1}),
+                             LinExpr({"u": 1}))
+            return Loop("u", [LinExpr(const=0)], [LinExpr(const=11)],
+                        Seq([empty, row]))
+        mutant = self._row_mutant(build)
+        empty = next(node for node in walk(mutant.ast)
+                     if isinstance(node, Loop) and node.var == "w")
+        with _Spy() as spy:
+            counters = self._assert_parity(mutant)
+        assert spy.entries[id(empty)] == 0
+        assert spy.lifted_skips > 0
+        assert counters["sim.fastpath.pruned_iterations"] > 0
+
+    def test_sequential_loop_around_mapped_loop_is_not_lifted(self):
+        """A mapped loop shifts its variable on every run, so it runs on
+        every value of the loop around it, even where the guard beneath it
+        is false: here the call at u = 3 sees the shift of four runs."""
+        def build(call, thread_var):
+            mapped = Loop(thread_var, [LinExpr(const=1)],
+                          [LinExpr(const=63)],
+                          Seq([self._guard([({"u": 1}, -3, "==")],
+                                           self._call(
+                                               call,
+                                               LinExpr({thread_var: 1}),
+                                               LinExpr({"u": 1})))]),
+                          mapping="threadIdx.x")
+            return Loop("u", [LinExpr(const=0)], [LinExpr(const=5)],
+                        Seq([mapped]))
+        mutant = self._row_mutant(build)
+        outer, mapped = [node for node in walk(mutant.ast)
+                         if isinstance(node, Loop)
+                         and node.var in ("u", mutant.block[0].loop_var)
+                         and (node.var == "u" or node.lowers[0].const == 1)]
+        with _Spy() as spy:
+            counters = self._assert_parity(mutant)
+        assert spy.entries[id(mapped)] == 6 * spy.entries[id(outer)] > 0
+        assert spy.lifted_skips == 0
+        assert "sim.fastpath.pruned_iterations" not in counters
+
+    def test_two_calls_with_different_periods_collapse(self):
+        """Row-per-lane calls at columns 2u (8 bytes a step, period 4) and
+        u (4 bytes, period 8) issue in one pass over two and a half joint
+        periods of 8; while both sit in one sector the second call
+        repeats the first's operations and collapses."""
+        mutant = self._row_mutant(self._row_loop(chains=((), ()),
+                                                 strides=(2, 1), last=19))
+        with _Spy() as spy:
+            counters = self._assert_parity(mutant, arch=self.ROOMY_L1)
+        assert (2, 20) in spy.multi_call()
+        assert counters["sim.fastpath.collapsed_issues"] > 0
+
+    _GUARD = st.lists(st.tuples(_SENSES, st.integers(-2, 2),
+                                st.integers(-1, 1), st.integers(-1, 1),
+                                st.integers(-8, 8)),
+                      min_size=1, max_size=2)
+    # Outermost first: a nested loop (upper bound 0..2, or u - 6) or a
+    # guard.
+    _LAYER = st.one_of(st.tuples(st.just("loop"), st.integers(-1, 2)),
+                       st.tuples(st.just("guard"), _GUARD))
+
+    @given(children=st.lists(st.lists(_LAYER, max_size=3),
+                             min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    @example(children=[[("loop", 2), ("loop", 1),
+                        ("guard", [("==", 1, 0, 0, -5)])]])
+    @example(children=[[("guard", [(">=", 1, 0, 0, -4)]), ("loop", -1),
+                        ("guard", [("<=", -1, 1, 0, 2)])],
+                       [("loop", 1), ("guard", [("<=", 1, 0, 1, -9)])]])
+    def test_guards_under_nested_loops(self, children):
+        """Random nests under ``for u in [0, 11]``: guards over u, the
+        innermost enclosing nested loop's variable, the block variable and
+        the thread variable, above and below nested loops."""
+        def build(call, thread_var):
+            nodes = []
+            for index, layers in enumerate(children):
+                names = [f"w{index}{depth}" for depth in range(len(layers))]
+                column = LinExpr({"u": 1})
+                for name, (kind, _) in zip(names, layers):
+                    if kind == "loop":
+                        column = column + LinExpr({name: 3})
+                node = self._call(call, LinExpr({thread_var: 1}), column)
+                for depth in reversed(range(len(layers))):
+                    kind, arg = layers[depth]
+                    enclosing = [name for name, (k, _) in
+                                 zip(names[:depth], layers[:depth])
+                                 if k == "loop"]
+                    if kind == "loop":
+                        upper = (LinExpr({"u": 1}, -6) if arg < 0
+                                 else LinExpr(const=arg))
+                        node = Loop(names[depth], [LinExpr(const=0)],
+                                    [upper], Seq([node]))
+                    else:
+                        var = enclosing[-1] if enclosing else "t0"
+                        node = self._guard(
+                            [({"u": a, var: b, thread_var: t}, c, sense)
+                             for sense, a, b, t, c in arg], node)
+                nodes.append(node)
+            return Loop("u", [LinExpr(const=0)], [LinExpr(const=11)],
+                        Seq(nodes))
+        mutant = self._row_mutant(build)
+        obs = Obs(metrics=MetricsRegistry())
+        with use_obs(obs):
+            fast = simulate_kernel(mutant, sample_blocks=3,
+                                   arch=self.TINY_CACHES)
+        reference = simulate_reference(copy.deepcopy(mutant),
+                                       sample_blocks=3,
+                                       arch=self.TINY_CACHES)
+        assert fast.counters() == reference.counters()
+        assert "sim.fastpath.fallback" not in obs.metrics.counters
+
+
+def _infl_launch(kernel):
+    """The one launch of ``kernel``'s influenced (``infl``) variant."""
+    launches = AkgPipeline(sample_blocks=2).compile(kernel, "infl").launches
+    assert len(launches) == 1
+    return launches[0]
+
+
+class TestFusedSingleThread:
+    """Forced-fusion launches with one thread per block, whose union loops
+    the lifted plans and the multi-call segments target: fast ==
+    reference counter for counter, and each mechanism fired."""
+
+    def test_depthwise_conv_lifts_liveness(self):
+        launch = _infl_launch(operators.depthwise_conv_op("fp_dwl", 8, 2,
+                                                          2, 2))
+        assert launch.n_threads_per_block == 1
+        with _Spy() as spy:
+            _parity(launch, sample_blocks=2)
+        assert spy.lifted_skips > 0
+
+    def test_heat_2d_issues_calls_together(self):
+        launch = _infl_launch(operators.stencil2d_op("fp_heat1", 16, "heat"))
+        assert launch.n_threads_per_block == 1
+        with _Spy() as spy:
+            _parity(launch, sample_blocks=2)
+        assert spy.multi_call(3)
+
+    def test_transpose_flattened_forvec_issues_lanes_together(self):
+        """The ``forvec`` of the fused transpose holds guards, so it is
+        flattened into one entry per (guard, lane); a segment issues the
+        four lanes of one statement in one pass."""
+        launch = _infl_launch(operators.transpose2d_op("fp_trf", 24, 16))
+        assert launch.n_threads_per_block == 1
+        assert any(isinstance(node, Loop) and node.vector
+                   for node in walk(launch.ast))
+        with _Spy() as spy:
+            _parity(launch, sample_blocks=2)
+        assert spy.multi_call(4)
 
 
 def _lane_variant_mutant():
