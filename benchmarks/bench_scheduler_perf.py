@@ -139,16 +139,20 @@ def _compile_cases(pipeline):
 
 
 def test_bench_pipeline_cold(benchmark):
-    """Full-pipeline compile cost with an empty schedule cache: each round
-    gets a fresh pipeline, so every schedule is solved.  This is the
-    series where solver changes show.  It is not fully cold: the two
-    process-wide memos, dependences and emptiness answers, outlive the
-    pipeline, and the warm-up round fills them, so every timed round
-    starts warm on both and skips most dependence analysis and emptiness
-    solving."""
+    """Full-pipeline compile cost from cold: each round gets a fresh
+    pipeline, so every schedule is solved, and starts with the three
+    process-wide memos (dependences, emptiness answers and Farkas blocks)
+    emptied, so every dependence is analysed, every emptiness question
+    solved and every Farkas block projected again.  This is the series
+    where solver changes show."""
+    from repro.deps.analysis import DEPENDENCES_MEMO
     from repro.pipeline import AkgPipeline
+    from repro.schedule.farkas import FARKAS_MEMO
+    from repro.sets.polyhedron import EMPTINESS_MEMO
 
     def fresh_pipeline():
+        for memo in (DEPENDENCES_MEMO, EMPTINESS_MEMO, FARKAS_MEMO):
+            memo.clear()
         return (AkgPipeline(sample_blocks=2),), {}
 
     compiled = benchmark.pedantic(_compile_cases, setup=fresh_pipeline,

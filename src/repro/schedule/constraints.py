@@ -7,8 +7,10 @@ for every statement ``S``:
 * ``c[S].p[{p}]`` — coefficient of parameter ``p``,
 * ``c[S].0`` — the constant,
 
-plus the proximity bound unknowns ``u[{p}]`` and ``w`` and the Farkas
-multipliers the builders' reduced blocks keep.  The builders below add:
+plus the proximity bound unknowns ``u[{p}]`` and ``w``.  The Farkas
+blocks' multipliers are projected out (:mod:`repro.schedule.farkas`), so
+these are the only columns, unless a block is over the projection cap and
+keeps its multipliers.  The builders below add:
 
 * validity (Feautrier):          phi_T - phi_S >= 0 on every relation,
 * proximity (Bondhugula/isl):    phi_T - phi_S <= u.p + w on every relation,
@@ -54,16 +56,16 @@ class DimensionProblem:
         #: Symbolic forms per ``(kind, id(relation))`` as ``(relation,
         #: form)`` (holding the relation keeps its id unique), shared by
         #: forks.  A scheduler passes one dict to every dimension problem
-        #: of a run, so each relation's forms are built once per run, and
-        #: each form's Farkas block is linearized once (see
-        #: :class:`SymbolicAffineForm`).  Statements and parameters must be
-        #: the same for every problem sharing it.
+        #: of a run, so each relation's forms are built once per run.
+        #: Statements and parameters must be the same for every problem
+        #: sharing it.
         self._forms = {} if forms is None else forms
         self.problem = Problem()
-        #: Bound rows of the Farkas blocks added so far, in block order;
-        #: :meth:`ilp` places them after every other row.
-        self._bound_rows: list[Constraint] = []
         self._farkas_counter = 0
+        #: The multiplier-free Farkas rows in :attr:`problem`: a block row
+        #: already there (the validity rows a coincidence block repeats,
+        #: or the same projection of two relations) is not added again.
+        self._farkas_rows: set[Constraint] = set()
         self._declare_schedule_variables()
         self._u_vars: Optional[dict[str, LinExpr]] = None
         self._w_var: Optional[LinExpr] = None
@@ -84,25 +86,11 @@ class DimensionProblem:
         copy.const_bound = self.const_bound
         copy._forms = self._forms
         copy.problem = self.problem.clone()
-        copy._bound_rows = list(self._bound_rows)
         copy._farkas_counter = self._farkas_counter
+        copy._farkas_rows = set(self._farkas_rows)
         copy._u_vars = self._u_vars
         copy._w_var = self._w_var
         return copy
-
-    def ilp(self) -> Problem:
-        """The dimension ILP as solved: every row built so far, then the
-        Farkas blocks' bound rows in block order.
-
-        That is where presolving raw Farkas blocks puts the eliminated
-        multipliers' bound rows, so the lowered LP is the one the raw
-        formulation reduces to, and presolve finds nothing to eliminate.
-        """
-        if not self._bound_rows:
-            return self.problem
-        ilp = self.problem.clone()
-        ilp.add_constraints(self._bound_rows)
-        return ilp
 
     # -- variables -----------------------------------------------------------
 
@@ -119,8 +107,8 @@ class DimensionProblem:
 
     def _add_farkas(self, poly, form: SymbolicAffineForm) -> None:
         self._farkas_counter += 1
-        self._bound_rows += add_farkas_nonneg(
-            self.problem, f"f{self._farkas_counter}", poly, form)
+        add_farkas_nonneg(self.problem, f"f{self._farkas_counter}", poly,
+                          form, self._farkas_rows)
 
     # -- symbolic schedule forms ------------------------------------------------
 
@@ -293,12 +281,12 @@ class DimensionProblem:
             insert_at = 2 if self._u_vars is not None else 0
             levels[insert_at:insert_at] = list(injected_objectives)
         levels = levels + list(extra_objectives)
-        ilp = self.ilp()
-        folded = ilp.fold_objectives(levels)
+        folded = self.problem.fold_objectives(levels)
         if folded is not None:
-            assignment = ilp.solve(objective=folded, max_nodes=max_nodes)
+            assignment = self.problem.solve(objective=folded,
+                                            max_nodes=max_nodes)
         else:
-            assignment = ilp.lexmin(levels, max_nodes=max_nodes)
+            assignment = self.problem.lexmin(levels, max_nodes=max_nodes)
         if assignment is None:
             return None
         out: dict[str, list[int]] = {}

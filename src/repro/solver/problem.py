@@ -12,7 +12,7 @@ error-prone, so this module provides:
   constraints and lowers everything to a :class:`LinearProgram`.
 * :func:`eliminate_pinned` — the one-pass elimination of continuous columns
   pinned by equalities, shared by :meth:`Problem.presolved` and the Farkas
-  block templates of :mod:`repro.schedule.farkas`.
+  blocks of :mod:`repro.schedule.farkas`.
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@ once per dependence: ``raw_farkas_nonneg`` declares every multiplier as a
 continuous column and adds the unreduced coefficient-matching equalities,
 and ``restart_scan_presolved`` eliminates pinned continuous columns with a
 scan that restarts from the first row after every elimination.
-``repro.solver.problem.eliminate_pinned`` and the cached block templates of
-``repro.schedule.farkas`` must reproduce exactly what these two produce, so
-``tests/test_presolve_parity.py`` and ``tests/test_farkas_lp_identity.py``
-compare them.
+``repro.solver.problem.eliminate_pinned`` must reproduce exactly what
+``restart_scan_presolved`` produces (``tests/test_presolve_parity.py``),
+and the projected blocks of ``repro.schedule.farkas`` must decide every
+dimension ILP as ``raw_farkas_nonneg`` does
+(``tests/test_farkas_lp_identity.py``, ``tests/test_farkas.py``).
 """
 
 from __future__ import annotations
