@@ -111,9 +111,8 @@ class InfluencedScheduler:
         self.stats = SchedulerStats()
         self._obs = NULL_OBS
         self._journal = NULL_JOURNAL
-        # Symbolic forms of the relations (and, riding on them, their
-        # reduced Farkas blocks), shared by every dimension problem of one
-        # schedule() call; see DimensionProblem.
+        # Symbolic forms of the relations, shared by every dimension
+        # problem of one schedule() call; see DimensionProblem.
         self._forms: dict = {}
 
     # -- public API -----------------------------------------------------------

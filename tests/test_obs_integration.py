@@ -20,13 +20,14 @@ def warm_process():
     """Warm the process-wide memos before measuring.
 
     The dependence memo (``repro.deps.analysis.DEPENDENCES_MEMO``,
-    ``cache.deps``) and the emptiness memo
-    (``repro.sets.polyhedron.EMPTINESS_MEMO``, ``cache.emptiness``)
-    persist for the life of the process: the first evaluation misses and
-    pays extra solver work (LP solves, pivots) that later runs — and forked
-    workers, which inherit the warm memos — skip.  Warming once makes the
-    serial and parallel runs below start from the same memo state, so their
-    solver and memo counters match exactly."""
+    ``cache.deps``), the emptiness memo
+    (``repro.sets.polyhedron.EMPTINESS_MEMO``, ``cache.emptiness``) and
+    the Farkas block memo (``repro.schedule.farkas.FARKAS_MEMO``,
+    ``cache.farkas``) persist for the life of the process: the first
+    evaluation misses and pays extra solver work (LP solves, pivots) that
+    later runs — and forked workers, which inherit the warm memos — skip.
+    Warming once makes the serial and parallel runs below start from the
+    same memo state, so their solver and memo counters match exactly."""
     evaluate_network("LSTM", _config())
 
 
