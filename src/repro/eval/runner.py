@@ -55,7 +55,6 @@ from repro.pipeline.akg import AkgPipeline, VARIANTS
 from repro.pipeline.passes import PassContext, merge_metric_dicts
 from repro.schedule.scheduler import SchedulerOptions
 from repro.solver.budget import SolveBudget
-from repro.gpu.profile_cache import ProfileCache, use_profile_cache
 from repro.workloads.generator import generate_network_suite
 from repro.workloads.networks import NETWORKS
 
@@ -238,52 +237,45 @@ def evaluate_operator(pipeline: AkgPipeline, name: str, op_class: str,
     degradation: dict[str, str] = {}
     errors: list[str] = []
     vectorized = False
-    # One profile cache across all four variants of this operator:
-    # content-identical launches (e.g. the tvm variant's unfused clusters,
-    # degradation rungs re-lowering the baseline mapping) dedup their
-    # simulation.  Scoping at the operator keeps serial and parallel
-    # evaluation metric-identical — either way an operator is evaluated
-    # wholly inside one process, with the scope freshly installed.
-    with use_profile_cache(ProfileCache()):
-        for variant in VARIANTS:
-            if beat is not None:
-                beat()
-            try:
-                compiled = pipeline.compile(kernel, variant)
-            except ReproError as exc:
-                errors.append(f"{variant}: {type(exc).__name__}: {exc}")
-                pipeline.context.count("resilience.variant_failures")
-                logger.warning("operator %s variant %s failed: %s",
-                               name, variant, exc)
-                continue
-            timing = pipeline.measure(compiled)
-            times[variant] = timing.time
-            launches[variant] = compiled.n_launches
-            signatures[variant] = compiled.signature()
-            stats[variant] = compiled.scheduler_stats
-            hashes[variant] = compiled.schedule_hash
-            if compiled.degradation != "none":
-                degradation[variant] = compiled.degradation
-            if variant == "infl":
-                vectorized = compiled.vectorized
-        if templates:
-            from repro.workloads.templates import template_measure
-            try:
-                template = template_measure(
-                    kernel, op_class, arch=pipeline.arch,
-                    sample_blocks=pipeline.sample_blocks,
-                    max_threads=pipeline.max_threads)
-            except ReproError as exc:
-                pipeline.context.count("templates.failed")
-                logger.warning("operator %s template baseline failed: %s",
-                               name, exc)
-            else:
-                times["template"] = template.time
-                launches["template"] = template.n_launches
-        verify_problems: list[str] = []
-        if verify and not errors:
-            from repro.verify.oracle import differential_oracle
-            verify_problems = differential_oracle(kernel, pipeline=pipeline)
+    for variant in VARIANTS:
+        if beat is not None:
+            beat()
+        try:
+            compiled = pipeline.compile(kernel, variant)
+        except ReproError as exc:
+            errors.append(f"{variant}: {type(exc).__name__}: {exc}")
+            pipeline.context.count("resilience.variant_failures")
+            logger.warning("operator %s variant %s failed: %s",
+                           name, variant, exc)
+            continue
+        timing = pipeline.measure(compiled)
+        times[variant] = timing.time
+        launches[variant] = compiled.n_launches
+        signatures[variant] = compiled.signature()
+        stats[variant] = compiled.scheduler_stats
+        hashes[variant] = compiled.schedule_hash
+        if compiled.degradation != "none":
+            degradation[variant] = compiled.degradation
+        if variant == "infl":
+            vectorized = compiled.vectorized
+    if templates:
+        from repro.workloads.templates import template_measure
+        try:
+            template = template_measure(
+                kernel, op_class, arch=pipeline.arch,
+                sample_blocks=pipeline.sample_blocks,
+                max_threads=pipeline.max_threads)
+        except ReproError as exc:
+            pipeline.context.count("templates.failed")
+            logger.warning("operator %s template baseline failed: %s",
+                           name, exc)
+        else:
+            times["template"] = template.time
+            launches["template"] = template.n_launches
+    verify_problems: list[str] = []
+    if verify and not errors:
+        from repro.verify.oracle import differential_oracle
+        verify_problems = differential_oracle(kernel, pipeline=pipeline)
     status = ("failed" if errors or verify_problems
               else ("degraded" if degradation else "ok"))
     return OperatorResult(

@@ -24,11 +24,6 @@ must equal bitwise: tier-1 re-runs goldens and end-to-end records on it
 
 from repro.gpu.arch import GpuArch, V100
 from repro.gpu.memory import SectorCache, WarpAccessResult
-from repro.gpu.profile_cache import (
-    ProfileCache,
-    get_profile_cache,
-    use_profile_cache,
-)
 from repro.gpu.simulator import (
     KernelProfile,
     simulate_kernel,
@@ -43,7 +38,4 @@ __all__ = [
     "KernelProfile",
     "simulate_kernel",
     "simulate_reference",
-    "ProfileCache",
-    "get_profile_cache",
-    "use_profile_cache",
 ]

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from repro.codegen.ast import Guard, Loop, Seq, StatementCall, statements_in
 from repro.codegen.cuda import MappedKernel
 from repro.gpu.arch import GpuArch, V100
 from repro.gpu.memory import MemoryHierarchy, warp_access
-from repro.gpu.profile_cache import get_profile_cache, profile_cache_key
+from repro.gpu.profile_cache import PROFILE_MEMO, profile_cache_key
 from repro.linalg.rational import Rat
 from repro.obs.metrics import RATIO_BUCKETS
 from repro.obs.runtime import get_obs
@@ -532,7 +531,7 @@ def simulate_reference(mapped: MappedKernel, arch: GpuArch = V100,
     """Simulate ``mapped`` on the lane-by-lane reference interpreter.
 
     The ground truth that the fast path's counters must equal bitwise.  It
-    consults no profile cache and records no metrics: tests and benchmarks
+    consults no profile memo and records no metrics: tests and benchmarks
     call it as an oracle, and the pipeline reaches it only through the fast
     path's fallback.
     """
@@ -541,9 +540,10 @@ def simulate_reference(mapped: MappedKernel, arch: GpuArch = V100,
 
 
 def _simulate(mapped: MappedKernel, arch: GpuArch,
-              sample_blocks: int) -> KernelProfile:
+              sample_blocks: int) -> tuple[KernelProfile, tuple]:
     """One launch on the closed-form fast interpreter
-    (:mod:`repro.gpu.fastpath`), harvesting its ``sim.fastpath.*`` counters.
+    (:mod:`repro.gpu.fastpath`), with the ``sim.fastpath.*`` counters it
+    counted as ``(name, amount)`` pairs.
 
     A launch using a construct the fast interpreter does not model (e.g. a
     lane-variant mapped-loop lower bound) raises ``FallbackNeeded`` and is
@@ -551,26 +551,18 @@ def _simulate(mapped: MappedKernel, arch: GpuArch,
     state never mixes the two (counted as ``sim.fastpath.fallback``).
     """
     from repro.gpu.fastpath import FallbackNeeded, _FastSimulator
-    metrics = get_obs().metrics
     try:
         profile, sim = _execute_kernel(mapped, arch, sample_blocks,
                                        _FastSimulator)
     except FallbackNeeded:
-        if metrics.enabled:
-            metrics.count("sim.fastpath.fallback")
-        return simulate_reference(mapped, arch, sample_blocks)
-    if metrics.enabled:
-        if sim.analytic_builds:
-            metrics.count("sim.fastpath.analytic", sim.analytic_builds)
-        if sim.memo_hits:
-            metrics.count("sim.fastpath.memo_hits", sim.memo_hits)
-        if sim.pruned_iterations:
-            metrics.count("sim.fastpath.pruned_iterations",
-                          sim.pruned_iterations)
-        if sim.collapsed_issues:
-            metrics.count("sim.fastpath.collapsed_issues",
-                          sim.collapsed_issues)
-    return profile
+        return (simulate_reference(mapped, arch, sample_blocks),
+                (("sim.fastpath.fallback", 1),))
+    counts = (("sim.fastpath.analytic", sim.analytic_builds),
+              ("sim.fastpath.memo_hits", sim.memo_hits),
+              ("sim.fastpath.pruned_iterations", sim.pruned_iterations),
+              ("sim.fastpath.collapsed_issues", sim.collapsed_issues))
+    return profile, tuple((name, amount) for name, amount in counts
+                          if amount)
 
 
 def simulate_kernel(mapped: MappedKernel, arch: GpuArch = V100,
@@ -578,10 +570,11 @@ def simulate_kernel(mapped: MappedKernel, arch: GpuArch = V100,
     """Simulate a mapped kernel and estimate its execution time.
 
     The fast interpreter produces counters bitwise-identical to
-    :func:`simulate_reference`.  When an ambient
-    :class:`~repro.gpu.profile_cache.ProfileCache`
-    is installed, content-identical launches replay the cached profile
-    instead of re-simulating (``sim.profile_cache.{hits,misses}``).
+    :func:`simulate_reference`.  A launch content-identical to one this
+    process simulated before replays that profile from the process-wide
+    :data:`~repro.gpu.profile_cache.PROFILE_MEMO`
+    (``sim.profile_cache.{hits,misses,evictions}``) and counts the
+    ``sim.fastpath.*`` counters of the simulation it skipped.
 
     Each run is wrapped in a ``gpu.kernel`` span carrying the full profile
     counter set, and the profile feeds the ambient ``gpu.*`` histograms
@@ -589,24 +582,20 @@ def simulate_kernel(mapped: MappedKernel, arch: GpuArch = V100,
     evaluations produce identical metric payloads).
     """
     obs = get_obs()
-    cache = get_profile_cache()
-    key = None
-    profile: Optional[KernelProfile] = None
-    if cache is not None:
-        key = profile_cache_key(mapped, arch, sample_blocks)
-        found = cache.get(key)
-        if found is not None:
-            # Names are erased from the key; restore the caller's (the
-            # `replace` also guarantees the cached entry is never aliased).
-            profile = replace(found, name=mapped.kernel.name)
+    key = profile_cache_key(mapped, arch, sample_blocks)
     with obs.span("gpu.kernel", kernel=mapped.kernel.name) as span:
-        if profile is None:
-            profile = _simulate(mapped, arch, sample_blocks)
-            if cache is not None:
-                cache.put(key, profile)
+        entry = PROFILE_MEMO.get(key)
+        if entry is None:
+            entry = _simulate(mapped, arch, sample_blocks)
+            PROFILE_MEMO.put(key, entry)
+        # Names are erased from the key; restore the caller's (the
+        # `replace` also keeps the stored profile unaliased).
+        profile = replace(entry[0], name=mapped.kernel.name)
         span.set(**profile.counters())
     metrics = obs.metrics
     if metrics.enabled:
+        for name, amount in entry[1]:
+            metrics.count(name, amount)
         metrics.count("gpu.kernels")
         metrics.count("gpu.dram_transactions", profile.dram_transactions)
         metrics.count("gpu.bytes_requested", profile.bytes_requested)

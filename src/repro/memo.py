@@ -1,9 +1,9 @@
 """The one memo primitive: a bounded LRU map that counts its traffic.
 
 Five caches pay for themselves (see DESIGN.md, "Caches"), and all five are
-a :class:`Memo`: the pipeline's schedule cache (``cache``), the simulated
-profile cache (``sim.profile_cache``), and the process-wide dependence,
-emptiness and Farkas block memos (``cache.deps``, ``cache.emptiness``,
+a :class:`Memo`: the pipeline's schedule cache (``cache``), and the
+process-wide simulated profile, dependence, emptiness and Farkas block
+memos (``sim.profile_cache``, ``cache.deps``, ``cache.emptiness``,
 ``cache.farkas``).  Each counts
 ``<name>.hits``, ``<name>.misses`` and ``<name>.evictions`` into the
 ambient metrics registry, and keeps the same totals for :meth:`stats`.

@@ -9,7 +9,6 @@ the per-pass instrumentation and the content-keyed schedule cache.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,11 +16,6 @@ from repro.codegen.cuda import MappedKernel
 from repro.codegen.ast import Loop, walk
 from repro.errors import ReproError
 from repro.gpu.arch import GpuArch, V100
-from repro.gpu.profile_cache import (
-    ProfileCache,
-    get_profile_cache,
-    use_profile_cache,
-)
 from repro.gpu.simulator import KernelProfile, simulate_kernel
 from repro.influence.scenarios import CostWeights
 from repro.ir.kernel import Kernel
@@ -272,13 +266,4 @@ class AkgPipeline:
 
     def compile_and_measure(self, kernel: Kernel,
                             variant: str) -> OperatorTiming:
-        # Content-identical launches dedup within this call.  Per-call
-        # scope: never wider than one operator, so serial and parallel
-        # evaluations keep identical metric streams.  A wider ambient cache
-        # (the evaluation runner's per-operator scope, where novec/infl
-        # coincide whenever vectorization does not fire) is reused instead
-        # of shadowed.
-        with ExitStack() as scopes:
-            if get_profile_cache() is None:
-                scopes.enter_context(use_profile_cache(ProfileCache()))
-            return self.measure(self.compile(kernel, variant))
+        return self.measure(self.compile(kernel, variant))

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.gpu.arch import GpuArch, V100
-from repro.gpu.profile_cache import ProfileCache, use_profile_cache
 from repro.gpu.simulator import simulate_kernel
 from repro.ir.kernel import Kernel
 from repro.pipeline.cache import ScheduleCache
@@ -91,21 +90,17 @@ def autotune_tile_sizes(kernel: Kernel,
     session = CompilationSession(max_threads=max_threads,
                                  cache=ScheduleCache())
     results: list[TileCandidateResult] = []
-    # Candidates that lower to content-identical mapped kernels (tile
-    # sizes larger than the extents collapse to the same mapping) dedup
-    # their simulation through one search-scoped profile cache.
-    with use_profile_cache(ProfileCache()):
-        for sizes in candidates:
-            mapped, tiled = compile_tiled(kernel, sizes,
-                                          influenced=influenced,
-                                          enable_vec=enable_vec,
-                                          max_threads=max_threads,
-                                          session=session)
-            profile = simulate_kernel(mapped, arch=arch,
-                                      sample_blocks=sample_blocks)
-            results.append(TileCandidateResult(
-                tile_sizes=tuple(sizes), tiled_loops=tiled,
-                time=profile.time, dram_bytes=profile.dram_bytes))
+    for sizes in candidates:
+        mapped, tiled = compile_tiled(kernel, sizes,
+                                      influenced=influenced,
+                                      enable_vec=enable_vec,
+                                      max_threads=max_threads,
+                                      session=session)
+        profile = simulate_kernel(mapped, arch=arch,
+                                  sample_blocks=sample_blocks)
+        results.append(TileCandidateResult(
+            tile_sizes=tuple(sizes), tiled_loops=tiled,
+            time=profile.time, dram_bytes=profile.dram_bytes))
     best = min(results, key=lambda r: r.time)
     return AutotuneResult(kernel_name=kernel.name, best=best,
                           candidates=results)

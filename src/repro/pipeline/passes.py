@@ -208,9 +208,12 @@ def format_pass_summary(metrics: dict) -> str:
         reuse_misses = int(counters.get(f"{prefix}.misses", 0))
         if reuse_hits or reuse_misses:
             reuse_rate = reuse_hits / (reuse_hits + reuse_misses) * 100.0
-            # Farkas memo evictions show when its bound is too small.
+            # Profile and Farkas memo evictions show when a bound is too
+            # small.
             evicted = (f" / {int(counters.get(f'{prefix}.evictions', 0))} "
-                       f"evictions" if prefix == "cache.farkas" else "")
+                       f"evictions"
+                       if prefix in ("sim.profile_cache", "cache.farkas")
+                       else "")
             lines.append(f"  {label}: {reuse_hits} hits / "
                          f"{reuse_misses} misses{evicted} "
                          f"({reuse_rate:.1f}% hit rate)")

@@ -21,11 +21,13 @@ def warm_process():
 
     The dependence memo (``repro.deps.analysis.DEPENDENCES_MEMO``,
     ``cache.deps``), the emptiness memo
-    (``repro.sets.polyhedron.EMPTINESS_MEMO``, ``cache.emptiness``) and
-    the Farkas block memo (``repro.schedule.farkas.FARKAS_MEMO``,
-    ``cache.farkas``) persist for the life of the process: the first
-    evaluation misses and pays extra solver work (LP solves, pivots) that
-    later runs — and forked workers, which inherit the warm memos — skip.
+    (``repro.sets.polyhedron.EMPTINESS_MEMO``, ``cache.emptiness``), the
+    Farkas block memo (``repro.schedule.farkas.FARKAS_MEMO``,
+    ``cache.farkas``) and the profile memo
+    (``repro.gpu.profile_cache.PROFILE_MEMO``, ``sim.profile_cache``)
+    persist for the life of the process: the first evaluation misses and
+    pays extra solver work (LP solves, pivots) and simulations that later
+    runs — and forked workers, which inherit the warm memos — skip.
     Warming once makes the serial and parallel runs below start from the
     same memo state, so their solver and memo counters match exactly."""
     evaluate_network("LSTM", _config())

@@ -166,6 +166,15 @@ class TestPassManager:
         # The other memo lines keep their format.
         assert "dependence memo: 3 hits / 1 misses (75.0% hit rate)" in summary
 
+    def test_summary_reports_profile_memo_evictions(self):
+        context = PassContext()
+        context.count("sim.profile_cache.hits", 3)
+        context.count("sim.profile_cache.misses", 1)
+        summary = format_pass_summary(merge_metric_dicts([context.as_dict()]))
+        # The memo is process-wide and bounded: evictions show, zero too.
+        assert ("profile cache: 3 hits / 1 misses / 0 evictions "
+                "(75.0% hit rate)") in summary
+
 
 class TestScheduleCache:
     def test_equal_kernels_hit(self):
