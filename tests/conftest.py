@@ -5,7 +5,8 @@ same examples on every machine: tier-1 and CI results stay reproducible,
 and a failing example reported by CI replays locally.  Set
 ``HYPOTHESIS_PROFILE=dev`` to get fresh random examples while iterating.
 Also provides the ``reference_simulator`` control-arm fixture
-(``tests/control_arms.py``).
+(``tests/control_arms.py``) and ``empty_profile_memo``, which modules
+that spy on the simulator opt into.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 
 import pytest
 
+from repro.gpu.profile_cache import PROFILE_MEMO
 from tests import control_arms
 
 
@@ -29,6 +31,17 @@ def reference_simulator(monkeypatch):
     """Simulate every launch on the reference interpreter (see
     ``tests/control_arms.py``)."""
     control_arms.reference_simulator(monkeypatch)
+
+
+@pytest.fixture
+def empty_profile_memo():
+    """Start the test from an empty process-wide profile memo and leave it
+    empty, so every launch the test checks is simulated whatever ran
+    before it.  A module opts in with
+    ``pytestmark = pytest.mark.usefixtures("empty_profile_memo")``."""
+    PROFILE_MEMO.clear()
+    yield
+    PROFILE_MEMO.clear()
 
 
 try:
