@@ -99,32 +99,6 @@ def test_bench_influenced_scheduling_journaled(benchmark):
     assert any(e["kind"] == "dimension" for e in journals[-1].events)
 
 
-@pytest.mark.parametrize("supervised", ["off", "on"])
-def test_bench_supervision_overhead(benchmark, supervised):
-    """Parallel evaluation with the worker supervisor's heartbeat/timeout
-    machinery disabled (`off`: no task timeout, so the loop only waits on
-    results) vs fully armed (`on`: heartbeat checks + timeout accounting
-    every poll).  Both run the same 2-operator LSTM slice on 2 workers;
-    the acceptance budget is that `on` stays within noise of `off`, since
-    supervision adds only a clock read per poll tick and a shared-memory
-    write per variant on the worker side."""
-    from repro.eval.runner import EvaluationConfig, evaluate_network
-
-    config = EvaluationConfig(
-        limit_per_network=2,
-        sample_blocks=2,
-        task_timeout_s=None if supervised == "off" else 60.0,
-    )
-    evaluate_network("LSTM", config)  # warm process-global caches
-
-    def run():
-        return evaluate_network("LSTM", config, jobs=2)
-
-    result = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert all(op.status == "ok" and op.attempts == 1
-               for op in result.operators)
-
-
 def test_bench_dependence_analysis(benchmark):
     kernel = elementwise_chain(32, 4)
     relations = benchmark.pedantic(lambda: compute_dependences(kernel),

@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
@@ -269,10 +270,7 @@ def _cmd_table2(args) -> int:
         jobs=max(args.jobs, 1),
         trace=bool(args.trace),
         deadline_ms=args.deadline_ms if args.deadline_ms > 0 else None,
-        verify=args.verify,
-        task_timeout_s=args.task_timeout if args.task_timeout > 0 else None,
-        retries=max(args.retries, 0),
-        retry_backoff_s=max(args.retry_backoff, 0.0))
+        verify=args.verify)
     checkpoint = None
     if not args.no_checkpoint:
         checkpoint = EvalCheckpoint.for_eval("table2", networks, config,
@@ -284,8 +282,7 @@ def _cmd_table2(args) -> int:
         "networks": ",".join(networks), "seed": args.seed,
         "limit": args.limit, "jobs": args.jobs,
         "deadline_ms": args.deadline_ms,
-        "sample_blocks": args.sample_blocks,
-        "task_timeout": args.task_timeout, "retries": args.retries})
+        "sample_blocks": args.sample_blocks})
     results = []
     completed = False
     try:
@@ -305,15 +302,10 @@ def _cmd_table2(args) -> int:
             print(format_pass_summary(merged))
     finally:
         # Recorded (and exported) even when evaluation raises: partial runs
-        # stay diagnosable, marked by status.  Supervisor interventions
-        # (hung-task kills) mark the run degraded even when every retried
-        # operator eventually succeeded: the run needed help to finish.
-        kills = sum(
-            r.metrics.get("counters", {}).get("resilience.supervisor.kills", 0)
-            for r in results if r.metrics)
+        # stay diagnosable, marked by status.
         if sum(r.count_failed for r in results) or not completed:
             record["status"] = "failed" if completed else "error"
-        elif sum(r.count_degraded for r in results) or kills:
+        elif sum(r.count_degraded for r in results):
             record["status"] = "degraded"
         record["operators"] = [dict(op.as_record(), network=r.network)
                                for r in results for op in r.operators
@@ -339,11 +331,6 @@ def _cmd_table2(args) -> int:
         logger.error("%d operator(s) compiled at reduced quality; pass "
                      "--allow-degraded to accept the fallback results",
                      degraded)
-        return 1
-    if kills and not args.allow_degraded:
-        logger.error("the supervisor killed %d hung worker(s) to finish "
-                     "this run; pass --allow-degraded to accept it",
-                     int(kills))
         return 1
     return 0
 
@@ -867,19 +854,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         "semantic drift marks it failed")
     p.add_argument("--allow-degraded", action="store_true",
                    help="exit 0 even when operators compiled at reduced "
-                        "quality via the degradation ladder (or needed "
-                        "supervisor intervention)")
-    p.add_argument("--task-timeout", type=float, default=0.0,
-                   metavar="SECONDS",
-                   help="kill a worker whose task heartbeat is older than "
-                        "this (0 = derive from --deadline-ms with headroom, "
-                        "or disable when no deadline is set)")
-    p.add_argument("--retries", type=int, default=2,
-                   help="retries per task lost to a hung or dead worker "
-                        "(deterministic exponential backoff)")
-    p.add_argument("--retry-backoff", type=float, default=0.1,
-                   metavar="SECONDS",
-                   help="base backoff before retry N: backoff * 2**(N-1)")
+                        "quality via the degradation ladder")
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("profile",
@@ -1035,6 +1010,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ReproError as exc:
         logger.error("%s: %s", type(exc).__name__, exc)
+        return 1
+    except BrokenProcessPool as exc:
+        logger.error("a worker process died (%s); rerun with --resume to "
+                     "finish from the checkpoint", exc)
         return 1
     except BrokenPipeError:
         # Reader closed early (e.g. `repro obs trend | head`); the POSIX

@@ -9,7 +9,6 @@ from repro.eval.runner import (
     evaluate_network,
     evaluate_all,
 )
-from repro.eval.supervisor import SupervisedRunError, resolve_task_timeout
 from repro.eval.tables import format_table1, format_table2, table2_row
 
 __all__ = [
@@ -18,11 +17,9 @@ __all__ = [
     "EvaluationConfig",
     "NetworkResult",
     "OperatorResult",
-    "SupervisedRunError",
     "evaluate_network",
     "evaluate_all",
     "format_table1",
     "format_table2",
-    "resolve_task_timeout",
     "table2_row",
 ]

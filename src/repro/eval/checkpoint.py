@@ -12,9 +12,9 @@ Addressing is by content, not by position:
 
 * ``eval_key`` (the file name) hashes the command, network list and the
   *result-affecting* configuration — seed, limits, sampling, arch,
-  weights, deadline.  Execution knobs (jobs, retries, timeouts,
-  tracing) are deliberately excluded: they cannot change results, so a
-  run resumed with different parallelism still matches.
+  weights, deadline.  Execution knobs (jobs, tracing) are deliberately
+  excluded: they cannot change results, so a run resumed with different
+  parallelism still matches.
 * Each record carries a per-operator ``content_key`` hashing the
   kernel's canonical IR signature (plus its generated name) together
   with the configuration hash.  ``--resume`` reloads completed
@@ -57,8 +57,8 @@ def evaluation_scope(config) -> dict:
     """The result-affecting slice of an :class:`EvaluationConfig`.
 
     Everything that can change an ``OperatorResult`` is in; everything
-    that only changes *how* the run executes (jobs, retries, timeouts,
-    tracing, checkpointing itself) is out.
+    that only changes *how* the run executes (jobs, tracing,
+    checkpointing itself) is out.
     """
     return {
         "seed": config.seed,
@@ -92,8 +92,6 @@ def operator_to_record(result) -> dict:
     """A JSON-safe rendering of an ``OperatorResult`` that restores
     losslessly (unlike ``as_record``, scheduler stats are kept)."""
     record = result.as_record()
-    record["attempts"] = result.attempts
-    record["kill_reason"] = result.kill_reason
     record["scheduler_stats"] = {
         variant: [asdict(s) for s in stats]
         for variant, stats in result.scheduler_stats.items()}
@@ -101,7 +99,10 @@ def operator_to_record(result) -> dict:
 
 
 def operator_from_record(record: dict):
-    """Rebuild an ``OperatorResult`` from :func:`operator_to_record`."""
+    """Rebuild an ``OperatorResult`` from :func:`operator_to_record`.
+
+    Keys it does not know (the ``attempts``/``kill_reason`` of older
+    checkpoints) are ignored, so those checkpoints still resume."""
     from repro.eval.runner import OperatorResult
     stats = {variant: [SchedulerStats(**entry) for entry in entries]
              for variant, entries in record.get("scheduler_stats",
@@ -119,8 +120,6 @@ def operator_from_record(record: dict):
         error=record.get("error", ""),
         verify_problems=list(record.get("verify_problems", ())),
         schedule_hashes=dict(record.get("schedule_hashes", {})),
-        attempts=record.get("attempts", 1),
-        kill_reason=record.get("kill_reason", ""),
     )
 
 

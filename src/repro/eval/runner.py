@@ -11,26 +11,21 @@ For every operator we compile/measure ``isl``, ``tvm``, ``novec`` and
 These are the quantities Table II aggregates.
 
 Suites can be evaluated in parallel (``jobs > 1``): operators are farmed
-out to a supervised worker fleet (:mod:`repro.eval.supervisor`), each
-worker regenerating its kernels deterministically from ``(network, seed,
+out to a fork pool (:mod:`repro.eval.supervisor`), each worker
+regenerating its kernels deterministically from ``(network, seed,
 limit)`` so no IR crosses process boundaries, and the per-worker pass
 metrics are merged into one report.  The compilation model is
 deterministic, so the parallel path produces bitwise-identical results to
-the serial one.  Workers heartbeat between variant compilations; hung
-workers are killed and their task retried with deterministic backoff (see
-the supervisor module for the full protocol).
+the serial one.
 
 Failures are isolated per operator: a typed compilation failure
 (:class:`~repro.errors.ReproError`) marks that operator's
 :attr:`OperatorResult.status` ``failed`` (or ``degraded`` when the
 pipeline's fallback ladder produced a lower-quality result) instead of
-aborting the run; operators lost to dead worker processes are retried —
-serially in the parent once worker retries are exhausted, each parent
-attempt on a fresh pipeline (hence a fresh ambient
-:class:`~repro.solver.budget.SolveBudget`) so a retried operator never
-inherits an already-charged deadline.  Fault decisions are content-keyed
-(:mod:`repro.faultinject`), so serial and parallel runs produce identical
-degradation records.
+aborting the run.  Fault decisions are content-keyed
+(:mod:`repro.faultinject`: the ``compile``, ``scheduler.dimension`` and
+``store.append`` sites), so serial and parallel runs produce identical
+degradation records.  A dead worker process fails the whole run.
 
 With an :class:`~repro.eval.checkpoint.EvalCheckpoint`, every completed
 operator is durably appended as it finishes and a ``--resume`` run
@@ -40,17 +35,14 @@ remainder.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.errors import ReproError
-from repro.faultinject import fault_action
 from repro.gpu.arch import GpuArch, V100
 from repro.influence.scenarios import CostWeights
 from repro.ir.kernel import Kernel
-from repro.obs import logger
+from repro.obs import logger, use_obs
 from repro.pipeline.akg import AkgPipeline, VARIANTS
 from repro.pipeline.passes import PassContext, merge_metric_dicts
 from repro.schedule.scheduler import SchedulerOptions
@@ -76,10 +68,6 @@ class EvaluationConfig:
     deadline_ms: Optional[float] = None  # wall-clock solve budget per attempt
     verify: bool = False   # run the differential oracle on every operator
     templates: bool = True  # measure the per-class template baseline column
-    # -- supervision (parallel runs only; see repro.eval.supervisor) ---------
-    task_timeout_s: Optional[float] = None  # None/0 = derive from deadline_ms
-    retries: int = 2       # worker-side retries per lost task
-    retry_backoff_s: float = 0.1  # base of the exponential retry backoff
 
 
 @dataclass
@@ -98,8 +86,6 @@ class OperatorResult:
     error: str = ""             # "variant: ExcType: message; ..." when failed
     verify_problems: list = field(default_factory=list)  # oracle findings
     schedule_hashes: dict = field(default_factory=dict)  # variant -> hash
-    attempts: int = 1           # evaluation attempts under supervision
-    kill_reason: str = ""       # ";"-joined supervisor loss reasons
 
     def speedup(self, variant: str) -> float:
         base = self.times.get("isl")
@@ -127,10 +113,6 @@ class OperatorResult:
             record["error"] = self.error
         if self.verify_problems:
             record["verify_problems"] = list(self.verify_problems)
-        if self.attempts != 1:
-            record["attempts"] = self.attempts
-        if self.kill_reason:
-            record["kill_reason"] = self.kill_reason
         return record
 
 
@@ -203,19 +185,13 @@ def _make_pipeline(config: EvaluationConfig) -> AkgPipeline:
 
 def evaluate_operator(pipeline: AkgPipeline, name: str, op_class: str,
                       kernel: Kernel, verify: bool = False,
-                      templates: bool = False,
-                      beat: Optional[Callable[[], None]] = None
-                      ) -> OperatorResult:
+                      templates: bool = False) -> OperatorResult:
     """Compile and measure one fused operator under all four variants.
 
     Typed failures are contained per variant: a variant whose whole
     degradation ladder failed is simply absent from ``times`` and the
     operator is marked ``failed``; a variant produced by a lower ladder
     rung marks it ``degraded``.
-
-    ``beat`` (supervised workers) is invoked before each variant
-    compilation — the heartbeat that lets the supervisor distinguish a
-    slow-but-progressing task from a hung one.
 
     With ``verify`` the differential oracle (:mod:`repro.verify.oracle`)
     runs after the variant loop against the pipeline's cached compiles;
@@ -238,8 +214,6 @@ def evaluate_operator(pipeline: AkgPipeline, name: str, op_class: str,
     errors: list[str] = []
     vectorized = False
     for variant in VARIANTS:
-        if beat is not None:
-            beat()
         try:
             compiled = pipeline.compile(kernel, variant)
         except ReproError as exc:
@@ -261,10 +235,13 @@ def evaluate_operator(pipeline: AkgPipeline, name: str, op_class: str,
     if templates:
         from repro.workloads.templates import template_measure
         try:
-            template = template_measure(
-                kernel, op_class, arch=pipeline.arch,
-                sample_blocks=pipeline.sample_blocks,
-                max_threads=pipeline.max_threads)
+            # In the operator's scope, so its template launches count
+            # in the same registry as its variant launches.
+            with use_obs(pipeline.session.context.obs):
+                template = template_measure(
+                    kernel, op_class, arch=pipeline.arch,
+                    sample_blocks=pipeline.sample_blocks,
+                    max_threads=pipeline.max_threads)
         except ReproError as exc:
             pipeline.context.count("templates.failed")
             logger.warning("operator %s template baseline failed: %s",
@@ -300,19 +277,10 @@ def evaluate_operator(pipeline: AkgPipeline, name: str, op_class: str,
 # Per-worker-process state: the suites are deterministic functions of
 # (network, seed, limit), and one long-lived pipeline keeps the schedule
 # cache warm across the operators a worker picks up.  Pipelines are keyed
-# by the config's repr so retries in the parent — where several configs
-# may pass through one process — never reuse a mismatched pipeline.
+# by the config's repr so configs that pass through one process never
+# share a mismatched pipeline.
 _WORKER_SUITES: dict[tuple, list] = {}
 _WORKER_PIPELINES: dict[str, AkgPipeline] = {}
-
-# True only in supervised worker processes (set by the worker main), so
-# injected worker faults never fire during the parent's serial retry.
-_IS_WORKER = False
-
-
-def _mark_worker_process() -> None:
-    global _IS_WORKER
-    _IS_WORKER = True
 
 
 def _worker_suite(network: str, seed: int, limit: Optional[int]) -> list:
@@ -323,41 +291,8 @@ def _worker_suite(network: str, seed: int, limit: Optional[int]) -> list:
     return _WORKER_SUITES[key]
 
 
-def _worker_faults(network: str, kernel_name: str, attempt: int) -> None:
-    """Consult the ``worker*`` fault sites (supervised workers only).
-
-    The ``attempt`` attribute is part of the decision key, so a
-    probabilistic rule that crashed attempt 0 gets a fresh draw on the
-    retry — while a ``p=1`` rule (or one matching ``@attempt=0``) stays
-    fully deterministic.
-    """
-    attrs = {"network": network, "kernel": kernel_name, "attempt": attempt}
-    if fault_action("worker", **attrs) == "crash":
-        os._exit(17)  # simulate a hard worker death (OOM-kill, segfault)
-    hang = fault_action("worker.hang", **attrs)
-    if hang is not None:
-        # "hang" = park effectively forever (the supervisor's SIGKILL is
-        # the only way out); a numeric action sleeps that many seconds.
-        try:
-            duration = min(float(hang), 3600.0)
-        except ValueError:
-            duration = 3600.0
-        time.sleep(duration)
-    oom = fault_action("worker.oom", **attrs)
-    if oom is not None:
-        try:
-            ballast_mb = int(oom)
-        except ValueError:
-            ballast_mb = 64
-        ballast_mb = max(1, min(ballast_mb, 256))  # bounded: never a real OOM
-        ballast = bytearray(ballast_mb << 20)
-        ballast[::4096] = b"\xff" * len(ballast[::4096])  # fault the pages in
-        os._exit(137)  # the exit code an OOM-killed process reports
-
-
-def _evaluate_index(network: str, config: EvaluationConfig, index: int,
-                    attempt: int = 0,
-                    beat: Optional[Callable[[], None]] = None) -> tuple:
+def _evaluate_index(network: str, config: EvaluationConfig,
+                    index: int) -> tuple:
     """Worker entry point: evaluate operator ``index`` of one network.
 
     Returns ``(index, OperatorResult, pass-metrics dict)``; the context is
@@ -368,27 +303,6 @@ def _evaluate_index(network: str, config: EvaluationConfig, index: int,
         _WORKER_PIPELINES[pipeline_key] = _make_pipeline(config)
     pipeline = _WORKER_PIPELINES[pipeline_key]
     pipeline.session.context = PassContext(trace=config.trace)
-    op_class, kernel = _worker_suite(network, config.seed,
-                                     config.limit_per_network)[index]
-    if _IS_WORKER:
-        _worker_faults(network, kernel.name, attempt)
-    result = evaluate_operator(pipeline, kernel.name, op_class, kernel,
-                               verify=config.verify,
-                               templates=config.templates, beat=beat)
-    return index, result, pipeline.context.as_dict()
-
-
-def _evaluate_index_fresh(network: str, config: EvaluationConfig,
-                          index: int) -> tuple:
-    """Parent-side serial retry of one operator on a *fresh* pipeline.
-
-    A fresh pipeline means a fresh :class:`SolveBudget` in its scheduler
-    options, so the retried operator gets the full deadline rather than
-    whatever an earlier attempt left behind.  Metric-equivalent to a
-    worker evaluation: the schedule cache only hits within one operator's
-    variants, so a cold cache changes nothing.
-    """
-    pipeline = _make_pipeline(config)
     op_class, kernel = _worker_suite(network, config.seed,
                                      config.limit_per_network)[index]
     result = evaluate_operator(pipeline, kernel.name, op_class, kernel,
@@ -422,10 +336,10 @@ def evaluate_all(config: Optional[EvaluationConfig] = None,
     """Evaluate every network (the full Table II).
 
     With ``jobs > 1`` all operators of all requested networks share one
-    supervised worker fleet, so small suites do not serialize behind
-    large ones.  Per-operator failures are contained in
+    fork pool, so small suites do not serialize behind large ones.
+    Per-operator failures are contained in
     ``OperatorResult.status``; this function only raises for
-    non-compilation errors (genuine bugs).
+    non-compilation errors (genuine bugs) and dead workers.
 
     ``checkpoint`` (an :class:`~repro.eval.checkpoint.EvalCheckpoint`)
     durably records each operator as it completes; with ``resume`` the
@@ -471,11 +385,10 @@ def evaluate_all(config: Optional[EvaluationConfig] = None,
              for index in range(len(suites[network]))
              if (network, index) not in restored]
 
-    supervisor_counters: dict[str, dict] = {}
     if tasks and n_jobs and n_jobs > 1:
+        # Looked up at call time, so a patched module attribute is used.
         from repro.eval.supervisor import run_supervised
-        supervisor_counters = run_supervised(tasks, config, n_jobs, suites,
-                                             on_complete)
+        run_supervised(tasks, config, n_jobs, on_complete)
     else:
         pipeline = _make_pipeline(config)
         for network, index in tasks:
@@ -492,12 +405,6 @@ def evaluate_all(config: Optional[EvaluationConfig] = None,
     out = {}
     for network in names:
         dicts = list(metric_dicts[network])
-        # Supervisor interventions ride in their own snapshot, appended
-        # only when non-empty: a healthy parallel run contributes no extra
-        # counters and serial = parallel metric parity holds exactly.
-        extra = supervisor_counters.get(network)
-        if extra:
-            dicts.append({"counters": dict(extra)})
         if checkpoint is not None and checkpoint.counters:
             # Checkpoint bookkeeping is global to the run; attach it to
             # the first network only so merging all networks counts once.

@@ -1,357 +1,64 @@
-"""Supervised parallel evaluation: heartbeats, hung-task kill, retry.
+"""Parallel evaluation: a fork pool whose workers exit with their parent.
 
-The plain ``ProcessPoolExecutor``/``as_completed`` loop the runner used
-through PR 7 had two failure modes a long evaluation cannot afford: a
-*hung* worker (a degenerate solve that slipped past the budget, a kernel
-driver stall, an injected ``worker.hang``) parks ``as_completed``
-forever, and a *dead* worker breaks the whole pool.  This module
-replaces it with an explicitly supervised worker fleet:
+Workers are forked, so they start with the parent's warm process-wide
+memos (dependences, emptiness, Farkas blocks, simulated profiles).  Each
+evaluates ``(network, index)`` tasks through
+:func:`repro.eval.runner._evaluate_index` and returns the operator
+result with its metric snapshot.
 
-* **Heartbeats.**  Every worker owns a shared (``multiprocessing.Value``)
-  timestamp it touches when it picks a task up and again before each
-  variant compilation (the ``beat`` callback threaded into
-  :func:`~repro.eval.runner.evaluate_operator`).  The supervisor reads it
-  lock-protected; both sides use ``time.monotonic()``, which on Linux is
-  the system-wide ``CLOCK_MONOTONIC`` and therefore comparable across
-  processes.
-* **Hung-task kill.**  A busy worker whose heartbeat is older than the
-  task timeout (:func:`resolve_task_timeout`: explicit
-  ``task_timeout_s``, else derived from ``deadline_ms`` with headroom,
-  else disabled) is terminated (SIGTERM, then SIGKILL) and replaced; the
-  in-flight task is requeued.
-* **Bounded retry with deterministic backoff.**  A task lost to a kill
-  or a worker death is retried up to ``config.retries`` times; retry
-  ``n`` becomes runnable ``retry_backoff_s * 2**(n-1)`` seconds after
-  the loss (pure function of the attempt number — no jitter, so runs
-  are reproducible).  A task whose retries are exhausted by worker
-  *deaths* falls back to one serial evaluation in the parent (deaths are
-  result-invariant: the compilation model is deterministic, and injected
-  crashes only fire inside workers).  A task exhausted by *hangs* is
-  never run in the parent — a computation that hung N workers would hang
-  the supervisor too — and is reported as a failed operator instead,
-  which is what keeps a pathological run terminating rather than wedged.
+Two failure modes stay loud and bounded:
 
-Everything the supervisor does is surfaced in
-``resilience.supervisor.*`` counters (kills, worker deaths, respawns,
-retries, backoff seconds, gave-up tasks) kept in their own metric
-snapshot so every other counter stays identical between serial and
-parallel runs, and per operator in ``OperatorResult.attempts`` /
-``OperatorResult.kill_reason``.
+* A worker that dies (crash, OOM-kill) breaks the pool: the run raises
+  :class:`~concurrent.futures.process.BrokenProcessPool` instead of
+  waiting, and ``--resume`` finishes it from the checkpoint.
+* A parent that dies (SIGKILL) takes its workers along: each worker
+  watches the parent's sentinel from a daemon thread and exits when it
+  closes, instead of blocking forever on the task queue.
+
+A solve that runs too long is bounded inside the worker by the
+``--deadline-ms`` :class:`~repro.solver.budget.SolveBudget`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
-from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _connection_wait
-from typing import Callable, Optional
-
-from repro.obs import logger
-from repro.pipeline.akg import VARIANTS
-
-# Supervisor poll interval: the latency of hang detection and task
-# assignment, traded against parent wake-ups.
-POLL_S = 0.05
-
-# With only --deadline-ms to go on, a task may legitimately spend the
-# whole budget on each of the four variants plus measurement; the
-# timeout leaves generous headroom above that so it only fires on tasks
-# the budget machinery failed to bound.
-TASK_TIMEOUT_HEADROOM = 8.0
-MIN_DERIVED_TIMEOUT_S = 10.0
-
-# How long a worker gets to exit after SIGTERM before SIGKILL.
-_TERM_GRACE_S = 1.0
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from multiprocessing.connection import wait
+from typing import Callable
 
 
-def resolve_task_timeout(config) -> Optional[float]:
-    """The effective per-task timeout for an evaluation config.
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker as soon as its parent dies."""
+    sentinel = multiprocessing.parent_process().sentinel
 
-    Explicit ``task_timeout_s`` wins (``0`` means "derive"); otherwise a
-    ``deadline_ms`` solve budget implies a generous per-task bound
-    (variants x deadline x headroom, floored); with neither, hang
-    detection is off — matching the pre-supervisor behavior of waiting
-    indefinitely.
-    """
-    if config.task_timeout_s:
-        return config.task_timeout_s
-    if config.deadline_ms:
-        per_attempt = config.deadline_ms / 1000.0
-        return max(MIN_DERIVED_TIMEOUT_S,
-                   len(VARIANTS) * per_attempt * TASK_TIMEOUT_HEADROOM)
-    return None
+    def watch() -> None:
+        wait([sentinel])
+        os._exit(1)
 
-
-def retry_backoff(backoff_s: float, attempt: int) -> float:
-    """Deterministic exponential backoff before retry ``attempt`` (>=1)."""
-    if attempt <= 0:
-        return 0.0
-    return backoff_s * (2.0 ** (attempt - 1))
-
-
-@dataclass
-class _Task:
-    """One ``(network, index)`` evaluation and its retry history."""
-
-    network: str
-    index: int
-    attempt: int = 0
-    not_before: float = 0.0          # monotonic instant it may run
-    reasons: list = field(default_factory=list)  # one entry per loss
-
-
-class _Worker:
-    """One supervised worker process plus its parent-side handles."""
-
-    def __init__(self, ctx, config):
-        self.conn, child = ctx.Pipe(duplex=True)
-        self.heartbeat = ctx.Value("d", 0.0)
-        self.proc = ctx.Process(target=_worker_main,
-                                args=(child, self.heartbeat, config),
-                                daemon=True)
-        self.proc.start()
-        child.close()
-        self.task: Optional[_Task] = None
-        self.assigned_at = 0.0
-
-    def last_beat(self) -> float:
-        with self.heartbeat.get_lock():
-            beat = self.heartbeat.value
-        return max(beat, self.assigned_at)
-
-    def assign(self, task: _Task, now: float) -> None:
-        self.conn.send(("task", task.network, task.index, task.attempt))
-        self.task = task
-        self.assigned_at = now
-
-    def stop(self) -> None:
-        """Cooperative shutdown; escalates to SIGTERM/SIGKILL."""
-        try:
-            self.conn.send(("stop",))
-        except OSError:
-            pass
-        self.proc.join(timeout=_TERM_GRACE_S)
-        self.kill()
-
-    def kill(self) -> None:
-        """Hard stop: SIGTERM, short grace, then SIGKILL."""
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=_TERM_GRACE_S)
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join()
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-
-def _worker_main(conn, heartbeat, config) -> None:
-    """Worker loop: receive tasks, evaluate, send results, beat."""
-    from repro.eval import runner
-    runner._mark_worker_process()
-
-    def beat() -> None:
-        with heartbeat.get_lock():
-            heartbeat.value = time.monotonic()
-
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
-        if message[0] != "task":
-            return
-        _, network, index, attempt = message
-        beat()
-        try:
-            index, result, metrics = runner._evaluate_index(
-                network, config, index, attempt=attempt, beat=beat)
-            payload = ("done", network, index, attempt, result, metrics)
-        except BaseException as exc:  # a genuine bug, not a typed failure
-            payload = ("error", network, index, attempt,
-                       f"{type(exc).__name__}: {exc}")
-        beat()
-        try:
-            conn.send(payload)
-        except OSError:
-            return
-
-
-class SupervisedRunError(RuntimeError):
-    """A worker raised an unexpected (non-``ReproError``) exception."""
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def run_supervised(tasks: list[tuple[str, int]], config, jobs: int,
-                   suites: dict,
-                   on_complete: Callable,
-                   ) -> dict[str, dict]:
-    """Evaluate ``(network, index)`` tasks under supervision.
+                   on_complete: Callable) -> None:
+    """Evaluate ``(network, index)`` tasks on ``jobs`` forked workers.
 
     ``on_complete(network, index, result, metrics)`` fires once per task
     in completion order (results are deterministic regardless of that
-    order).  Returns ``{network: supervisor-counter dict}`` with entries
-    only for networks whose tasks needed intervention, so a healthy run
-    contributes no extra counters and serial = parallel parity holds.
+    order).  A worker's exception, or its death, propagates.
     """
     from repro.eval import runner
 
-    timeout = resolve_task_timeout(config)
-    counters: dict[str, dict] = {}
-
-    def count(network: str, name: str, value: float = 1.0) -> None:
-        bucket = counters.setdefault(network, {})
-        bucket[name] = bucket.get(name, 0.0) + value
-
-    ctx = multiprocessing.get_context()
-    pending: list[_Task] = [_Task(network, index) for network, index in tasks]
-    fallback: list[_Task] = []   # death-exhausted: retried serially in parent
-    gave_up: list[_Task] = []    # hang-exhausted: reported failed
-    workers: list[_Worker] = []
-    initial_fleet = min(jobs, len(pending))
-    spawned = 0
-
-    def lose(task: _Task, reason: str, now: float) -> None:
-        """Requeue a lost task, or route it to its terminal handling."""
-        task.reasons.append(reason)
-        if task.attempt < config.retries:
-            task.attempt += 1
-            delay = retry_backoff(config.retry_backoff_s, task.attempt)
-            task.not_before = now + delay
-            pending.append(task)
-            count(task.network, "resilience.supervisor.retries")
-            count(task.network, "resilience.supervisor.backoff_seconds",
-                  delay)
-            logger.warning("task %s[%d] lost (%s); retry %d/%d in %.2fs",
-                           task.network, task.index, reason, task.attempt,
-                           config.retries, delay)
-        elif reason == "hung":
-            gave_up.append(task)
-            count(task.network, "resilience.supervisor.gave_up")
-            logger.error("task %s[%d] hung %d time(s); giving up",
-                         task.network, task.index, len(task.reasons))
-        else:
-            fallback.append(task)
-            logger.warning("task %s[%d] lost workers %d time(s) (%s); "
-                           "will retry serially in the parent",
-                           task.network, task.index, len(task.reasons),
-                           reason)
-
-    def finish(task: _Task, result, metrics) -> None:
-        result.attempts = task.attempt + 1
-        if task.reasons:
-            result.kill_reason = ";".join(task.reasons)
-        on_complete(task.network, task.index, result, metrics)
-
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_exit_with_parent)
     try:
-        while pending or any(w.task is not None for w in workers):
-            now = time.monotonic()
-
-            # Reap workers that died on their own (crash, OOM-kill).
-            for worker in list(workers):
-                if worker.proc.is_alive():
-                    continue
-                workers.remove(worker)
-                if worker.task is not None:
-                    count(worker.task.network,
-                          "resilience.supervisor.worker_deaths")
-                    lose(worker.task, f"worker-died(exit "
-                         f"{worker.proc.exitcode})", now)
-                worker.kill()  # close handles
-
-            # Keep the fleet sized to the outstanding work.
-            busy = sum(1 for w in workers if w.task is not None)
-            target = min(jobs, busy + len(pending))
-            while len(workers) < target:
-                workers.append(_Worker(ctx, config))
-                spawned += 1
-                if spawned > initial_fleet:
-                    network = pending[0].network if pending else tasks[0][0]
-                    count(network, "resilience.supervisor.respawns")
-
-            # Assign ready tasks to idle workers.
-            for worker in workers:
-                if worker.task is not None or not pending:
-                    continue
-                ready = next((t for t in pending if t.not_before <= now),
-                             None)
-                if ready is None:
-                    break
-                try:
-                    worker.assign(ready, now)
-                except OSError:
-                    # Worker died between liveness check and send; the
-                    # task was never charged an attempt.
-                    worker.kill()
-                    workers.remove(worker)
-                    continue
-                pending.remove(ready)
-
-            # Wait for results (or the next backoff instant).
-            conns = {w.conn: w for w in workers if w.task is not None}
-            if conns:
-                ready_conns = _connection_wait(list(conns), timeout=POLL_S)
-            else:
-                wake = [t.not_before for t in pending if t.not_before > now]
-                time.sleep(min([POLL_S] + [max(0.0, w - now) for w in wake]))
-                ready_conns = []
-
-            for conn in ready_conns:
-                worker = conns[conn]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    continue  # death handled by the reaper next iteration
-                kind = message[0]
-                task, worker.task = worker.task, None
-                if kind == "done":
-                    _, _, index, _, result, metrics = message
-                    finish(task, result, metrics)
-                else:
-                    _, network, index, _, detail = message
-                    raise SupervisedRunError(
-                        f"worker evaluating {network}[{index}] raised: "
-                        f"{detail}")
-
-            # Hung-task detection: kill and requeue.
-            if timeout is None:
-                continue
-            now = time.monotonic()
-            for worker in list(workers):
-                task = worker.task
-                if task is None or now - worker.last_beat() <= timeout:
-                    continue
-                logger.warning("killing worker on %s[%d]: no heartbeat "
-                               "for %.1fs (task timeout %.1fs)",
-                               task.network, task.index,
-                               now - worker.last_beat(), timeout)
-                worker.kill()
-                workers.remove(worker)
-                count(task.network, "resilience.supervisor.kills")
-                lose(task, "hung", now)
+        futures = {pool.submit(runner._evaluate_index, network, config,
+                               index): network
+                   for network, index in tasks}
+        for future in as_completed(futures):
+            index, result, metrics = future.result()
+            on_complete(futures[future], index, result, metrics)
     finally:
-        for worker in workers:
-            worker.stop()
-
-    # Death-exhausted tasks: one serial attempt in the parent, with a
-    # fresh pipeline (hence a fresh SolveBudget) per attempt so a retried
-    # operator never inherits an already-charged deadline.
-    for task in sorted(fallback, key=lambda t: (t.network, t.index)):
-        count(task.network, "resilience.worker_retries")
-        index, result, metrics = runner._evaluate_index_fresh(
-            task.network, config, task.index)
-        finish(task, result, metrics)
-
-    # Hang-exhausted tasks become failed operators: the run terminates
-    # with the loss on the record instead of wedging.
-    for task in sorted(gave_up, key=lambda t: (t.network, t.index)):
-        op_class, kernel = suites[task.network][task.index]
-        result = runner.OperatorResult(
-            name=kernel.name, op_class=op_class, times={}, influenced=False,
-            vectorized=False, launches={}, status="failed",
-            error=f"worker hung {len(task.reasons)} time(s); killed after "
-                  f"task timeout ({timeout:g}s), retries exhausted")
-        finish(task, result, {})
-    return counters
+        pool.shutdown(cancel_futures=True)

@@ -100,7 +100,6 @@ def degradation_row(result: NetworkResult) -> dict:
         "degraded": result.count_degraded,
         "failed": result.count_failed,
         "fallbacks": int(counters.get("resilience.fallback", 0)),
-        "worker_retries": int(counters.get("resilience.worker_retries", 0)),
     }
 
 
@@ -111,12 +110,12 @@ def format_degradation_summary(results: Iterable[NetworkResult]) -> str:
     results = list(results)
     lines = ["degradation summary (per network):",
              f"  {'network':<14}{'ok':>5}{'degraded':>10}{'failed':>8}"
-             f"{'fallbacks':>11}{'retries':>9}"]
+             f"{'fallbacks':>11}"]
     for result in results:
         row = degradation_row(result)
         lines.append(f"  {row['network']:<14}{row['ok']:>5}"
                      f"{row['degraded']:>10}{row['failed']:>8}"
-                     f"{row['fallbacks']:>11}{row['worker_retries']:>9}")
+                     f"{row['fallbacks']:>11}")
     for result in results:
         for op in result.operators:
             if op.status == "degraded":

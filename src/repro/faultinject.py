@@ -1,8 +1,8 @@
 """Deterministic, seeded fault injection for the compilation stack.
 
 Resilience code (solver deadlines, the pipeline degradation ladder, the
-runner's worker-crash retry) is only trustworthy if its failure paths are
-exercised.  This module provides an ambient *fault plan* — mirroring
+run store's torn-tail handling) is only trustworthy if its failure paths
+are exercised.  This module provides an ambient *fault plan* — mirroring
 ``repro.obs.runtime`` — that instrumented sites consult:
 
 * ``compile``            (``pipeline/passes.py``): force a typed failure
@@ -11,25 +11,11 @@ exercised.  This module provides an ambient *fault plan* — mirroring
 * ``scheduler.dimension`` (``schedule/scheduler.py``): declare one
   per-dimension ILP ``infeasible`` (drives the backtracking ladder) or
   ``timeout`` it.
-* ``worker``             (``eval/runner.py``): ``crash`` the worker
-  process evaluating a chosen operator (exercises the supervisor's
-  death/retry path).  Only fires inside supervised workers.
-* ``worker.hang``        (``eval/runner.py``): park the worker before it
-  evaluates — action ``hang`` sleeps effectively forever (the
-  supervisor's task-timeout kill is the only way out), a numeric action
-  sleeps that many seconds.  Only fires inside supervised workers.
-* ``worker.oom``         (``eval/runner.py``): allocate a bounded memory
-  ballast (numeric action = MiB, capped at 256) and die with exit 137,
-  simulating an OOM-kill.  Only fires inside supervised workers.
 * ``store.append``       (``obs/store.py``, ``eval/checkpoint.py``):
   fail a durable append with ``enospc`` (raised before any byte is
   written) or ``short-write`` (half the line lands, then ``EIO`` — the
   torn-tail case readers must tolerate).  Attributes: ``kind`` (``run``
   or ``checkpoint``), ``path``, ``key``.
-
-The ``worker*`` sites carry an ``attempt`` attribute, so probabilistic
-rules get a fresh content-keyed draw on each supervised retry while
-``p=1`` (or ``@attempt=0``-matched) rules stay fully deterministic.
 
 Decisions are *content-keyed*: whether a rule fires depends solely on the
 plan seed, the site name and the site's attributes (hashed through
@@ -39,13 +25,13 @@ keeps degradation records reproducible across execution modes.
 
 Plans come from three places, in precedence order: an explicit
 :func:`use_faults` scope, the ``REPRO_FAULT_PLAN`` environment variable
-(a built-in plan name such as ``ci-chaos-1``, or an inline spec), else
-the empty plan.  The inline spec grammar is semicolon-separated rules::
+(an inline spec), else the empty plan.  The spec grammar is
+semicolon-separated rules::
 
     site=action[@key=value[&key=value...]][:p=PROB]
 
     compile=timeout@variant=infl&influence=True
-    worker=crash:p=0.25;scheduler.dimension=infeasible@dim=1
+    compile=codegen-error:p=0.25;scheduler.dimension=infeasible@dim=1
 
 ``@key=value`` clauses match site attributes by exact string equality;
 ``:p=`` makes the rule probabilistic (content-keyed, so still
@@ -122,35 +108,6 @@ def _decision(seed: int, site: str, attrs: dict) -> float:
 
 NULL_PLAN = FaultPlan()
 
-# Built-in plans referenced by name (CI, docs).  ``ci-chaos-1`` only
-# injects worker crashes: those are result-invariant (the runner retries
-# crashed items serially and the compilation model is deterministic), so
-# the whole tier-1 suite must stay green under it.
-BUILTIN_PLANS: dict[str, FaultPlan] = {
-    "ci-chaos-1": FaultPlan(
-        name="ci-chaos-1", seed=1001,
-        rules=(FaultRule(site="worker", action="crash", probability=0.25),)),
-    # ``ci-chaos-2`` exercises the supervision + checkpoint paths:
-    # deterministically hang one LSTM operator's first attempt (the
-    # supervisor must kill it within --task-timeout and the retry
-    # succeeds), OOM-kill another one once, and fail half of all
-    # checkpoint appends with ENOSPC (the checkpoint degrades to
-    # best-effort; results are unaffected).  Run-store appends
-    # (kind=run) are left alone so CI can still read the run record.
-    "ci-chaos-2": FaultPlan(
-        name="ci-chaos-2", seed=2002,
-        rules=(
-            FaultRule(site="worker.hang", action="30",
-                      match=(("kernel", "lstm_op001_elementwise_vec"),
-                             ("attempt", "0"))),
-            FaultRule(site="worker.oom", action="32",
-                      match=(("kernel", "lstm_op003_broadcast"),
-                             ("attempt", "0"))),
-            FaultRule(site="store.append", action="enospc",
-                      match=(("kind", "checkpoint"),), probability=0.5),
-        )),
-}
-
 
 class FaultPlanError(ValueError):
     """An inline fault-plan spec could not be parsed."""
@@ -185,13 +142,6 @@ def parse_plan(spec: str, name: str = "") -> FaultPlan:
     return FaultPlan(name=name or spec, seed=seed, rules=tuple(rules))
 
 
-def resolve_plan(spec: str) -> FaultPlan:
-    """A built-in plan by name, else an inline spec parsed."""
-    if spec in BUILTIN_PLANS:
-        return BUILTIN_PLANS[spec]
-    return parse_plan(spec)
-
-
 _current: Optional[FaultPlan] = None
 _env_cache: dict[str, FaultPlan] = {}
 
@@ -210,7 +160,7 @@ def get_faults() -> FaultPlan:
         return NULL_PLAN
     if spec not in _env_cache:
         try:
-            _env_cache[spec] = resolve_plan(spec)
+            _env_cache[spec] = parse_plan(spec)
         except (FaultPlanError, ValueError) as exc:
             logger.warning("ignoring unparseable %s=%r: %s",
                            ENV_VAR, spec, exc)

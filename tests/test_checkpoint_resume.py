@@ -49,14 +49,14 @@ class TestOperatorRoundtrip:
             json.loads(json.dumps(operator_to_record(op))))
         assert restored == op
 
-    def test_attempts_and_kill_reason_survive(self):
+    def test_checkpoint_with_supervisor_fields_still_restores(self):
+        # Checkpoints written while a worker supervisor existed carry
+        # per-operator ``attempts``/``kill_reason`` keys.
         results = evaluate_all(_config(limit_per_network=1), ["LSTM"])
         (op,) = results["LSTM"].operators
-        op.attempts, op.kill_reason = 3, "hung;worker-died(exit 9)"
-        restored = operator_from_record(
-            json.loads(json.dumps(operator_to_record(op))))
-        assert restored.attempts == 3
-        assert restored.kill_reason == "hung;worker-died(exit 9)"
+        record = dict(operator_to_record(op), attempts=3,
+                      kill_reason="hung;worker-died(exit 9)")
+        assert operator_from_record(json.loads(json.dumps(record))) == op
 
 
 class TestEvalCheckpoint:
@@ -153,28 +153,47 @@ def _repro_env() -> dict:
     return env
 
 
+def _children(pid: int) -> list[int]:
+    with open(f"/proc/{pid}/task/{pid}/children") as handle:
+        return [int(child) for child in handle.read().split()]
+
+
+def _alive(pid: int) -> bool:
+    """Running, not a zombie nobody reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 class TestSigkillResumeEndToEnd:
     """Kill a real `table2` run mid-evaluation; resume must complete and
     match an uninterrupted run byte for byte."""
 
     ARGS = ["-m", "repro", "-q", "table2", "--networks", "ResNet50",
             "--limit", "0", "--no-record"]
+    # Long enough at --jobs 2 to be killed mid-way.
+    JOBS2_ARGS = ["-m", "repro", "-q", "table2", "--networks", "BERT",
+                  "--limit", "0", "--no-record", "--jobs", "2"]
 
-    def test_sigkill_then_resume_matches_uninterrupted(self, tmp_path):
-        env = _repro_env()
-        reference = subprocess.run(
-            [sys.executable] + self.ARGS + ["--no-checkpoint"],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert reference.returncode == 0, reference.stderr
+    @staticmethod
+    def _run(args, env):
+        done = subprocess.run([sys.executable] + args, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
 
-        runs_dir = str(tmp_path / "runs")
-        env["REPRO_RUNS_DIR"] = runs_dir
-        proc = subprocess.Popen([sys.executable] + self.ARGS, env=env,
+    @staticmethod
+    def _start_and_checkpoint(args, env, runs_dir):
+        """Start a run and return it once its checkpoint holds three
+        operators."""
+        proc = subprocess.Popen([sys.executable] + args, env=env,
                                 stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL)
+        lines = 0
         try:
             deadline = time.monotonic() + 120
-            lines = 0
             while time.monotonic() < deadline and proc.poll() is None:
                 files = glob.glob(os.path.join(runs_dir, "checkpoints",
                                                "*.jsonl"))
@@ -185,18 +204,48 @@ class TestSigkillResumeEndToEnd:
                         break
                 time.sleep(0.01)
         finally:
-            proc.kill() if proc.poll() is None else None
-        if proc.poll() is None:
-            os.kill(proc.pid, signal.SIGKILL)
-        proc.wait(timeout=30)
-        assert lines >= 3, "run finished before it could be killed mid-way"
+            if lines < 3 and proc.poll() is None:
+                proc.kill()
+        assert lines >= 3 and proc.poll() is None, \
+            "run finished before it could be killed mid-way"
+        return proc
 
-        resumed = subprocess.run(
-            [sys.executable] + self.ARGS + ["--resume"], env=env,
-            capture_output=True, text=True, timeout=300)
-        assert resumed.returncode == 0, resumed.stderr
-        assert _deterministic_part(resumed.stdout) == \
-            _deterministic_part(reference.stdout)
+    def test_sigkill_then_resume_matches_uninterrupted(self, tmp_path):
+        env = _repro_env()
+        reference = self._run(self.ARGS + ["--no-checkpoint"], env)
+
+        runs_dir = str(tmp_path / "runs")
+        env["REPRO_RUNS_DIR"] = runs_dir
+        proc = self._start_and_checkpoint(self.ARGS, env, runs_dir)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+
+        resumed = self._run(self.ARGS + ["--resume"], env)
+        assert _deterministic_part(resumed) == _deterministic_part(reference)
+
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task"),
+                        reason="lists child processes through /proc")
+    def test_sigkill_jobs2_workers_exit_and_resume_matches(self, tmp_path):
+        env = _repro_env()
+        reference = self._run(self.JOBS2_ARGS + ["--no-checkpoint"], env)
+
+        runs_dir = str(tmp_path / "runs")
+        env["REPRO_RUNS_DIR"] = runs_dir
+        proc = self._start_and_checkpoint(self.JOBS2_ARGS, env, runs_dir)
+        workers = _children(proc.pid)
+        assert len(workers) == 2
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and any(map(_alive, workers)):
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if _alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, "workers outlived their killed parent"
+
+        resumed = self._run(self.JOBS2_ARGS + ["--resume"], env)
+        assert _deterministic_part(resumed) == _deterministic_part(reference)
 
 
 class TestSigpipe:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.eval import EvaluationConfig, evaluate_network
+from repro.eval import EvaluationConfig, evaluate_network, runner
 
 
 def _config(**overrides):
@@ -38,14 +38,7 @@ class TestSerialParallelMetrics:
         serial = evaluate_network("LSTM", _config()).metrics
         parallel = evaluate_network("LSTM", _config(), jobs=2).metrics
 
-        def counters(snapshot):
-            # `resilience.worker_retries` only exists in parallel runs (it
-            # counts crashed pool workers whose items were retried in the
-            # parent); everything the workers themselves compute must match.
-            return {k: v for k, v in snapshot["counters"].items()
-                    if not k.startswith("resilience.worker")}
-
-        assert counters(serial) == counters(parallel)
+        assert serial["counters"] == parallel["counters"]
         assert serial["gauges"] == parallel["gauges"]
         # Pass call counts are deterministic; wall-clock seconds are not.
         serial_calls = {n: e["calls"] for n, e in serial["passes"].items()}
@@ -82,6 +75,17 @@ class TestSerialParallelMetrics:
         assert all("ts" in e and "worker" in e for e in events)
         stamps = [e["ts"] for e in events]
         assert stamps == sorted(stamps)
+
+
+class TestOperatorMetrics:
+    def test_gpu_kernels_count_variant_and_template_launches(self):
+        # BERT's first operators include multi-launch templates.
+        config = _config(limit_per_network=6)
+        for index in range(6):
+            _, result, metrics = runner._evaluate_index("BERT", config, index)
+            assert "template" in result.launches
+            assert metrics["counters"]["gpu.kernels"] == \
+                sum(result.launches.values()), result.name
 
 
 class TestCliExport:

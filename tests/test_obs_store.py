@@ -237,16 +237,3 @@ class TestRecordingUnderFaults:
         record = RunStore().resolve("latest")
         assert record["status"] == "failed"
         assert record["metrics"]["counters"].get("resilience.fallback")
-
-    def test_table2_chaos_worker_crash_records_run(self, monkeypatch,
-                                                   tmp_path):
-        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "ci-chaos-1")
-        assert main(["table2", "--limit", "1", "--networks", "LSTM",
-                     "--jobs", "2"]) == 0
-        record = RunStore().resolve("latest")
-        assert record["command"] == "table2"
-        assert record["status"] == "ok"  # crashes retry deterministically
-        assert record["operators"]
-        for operator in record["operators"]:
-            assert operator["schedule_hashes"]

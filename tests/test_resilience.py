@@ -1,7 +1,11 @@
 """Resilience: solve budgets, the exception taxonomy, fault injection,
-the pipeline degradation ladder, and per-operator failure isolation."""
+the pipeline degradation ladder, per-operator failure isolation, and a
+dead worker failing the run."""
 
+import multiprocessing
+import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -13,13 +17,14 @@ from repro.errors import (
     SchedulingError,
     SolverTimeout,
 )
+from repro.cli import main
+from repro.eval import runner
 from repro.eval.runner import (
     EvaluationConfig,
     evaluate_network,
     evaluate_operator,
 )
 from repro.faultinject import (
-    BUILTIN_PLANS,
     FaultPlan,
     FaultPlanError,
     FaultRule,
@@ -27,10 +32,10 @@ from repro.faultinject import (
     fault_action,
     get_faults,
     parse_plan,
-    resolve_plan,
     use_faults,
 )
 from repro.obs.runtime import Obs, use_obs
+from repro.obs.store import RunStore
 from repro.pipeline import AkgPipeline
 from repro.schedule import InfluencedScheduler, SchedulerOptions
 from repro.sets.polyhedron import Polyhedron
@@ -116,22 +121,20 @@ class TestFaultPlanParsing:
 
     def test_full_grammar(self):
         plan = parse_plan("seed=42;compile=timeout@variant=infl"
-                          "&influence=True:p=0.5;worker=crash")
+                          "&influence=True:p=0.5;store.append=enospc")
         assert plan.seed == 42
         assert plan.rules[0] == FaultRule(
             site="compile", action="timeout",
             match=(("variant", "infl"), ("influence", "True")),
             probability=0.5)
-        assert plan.rules[1] == FaultRule(site="worker", action="crash")
+        assert plan.rules[1] == FaultRule(site="store.append",
+                                          action="enospc")
 
     @pytest.mark.parametrize("spec", ["nonsense", "=action", "site=",
                                       "compile=timeout@variant"])
     def test_bad_specs_raise(self, spec):
         with pytest.raises(FaultPlanError):
             parse_plan(spec)
-
-    def test_resolve_builtin_by_name(self):
-        assert resolve_plan("ci-chaos-1") is BUILTIN_PLANS["ci-chaos-1"]
 
     def test_null_plan_is_falsy(self):
         assert not NULL_PLAN
@@ -152,19 +155,19 @@ class TestFaultDecisions:
         assert plan.action_at("compile", variant="tvm") == "codegen-error"
 
     def test_probabilistic_rules_are_content_keyed(self):
-        plan = parse_plan("seed=3;worker=crash:p=0.5")
-        verdicts = {name: plan.action_at("worker", kernel=name)
+        plan = parse_plan("seed=3;compile=timeout:p=0.5")
+        verdicts = {name: plan.action_at("compile", kernel=name)
                     for name in (f"op{i}" for i in range(40))}
         # Deterministic: the same attrs always produce the same verdict.
         for name, verdict in verdicts.items():
-            assert plan.action_at("worker", kernel=name) == verdict
-        fired = sum(1 for v in verdicts.values() if v == "crash")
+            assert plan.action_at("compile", kernel=name) == verdict
+        fired = sum(1 for v in verdicts.values() if v == "timeout")
         assert 0 < fired < len(verdicts)  # p=0.5 fires on some, not all
 
     def test_seed_changes_decisions(self):
         draw = lambda seed: tuple(
-            parse_plan(f"seed={seed};worker=crash:p=0.5").action_at(
-                "worker", kernel=f"op{i}")
+            parse_plan(f"seed={seed};compile=timeout:p=0.5").action_at(
+                "compile", kernel=f"op{i}")
             for i in range(40))
         assert draw(1) != draw(2)
 
@@ -278,16 +281,42 @@ class TestSerialParallelParity:
         assert [op.times for op in serial.operators] == \
                [op.times for op in parallel.operators]
 
-    def test_worker_crash_retried_serially(self, monkeypatch):
-        clean = evaluate_network("LSTM", self.CONFIG)
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "worker=crash")
-        crashed = evaluate_network("LSTM", self.CONFIG, jobs=2)
-        # Crashes only fire inside pool workers; the parent's serial retry
-        # reproduces exactly what a healthy worker would have computed.
-        assert crashed.metrics["counters"]["resilience.worker_retries"] >= 1
-        assert [op.times for op in crashed.operators] == \
-               [op.times for op in clean.operators]
-        assert all(op.status == "ok" for op in crashed.operators)
+
+# Bound before any test patches the module attribute.
+_evaluate_index = runner._evaluate_index
+
+
+def _die_on_index_1(network, config, index):
+    """``runner._evaluate_index`` whose worker dies on operator 1 (module
+    level, so the pool can pickle it by name)."""
+    if index == 1:
+        os._exit(137)
+    return _evaluate_index(network, config, index)
+
+
+class TestWorkerDeath:
+    """A dead worker breaks the pool: the run fails within seconds, no
+    worker is left behind, and the CLI records an ``error`` run."""
+
+    CONFIG = EvaluationConfig(limit_per_network=4, sample_blocks=2)
+
+    def test_worker_death_fails_run(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(runner, "_evaluate_index", _die_on_index_1)
+        started = time.monotonic()
+        with pytest.raises(BrokenProcessPool):
+            evaluate_network("LSTM", self.CONFIG, jobs=2)
+        assert time.monotonic() - started < 30
+        assert multiprocessing.active_children() == []
+
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+        assert main(["--quiet", "table2", "--networks", "LSTM",
+                     "--limit", "4", "--sample-blocks", "2",
+                     "--jobs", "2"]) == 1
+        capsys.readouterr()
+        record = RunStore().resolve("latest")
+        assert record["command"] == "table2"
+        assert record["status"] == "error"
+        assert multiprocessing.active_children() == []
 
 
 class TestPolyhedronBranchLimit:
