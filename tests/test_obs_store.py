@@ -1,6 +1,7 @@
 """Tests for the persistent run store (repro.obs.store)."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.eval import runner
 from repro.obs.store import (
     RUN_SCHEMA_VERSION,
     RunStore,
@@ -17,6 +19,18 @@ from repro.obs.store import (
     finalize_record,
     new_record,
 )
+
+# Bound before any test patches the module attribute.
+_evaluate_index = runner._evaluate_index
+
+
+def _die_on_index_1(network, config, index):
+    """``runner._evaluate_index`` whose worker dies on operator 1 (module
+    level, so the pool can pickle it by name)."""
+    if index == 1:
+        os._exit(137)
+    return _evaluate_index(network, config, index)
+
 
 KERNEL_TEXT = """
 kernel store_demo (M=64, N=16)
@@ -237,3 +251,18 @@ class TestRecordingUnderFaults:
         record = RunStore().resolve("latest")
         assert record["status"] == "failed"
         assert record["metrics"]["counters"].get("resilience.fallback")
+
+    def test_table2_chaos_worker_crash_records_run(self, monkeypatch,
+                                                   tmp_path, capsys):
+        # A worker that dies breaks the pool: the run fails, but its
+        # record still lands in the store, marked ``error``.
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+        monkeypatch.setattr(runner, "_evaluate_index", _die_on_index_1)
+        assert main(["--quiet", "table2", "--networks", "LSTM",
+                     "--limit", "4", "--sample-blocks", "2",
+                     "--jobs", "2"]) == 1
+        capsys.readouterr()
+        record = RunStore().resolve("latest")
+        assert record["command"] == "table2"
+        assert record["status"] == "error"
+        assert multiprocessing.active_children() == []

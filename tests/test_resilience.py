@@ -35,7 +35,6 @@ from repro.faultinject import (
     use_faults,
 )
 from repro.obs.runtime import Obs, use_obs
-from repro.obs.store import RunStore
 from repro.pipeline import AkgPipeline
 from repro.schedule import InfluencedScheduler, SchedulerOptions
 from repro.sets.polyhedron import Polyhedron
@@ -295,27 +294,18 @@ def _die_on_index_1(network, config, index):
 
 
 class TestWorkerDeath:
-    """A dead worker breaks the pool: the run fails within seconds, no
-    worker is left behind, and the CLI records an ``error`` run."""
+    """A dead worker breaks the pool: the run fails within seconds and no
+    worker is left behind. The CLI's ``error`` run record for the same
+    death is checked in ``tests/test_obs_store.py``."""
 
     CONFIG = EvaluationConfig(limit_per_network=4, sample_blocks=2)
 
-    def test_worker_death_fails_run(self, monkeypatch, tmp_path, capsys):
+    def test_worker_death_fails_run(self, monkeypatch):
         monkeypatch.setattr(runner, "_evaluate_index", _die_on_index_1)
         started = time.monotonic()
         with pytest.raises(BrokenProcessPool):
             evaluate_network("LSTM", self.CONFIG, jobs=2)
         assert time.monotonic() - started < 30
-        assert multiprocessing.active_children() == []
-
-        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
-        assert main(["--quiet", "table2", "--networks", "LSTM",
-                     "--limit", "4", "--sample-blocks", "2",
-                     "--jobs", "2"]) == 1
-        capsys.readouterr()
-        record = RunStore().resolve("latest")
-        assert record["command"] == "table2"
-        assert record["status"] == "error"
         assert multiprocessing.active_children() == []
 
 
