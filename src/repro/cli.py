@@ -284,10 +284,18 @@ def _cmd_table2(args) -> int:
         "deadline_ms": args.deadline_ms,
         "sample_blocks": args.sample_blocks})
     results = []
+    # Every finished operator by network and suite index, so a run that
+    # raises still records the operators it finished.
+    finished: dict[str, dict] = {network: {} for network in networks}
+
+    def on_operator(network: str, index: int, result) -> None:
+        finished[network][index] = result
+
     completed = False
     try:
         logger.info("evaluating %s...", ", ".join(networks))
-        by_network = evaluate_all(config, networks, checkpoint=checkpoint,
+        by_network = evaluate_all(config, networks, on_operator,
+                                  checkpoint=checkpoint,
                                   resume=args.resume is not None)
         results = [by_network[network] for network in networks]
         completed = True
@@ -307,9 +315,9 @@ def _cmd_table2(args) -> int:
             record["status"] = "failed" if completed else "error"
         elif sum(r.count_degraded for r in results):
             record["status"] = "degraded"
-        record["operators"] = [dict(op.as_record(), network=r.network)
-                               for r in results for op in r.operators
-                               if op is not None]
+        record["operators"] = [
+            dict(op.as_record(), network=network) for network in networks
+            for _, op in sorted(finished[network].items())]
         finalize_record(
             record,
             metrics=merge_metric_dicts(

@@ -62,10 +62,6 @@ class DependenceRelation:
     def tensor_name(self) -> str:
         return self.source_access.tensor.name
 
-    @property
-    def is_self(self) -> bool:
-        return self.source.name == self.target.name
-
     # -- schedule-row queries ------------------------------------------------
     #
     # A schedule row phi is a LinExpr over a statement's iterators and the

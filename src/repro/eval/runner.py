@@ -314,9 +314,12 @@ def _evaluate_index(network: str, config: EvaluationConfig,
 # -- entry points ------------------------------------------------------------
 
 
+OnOperator = Callable[[str, int, OperatorResult], None]
+
+
 def evaluate_network(network: str,
                      config: Optional[EvaluationConfig] = None,
-                     progress: Optional[Callable[[str], None]] = None,
+                     on_operator: Optional[OnOperator] = None,
                      jobs: Optional[int] = None) -> NetworkResult:
     """Evaluate one Table I network's fused-operator suite.
 
@@ -324,12 +327,12 @@ def evaluate_network(network: str,
     evaluated concurrently with results identical to the serial path.
     """
     config = config or EvaluationConfig()
-    return evaluate_all(config, [network], progress, jobs=jobs)[network]
+    return evaluate_all(config, [network], on_operator, jobs=jobs)[network]
 
 
 def evaluate_all(config: Optional[EvaluationConfig] = None,
                  networks: Optional[list[str]] = None,
-                 progress: Optional[Callable[[str], None]] = None,
+                 on_operator: Optional[OnOperator] = None,
                  jobs: Optional[int] = None,
                  checkpoint=None,
                  resume: bool = False) -> dict[str, NetworkResult]:
@@ -340,6 +343,10 @@ def evaluate_all(config: Optional[EvaluationConfig] = None,
     Per-operator failures are contained in
     ``OperatorResult.status``; this function only raises for
     non-compilation errors (genuine bugs) and dead workers.
+
+    ``on_operator(network, index, result)`` fires for every finished
+    operator, restored ones included, as it finishes: a caller still
+    holds them when a later operator raises.
 
     ``checkpoint`` (an :class:`~repro.eval.checkpoint.EvalCheckpoint`)
     durably records each operator as it completes; with ``resume`` the
@@ -367,8 +374,8 @@ def evaluate_all(config: Optional[EvaluationConfig] = None,
         for (network, index), (result, metrics) in sorted(restored.items()):
             slots[network][index] = result
             metric_dicts[network].append(metrics)
-            if progress:
-                progress(f"{network}: {result.name} (restored)")
+            if on_operator:
+                on_operator(network, index, result)
 
     def on_complete(network: str, index: int, result, metrics: dict) -> None:
         slots[network][index] = result
@@ -377,8 +384,8 @@ def evaluate_all(config: Optional[EvaluationConfig] = None,
             _, kernel = suites[network][index]
             checkpoint.record_operator(network, index, kernel, result,
                                        metrics)
-        if progress:
-            progress(f"{network}: {result.name}")
+        if on_operator:
+            on_operator(network, index, result)
 
     tasks = [(network, index)
              for network in names

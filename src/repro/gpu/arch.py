@@ -29,11 +29,6 @@ class GpuArch:
     arith_instr_cycles: int      # cycles per warp arithmetic instruction
     sectors_per_cycle: int = 4   # L1 wavefronts: sectors processed per cycle
 
-    @property
-    def issue_rate(self) -> float:
-        """Warp instructions per second across the whole device."""
-        return self.sm_count * self.clock_hz
-
 
 V100 = GpuArch(
     name="V100-PCIe-16GB",

@@ -80,10 +80,6 @@ class InfluenceNode:
         self.children.append(node)
         return node
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def max_dim_mentioned(self) -> int:
         """Largest schedule dimension referenced by this node's constraints
         or injected objectives (-1 when none)."""

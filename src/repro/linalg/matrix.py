@@ -50,26 +50,9 @@ class Matrix:
             return self.rows[i][j]
         return self.rows[idx]
 
-    def __setitem__(self, idx, value):
-        if isinstance(idx, tuple):
-            i, j = idx
-            self.rows[i][j] = frac(value)
-        else:
-            self.rows[idx] = [frac(x) for x in value]
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.rows))
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix[{self.n_rows}x{self.n_cols}]({body})"
-
-    def copy(self) -> "Matrix":
-        """A deep copy."""
-        return Matrix([list(row) for row in self.rows])
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -56,36 +56,11 @@ def div(a: Rat, b: Rat) -> Rat:
     return frac(Fraction(a, b))
 
 
-def vec_add(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
-    """Return ``a + b`` element-wise."""
-    if len(a) != len(b):
-        raise ValueError(f"vector length mismatch: {len(a)} vs {len(b)}")
-    return [frac(x + y) for x, y in zip(a, b)]
-
-
-def vec_sub(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
-    """Return ``a - b`` element-wise."""
-    if len(a) != len(b):
-        raise ValueError(f"vector length mismatch: {len(a)} vs {len(b)}")
-    return [frac(x - y) for x, y in zip(a, b)]
-
-
-def vec_scale(a: Sequence[Rat], k) -> list[Rat]:
-    """Return ``k * a``."""
-    k = frac(k)
-    return [frac(k * x) for x in a]
-
-
 def vec_dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
     """Return the dot product of ``a`` and ``b``."""
     if len(a) != len(b):
         raise ValueError(f"vector length mismatch: {len(a)} vs {len(b)}")
     return frac(sum(x * y for x, y in zip(a, b)))
-
-
-def is_zero_vector(a: Iterable[Rat]) -> bool:
-    """True iff every component of ``a`` is zero."""
-    return all(x == 0 for x in a)
 
 
 def clear_denominators(a: Sequence[Rat]) -> list[int]:

@@ -192,9 +192,6 @@ class MetricsRegistry:
             else:
                 histogram.merge_dict(entry)
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        self.merge_dict(other.as_dict())
-
 
 def _format_seconds(value: float) -> str:
     if value >= 1.0:

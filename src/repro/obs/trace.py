@@ -4,12 +4,10 @@ A :class:`Tracer` records *spans* — named intervals with monotonic
 start/end timestamps, a process/worker identity, arbitrary attributes and
 nested children — plus *instant events* attached to the innermost open
 span.  Traces serialize to a JSON-safe payload (what parallel workers ship
-back to the coordinator) and export in two formats:
-
-* the legacy *flat* event list (one dict per event, stamped with ``ts``
-  and ``worker`` so merged multi-worker logs stay ordered), and
-* Chrome trace-event JSON (``{"traceEvents": [...]}``), openable directly
-  in ``chrome://tracing`` or https://ui.perfetto.dev.
+back to the coordinator) and export as Chrome trace-event JSON
+(``{"traceEvents": [...]}``), openable directly in ``chrome://tracing`` or
+https://ui.perfetto.dev.  (The ``--trace-format flat`` event list is the
+pass context's own log, :mod:`repro.pipeline.passes`.)
 
 Clock normalization: ``time.perf_counter()`` has an arbitrary per-process
 epoch, so every tracer captures the wall-clock offset of its process at
@@ -92,10 +90,6 @@ class _LiveSpan:
     def __init__(self, span: Span):
         self._span = span
 
-    @property
-    def attrs(self) -> dict:
-        return self._span.attrs
-
     def set(self, **attrs) -> None:
         """Attach attributes to the underlying span."""
         self._span.attrs.update(attrs)
@@ -173,9 +167,6 @@ class Tracer:
             self.roots.append(Span.from_dict(entry))
         self.roots.sort(key=lambda s: s.start)
 
-    def merge(self, other: "Tracer") -> None:
-        self.merge_dict(other.as_dict())
-
     # -- export ---------------------------------------------------------------
 
     def _origin(self) -> float:
@@ -220,36 +211,3 @@ class Tracer:
             emit(root)
         events.sort(key=lambda e: e["ts"])
         return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def flat_events(self) -> list[dict]:
-        """The trace flattened to the legacy event-dict format, time-ordered
-        and stamped with ``ts`` (wall-anchored seconds) and ``worker``."""
-        out: list[dict] = []
-
-        def emit(span: Span) -> None:
-            out.append({"event": "span", "name": span.name,
-                        "ts": span.start, "seconds": span.duration,
-                        "worker": span.pid, **span.attrs})
-            for record in span.events:
-                out.append({"event": record["name"], "ts": record["ts"],
-                            "worker": span.pid, **record.get("attrs", {})})
-            for child in span.children:
-                emit(child)
-
-        for root in self.roots:
-            emit(root)
-        out.sort(key=lambda e: e["ts"])
-        return out
-
-    def export(self, path: str, format: str = "chrome") -> None:
-        """Write the trace to ``path`` atomically (write-then-rename, the
-        same path ``--metrics`` uses), so a crash mid-export never leaves a
-        truncated trace file.  ``format``: ``"chrome"`` or ``"flat"``."""
-        from repro.obs.export import atomic_write_json
-        if format == "chrome":
-            atomic_write_json(path, self.chrome_trace())
-        elif format == "flat":
-            atomic_write_json(path, self.flat_events())
-        else:
-            raise ValueError(f"unknown trace format {format!r}; "
-                             f"pick from ('flat', 'chrome')")

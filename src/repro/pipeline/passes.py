@@ -150,9 +150,6 @@ class PassContext:
         self.events.sort(key=lambda e: e.get("ts", 0.0))
         self.obs.tracer.merge_dict({"spans": payload.get("spans", ())})
 
-    def merge(self, other: "PassContext") -> None:
-        self.merge_dict(other.as_dict())
-
     def chrome_trace(self) -> dict:
         """The (merged) span log as Chrome trace-event JSON."""
         return self.obs.tracer.chrome_trace()

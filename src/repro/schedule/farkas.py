@@ -88,12 +88,6 @@ class SymbolicAffineForm:
                              if e.coeffs or e.const)),
                 self.const.signature())
 
-    @classmethod
-    def from_symbolic_expr(cls, dim_exprs: dict[str, LinExpr],
-                           const: Optional[LinExpr] = None) -> "SymbolicAffineForm":
-        return cls({d: e for d, e in dim_exprs.items()},
-                   const if const is not None else LinExpr())
-
 
 def _normalized_inequalities(poly: Polyhedron) -> tuple[list[LinExpr], list[LinExpr]]:
     """Split constraints into (equalities, inequalities-as->=0), deduplicated,

@@ -135,9 +135,6 @@ class Schedule:
     def rows_of(self, name: str) -> list[ScheduleRow]:
         return list(self.rows[name])
 
-    def row_exprs(self, name: str) -> list[LinExpr]:
-        return [r.as_expr() for r in self.rows[name]]
-
     def iterator_matrix(self, name: str) -> list[list[int]]:
         """The H_S part (iterator coefficients only), one row per dim."""
         return [list(r.iter_coeffs) for r in self.rows[name]]
@@ -155,12 +152,6 @@ class Schedule:
                 params: dict[str, int]) -> tuple:
         """The logical date of one statement execution."""
         return tuple(r.evaluate(point, params) for r in self.rows[name])
-
-    def parallel_dims(self) -> list[int]:
-        return [d for d, info in enumerate(self.dims) if info.parallel]
-
-    def coincident_dims(self) -> list[int]:
-        return [d for d, info in enumerate(self.dims) if info.coincident]
 
     def vector_dim(self) -> Optional[int]:
         for d, info in enumerate(self.dims):

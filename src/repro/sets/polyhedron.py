@@ -251,8 +251,3 @@ class Polyhedron:
     def __repr__(self):
         body = " and ".join(repr(c) for c in self.constraints) or "true"
         return f"Polyhedron[{', '.join(self.dims)}]({body})"
-
-    def __eq__(self, other):
-        return (isinstance(other, Polyhedron)
-                and self.dims == other.dims
-                and self.constraints == other.constraints)

@@ -11,14 +11,13 @@ class mix calibrated to the paper's operator counts and speedup profile
 (transpose-heavy ResNets, element-wise-dominated BERT, tiny LSTM).
 """
 
-from repro.workloads.networks import NETWORKS, NetworkSpec, network_names
+from repro.workloads.networks import NETWORKS, NetworkSpec
 from repro.workloads.generator import generate_network_suite
 from repro.workloads import operators
 
 __all__ = [
     "NETWORKS",
     "NetworkSpec",
-    "network_names",
     "generate_network_suite",
     "operators",
 ]

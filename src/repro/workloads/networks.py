@@ -68,10 +68,6 @@ NETWORKS: dict[str, NetworkSpec] = {
 }
 
 
-def network_names() -> list[str]:
-    return list(NETWORKS)
-
-
 def table1_rows() -> list[tuple[str, str, str]]:
     """The rows of Table I: (network, type, dataset)."""
     return [(spec.name, spec.kind, spec.dataset)

@@ -66,13 +66,15 @@ class TestEvalCheckpoint:
         full = evaluate_all(config, ["LSTM"], checkpoint=checkpoint)
         assert checkpoint.counters["resilience.checkpoint.appends"] == 2
 
-        evaluated = []
+        finished = []
         resumed_ckpt = EvalCheckpoint.for_eval("table2", ["LSTM"], config)
-        resumed = evaluate_all(config, ["LSTM"], checkpoint=resumed_ckpt,
-                               resume=True,
-                               progress=evaluated.append)
-        # Everything restored, nothing recompiled; results identical.
-        assert all("(restored)" in line for line in evaluated)
+        resumed = evaluate_all(config, ["LSTM"],
+                               lambda *done: finished.append(done),
+                               checkpoint=resumed_ckpt, resume=True)
+        # Everything restored (and reported), nothing recompiled or
+        # re-appended; results identical.
+        assert [index for _, index, _ in finished] == [0, 1]
+        assert "resilience.checkpoint.appends" not in resumed_ckpt.counters
         assert resumed["LSTM"].operators == full["LSTM"].operators
         assert resumed_ckpt.counters[
             "resilience.checkpoint.restored"] == 2
@@ -85,11 +87,10 @@ class TestEvalCheckpoint:
         other = _config(seed=1)
         other_ckpt = EvalCheckpoint.for_eval("table2", ["LSTM"], other)
         other_ckpt.restore_path = checkpoint.path  # force the old file
-        progress = []
-        evaluate_all(other, ["LSTM"], checkpoint=other_ckpt, resume=True,
-                     progress=progress.append)
+        evaluate_all(other, ["LSTM"], checkpoint=other_ckpt, resume=True)
         # Different seed -> different kernels -> no content-key matches.
-        assert not any("(restored)" in line for line in progress)
+        assert "resilience.checkpoint.restored" not in other_ckpt.counters
+        assert other_ckpt.counters["resilience.checkpoint.appends"] == 2
 
     def test_torn_tail_line_skipped(self):
         config = _config()

@@ -94,11 +94,11 @@ class TestEndToEnd:
 
     def test_progress_callback(self):
         seen = []
-        evaluate_network("LSTM",
-                         EvaluationConfig(limit_per_network=1,
-                                          sample_blocks=2),
-                         progress=seen.append)
-        assert len(seen) == 1 and "LSTM" in seen[0]
+        result = evaluate_network("LSTM",
+                                  EvaluationConfig(limit_per_network=1,
+                                                   sample_blocks=2),
+                                  on_operator=lambda *done: seen.append(done))
+        assert seen == [("LSTM", 0, result.operators[0])]
 
     def test_stratified_limit_keeps_classes(self):
         from repro.workloads import generate_network_suite

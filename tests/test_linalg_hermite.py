@@ -1,57 +1,15 @@
-"""Tests for Hermite normal form and orthogonal complements."""
-
-from fractions import Fraction
+"""Tests for orthogonal complements and integer nullspaces."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg import Matrix, hermite_normal_form, integer_nullspace
+from repro.linalg import Matrix, integer_nullspace
 from repro.linalg.hermite import (
-    lattice_gcd,
     orthogonal_complement,
     orthogonal_complement_or_identity,
     rank,
 )
-
-
-class TestHermite:
-    def test_identity_fixed_point(self):
-        eye = Matrix.identity(3)
-        h, u = hermite_normal_form(eye)
-        assert h.rows == eye.rows
-
-    def test_h_equals_u_times_input(self):
-        m = Matrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-        h, u = hermite_normal_form(m)
-        assert (u @ m).rows == h.rows
-
-    def test_u_unimodular(self):
-        m = Matrix([[2, 3], [5, 7]])
-        _, u = hermite_normal_form(m)
-        assert abs(u.determinant()) == 1
-
-    def test_pivots_positive(self):
-        m = Matrix([[-3, 0], [0, -5]])
-        h, _ = hermite_normal_form(m)
-        nonzero_rows = [row for row in h.rows if any(x != 0 for x in row)]
-        for row in nonzero_rows:
-            pivot = next(x for x in row if x != 0)
-            assert pivot > 0
-
-    def test_rejects_fractions(self):
-        with pytest.raises(ValueError):
-            hermite_normal_form(Matrix([[Fraction(1, 2)]]))
-
-    @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
-                    min_size=1, max_size=4))
-    @settings(max_examples=60, deadline=None)
-    def test_hnf_preserves_row_space_rank(self, rows):
-        m = Matrix(rows)
-        h, u = hermite_normal_form(m)
-        assert (u @ m).rows == h.rows
-        assert abs(u.determinant()) == 1
-        assert Matrix(rows).rank() == h.rank()
 
 
 class TestOrthogonalComplement:
@@ -92,10 +50,6 @@ class TestOrthogonalComplement:
 
     def test_rank_simple(self):
         assert rank([[1, 0], [0, 1], [1, 1]]) == 2
-
-    def test_lattice_gcd(self):
-        assert lattice_gcd([4, 6]) == 2
-        assert lattice_gcd([]) == 0
 
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
                     min_size=1, max_size=3))

@@ -9,10 +9,7 @@ from repro.linalg.rational import (
     clear_denominators,
     frac,
     primitive,
-    vec_add,
     vec_dot,
-    vec_scale,
-    vec_sub,
 )
 
 
@@ -31,21 +28,12 @@ class TestRationalHelpers:
         with pytest.raises(TypeError):
             frac(True)
 
-    def test_vec_add(self):
-        assert vec_add([frac(1), frac(2)], [frac(3), frac(4)]) == [4, 6]
-
-    def test_vec_sub(self):
-        assert vec_sub([frac(1), frac(2)], [frac(3), frac(5)]) == [-2, -3]
-
-    def test_vec_scale(self):
-        assert vec_scale([frac(1), frac(2)], "1/2") == [Fraction(1, 2), 1]
-
     def test_vec_dot(self):
         assert vec_dot([frac(1), frac(2)], [frac(3), frac(4)]) == 11
 
     def test_vec_length_mismatch(self):
         with pytest.raises(ValueError):
-            vec_add([frac(1)], [frac(1), frac(2)])
+            vec_dot([frac(1)], [frac(1), frac(2)])
 
     def test_clear_denominators(self):
         assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]

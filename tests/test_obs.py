@@ -193,18 +193,6 @@ class TestTracer:
         assert tracer.roots == []
         assert tracer.as_dict() == {"worker": tracer.worker, "spans": []}
 
-    def test_flat_events_are_stamped_and_ordered(self):
-        tracer = Tracer(worker=7)
-        with tracer.span("compile"):
-            with tracer.span("pass.deps"):
-                pass
-            tracer.event("cache-hit")
-        events = tracer.flat_events()
-        assert all("ts" in e and e["worker"] == 7 for e in events)
-        stamps = [e["ts"] for e in events]
-        assert stamps == sorted(stamps)
-        assert {e["event"] for e in events} == {"span", "cache-hit"}
-
 
 class TestChromeTrace:
     def _sample_tracer(self):

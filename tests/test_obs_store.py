@@ -1,5 +1,6 @@
 """Tests for the persistent run store (repro.obs.store)."""
 
+import glob
 import json
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.eval import runner
+from repro.eval.checkpoint import CHECKPOINT_DIR
 from repro.obs.store import (
     RUN_SCHEMA_VERSION,
     RunStore,
@@ -19,6 +21,7 @@ from repro.obs.store import (
     finalize_record,
     new_record,
 )
+from repro.workloads.generator import generate_network_suite
 
 # Bound before any test patches the module attribute.
 _evaluate_index = runner._evaluate_index
@@ -30,6 +33,17 @@ def _die_on_index_1(network, config, index):
     if index == 1:
         os._exit(137)
     return _evaluate_index(network, config, index)
+
+
+def _checkpointed(runs) -> list[tuple]:
+    """``(network, index, name)`` of every operator a run under ``runs``
+    checkpointed, in suite order."""
+    out = []
+    for path in glob.glob(os.path.join(runs, CHECKPOINT_DIR, "*.jsonl")):
+        with open(path) as lines:
+            out += [(r["network"], r["index"], r["operator"]["name"])
+                    for r in map(json.loads, lines)]
+    return sorted(out)
 
 
 KERNEL_TEXT = """
@@ -266,3 +280,33 @@ class TestRecordingUnderFaults:
         assert record["command"] == "table2"
         assert record["status"] == "error"
         assert multiprocessing.active_children() == []
+        checkpointed = {(network, name) for network, _, name
+                        in _checkpointed(tmp_path / "runs")}
+        assert {(op["network"], op["name"])
+                for op in record["operators"]} <= checkpointed
+
+    def test_table2_error_records_finished_operators(self, monkeypatch,
+                                                     tmp_path, capsys):
+        # Operator 3 hits a bug (not a compilation error), which fails the
+        # run: its record still holds operators 0-2, as the checkpoint does.
+        runs = tmp_path / "runs"
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
+        doomed = generate_network_suite("LSTM", seed=0, limit=4)[3][1].name
+        evaluate = runner.evaluate_operator
+
+        def evaluate_or_raise(pipeline, name, *rest, **kwargs):
+            if name == doomed:
+                raise RuntimeError("injected bug")
+            return evaluate(pipeline, name, *rest, **kwargs)
+
+        monkeypatch.setattr(runner, "evaluate_operator", evaluate_or_raise)
+        with pytest.raises(RuntimeError, match="injected bug"):
+            main(["--quiet", "table2", "--networks", "LSTM", "--limit", "4",
+                  "--sample-blocks", "2"])
+        capsys.readouterr()
+        record = RunStore().resolve("latest")
+        assert record["status"] == "error"
+        checkpointed = _checkpointed(runs)
+        assert [index for _, index, _ in checkpointed] == [0, 1, 2]
+        assert [(op["network"], op["name"]) for op in record["operators"]] \
+            == [(network, name) for network, _, name in checkpointed]

@@ -50,9 +50,13 @@ class TestParallelEquivalence:
 
     def test_parallel_progress_reports_every_operator(self):
         seen = []
-        evaluate_network("LSTM", _config(), progress=seen.append, jobs=2)
-        assert len(seen) == 2
-        assert all("LSTM" in line for line in seen)
+        result = evaluate_network(
+            "LSTM", _config(),
+            on_operator=lambda *finished: seen.append(finished), jobs=2)
+        assert sorted((network, index, op.name)
+                      for network, index, op in seen) == \
+            [("LSTM", index, op.name)
+             for index, op in enumerate(result.operators)]
 
 
 class TestMergedMetrics:

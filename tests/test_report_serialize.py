@@ -1,18 +1,9 @@
-"""Tests for report generation and schedule serialization."""
-
-import json
+"""Tests for schedule serialization round trips through code generation."""
 
 import pytest
 
 from repro.codegen import generate_ast
 from repro.codegen.ast import render_ast
-from repro.eval import EvaluationConfig, evaluate_network
-from repro.eval.report import (
-    json_dump,
-    markdown_summary,
-    operators_csv,
-    write_report,
-)
 from repro.ir.examples import matmul, running_example
 from repro.schedule import InfluencedScheduler
 from repro.schedule.serialize import (
@@ -21,38 +12,6 @@ from repro.schedule.serialize import (
     schedule_to_dict,
     schedule_to_json,
 )
-
-
-@pytest.fixture(scope="module")
-def lstm_result():
-    return evaluate_network("LSTM",
-                            EvaluationConfig(limit_per_network=2,
-                                             sample_blocks=2))
-
-
-class TestReport:
-    def test_csv_rows(self, lstm_result):
-        text = operators_csv([lstm_result])
-        lines = text.strip().splitlines()
-        assert len(lines) == 1 + lstm_result.count_total
-        assert lines[0].startswith("network,operator")
-
-    def test_markdown_summary(self, lstm_result):
-        text = markdown_summary([lstm_result])
-        assert "LSTM" in text
-        assert "geomean" in text
-
-    def test_json_roundtrip(self, lstm_result):
-        payload = json.loads(json_dump({"LSTM": lstm_result}))
-        assert payload["LSTM"]["row"]["total"] == lstm_result.count_total
-        assert len(payload["LSTM"]["operators"]) == lstm_result.count_total
-
-    def test_write_report(self, lstm_result, tmp_path):
-        paths = write_report({"LSTM": lstm_result}, tmp_path / "rep")
-        assert {p.name for p in paths} == {"operators.csv", "summary.md",
-                                           "results.json"}
-        for path in paths:
-            assert path.exists() and path.stat().st_size > 0
 
 
 class TestScheduleSerialization:

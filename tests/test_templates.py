@@ -15,7 +15,6 @@ import pytest
 from repro.codegen.interp import check_semantics
 from repro.deps import compute_dependences
 from repro.eval.checkpoint import operator_from_record, operator_to_record
-from repro.eval.report import operators_csv
 from repro.eval.runner import (EvaluationConfig, evaluate_network,
                                evaluate_operator)
 from repro.eval.tables import format_table2, table2_row
@@ -90,13 +89,11 @@ class TestTemplateColumn:
         op = evaluate_operator(pipeline, "mm", "matmul", matmul(8))
         assert "template" not in op.times
 
-    def test_table2_and_csv_carry_template(self, result):
+    def test_table2_carries_template(self, result):
         row = table2_row(result)
         assert row["all"]["template_ms"] > 0
         assert "speedup_template" in row["all"]
         assert "tmpl" in format_table2([result])
-        csv_text = operators_csv([result])
-        assert "template_us" in csv_text.splitlines()[0]
 
     def test_checkpoint_roundtrip_keeps_template(self, result):
         op = result.operators[0]
