@@ -13,9 +13,9 @@
 
 The kernel file format is documented in :mod:`repro.ir.kparser`.
 
-Observability flags: ``--trace FILE`` writes the structured trace
-(``--trace-format chrome`` produces Chrome trace-event JSON openable in
-Perfetto), ``--metrics FILE`` writes the merged metrics registry as JSON.
+Observability flags: ``--trace FILE`` writes the span trace as Chrome
+trace-event JSON (openable in Perfetto), ``--metrics FILE`` writes the
+merged metrics registry as JSON.
 Both files are written atomically (temp file + ``os.replace``) and are
 flushed even when evaluation raises, so partial runs stay debuggable.
 Progress goes through the ``repro`` logger: ``-v`` for debug output,
@@ -77,21 +77,13 @@ from repro.verify import VerifyConfig, run_fuzz, run_verify
 from repro.workloads import NETWORKS
 from repro.workloads.generator import generate_network_suite
 
-TRACE_FORMATS = ("flat", "chrome")
-
-
 # -- observability export -----------------------------------------------------
-
-# Backwards-compatible alias: the temp-file + ``os.replace`` writer moved to
-# :mod:`repro.obs.export` so the trace exporter and the run store share it.
-_write_json_atomic = atomic_write_json
 
 
 def _metrics_payload(merged: dict) -> dict:
     """The ``--metrics`` JSON document: the merged snapshot minus the bulky
-    trace keys, plus precomputed histogram percentile summaries."""
-    payload = {key: value for key, value in merged.items()
-               if key not in ("events", "spans")}
+    spans, plus precomputed histogram percentile summaries."""
+    payload = {key: value for key, value in merged.items() if key != "spans"}
     payload["histogram_summaries"] = {
         name: Histogram.from_dict(entry).summary()
         for name, entry in merged.get("histograms", {}).items()}
@@ -106,15 +98,11 @@ def _export_observability(args, metric_payloads: list) -> None:
     if not trace_path and not metrics_path:
         return
     context = merge_contexts(metric_payloads)
-    merged = context.as_dict()
     if trace_path:
-        if getattr(args, "trace_format", "flat") == "chrome":
-            _write_json_atomic(trace_path, context.chrome_trace())
-        else:
-            _write_json_atomic(trace_path, merged.get("events", []))
+        atomic_write_json(trace_path, context.chrome_trace())
         logger.info("trace written to %s", trace_path)
     if metrics_path:
-        _write_json_atomic(metrics_path, _metrics_payload(merged))
+        atomic_write_json(metrics_path, _metrics_payload(context.as_dict()))
         logger.info("metrics written to %s", metrics_path)
 
 
@@ -250,8 +238,8 @@ def _cmd_table1(args) -> int:
         gauges = {f"table1.{spec.name}.total_operators": spec.total_operators
                   for spec in NETWORKS.values()}
         gauges["table1.networks"] = len(NETWORKS)
-        _write_json_atomic(args.metrics, {"counters": {}, "gauges": gauges,
-                                          "histograms": {}})
+        atomic_write_json(args.metrics, {"counters": {}, "gauges": gauges,
+                                         "histograms": {}})
         logger.info("metrics written to %s", args.metrics)
     return 0
 
@@ -721,7 +709,7 @@ def _cmd_verify(args) -> int:
         report = run_verify(config)
     print(report.render())
     if args.metrics:
-        _write_json_atomic(args.metrics, obs.metrics.as_dict())
+        atomic_write_json(args.metrics, obs.metrics.as_dict())
         logger.info("metrics written to %s", args.metrics)
     return 0 if report.ok else 1
 
@@ -737,7 +725,7 @@ def _cmd_fuzz(args) -> int:
             write_corpus=not args.no_corpus)
     print(report.render())
     if args.metrics:
-        _write_json_atomic(args.metrics, obs.metrics.as_dict())
+        atomic_write_json(args.metrics, obs.metrics.as_dict())
         logger.info("metrics written to %s", args.metrics)
     if report.failures:
         logger.error("%d failing case(s); reproducers %s", len(report.failures),
@@ -793,14 +781,11 @@ def _checkpoint_flags() -> argparse.ArgumentParser:
 def _obs_flags() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--trace", default="", metavar="FILE",
-                        help="write the structured trace log as JSON")
-    parent.add_argument("--trace-format", choices=TRACE_FORMATS,
-                        default="flat",
-                        help="flat event list, or Chrome trace-event JSON "
-                             "for chrome://tracing / Perfetto")
+                        help="write the span trace as Chrome trace-event "
+                             "JSON (chrome://tracing / Perfetto)")
     parent.add_argument("--metrics", default="", metavar="FILE",
-                        help="write merged metrics (counters, gauges, "
-                             "histograms) as JSON")
+                        help="write merged metrics (counters, histograms, "
+                             "per-pass timings) as JSON")
     return parent
 
 

@@ -1,7 +1,9 @@
 """``repro.obs`` — the unified tracing + metrics subsystem.
 
-* :mod:`repro.obs.trace` — hierarchical spans, Chrome trace-event export;
-* :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms;
+* :mod:`repro.obs.trace` — hierarchical spans, Chrome trace-event export
+  (the one trace format ``--trace`` writes);
+* :mod:`repro.obs.metrics` — counters and fixed-bucket histograms
+  (per-pass timings are the ``pass.<name>.seconds`` histograms);
 * :mod:`repro.obs.runtime` — the ambient :class:`Obs` handle instrumented
   code records into;
 * :mod:`repro.obs.logutil` — the package-level ``repro`` logger.

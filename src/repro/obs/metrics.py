@@ -1,10 +1,9 @@
-"""Counters, gauges and fixed-bucket histograms.
+"""Counters and fixed-bucket histograms.
 
-A :class:`MetricsRegistry` aggregates three metric kinds under dotted names
+A :class:`MetricsRegistry` aggregates two metric kinds under dotted names
 (``scheduler.ilp_solves``, ``solver.solve_seconds``, ``gpu.dram_transactions``):
 
 * counters — monotonically increasing floats,
-* gauges — last-written values,
 * histograms — fixed-bucket distributions with exact count/sum/min/max and
   interpolated percentile summaries (p50/p95).
 
@@ -142,12 +141,11 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, gauges and histograms for one worker or session."""
+    """Named counters and histograms for one worker or session."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
 
     # -- recording -----------------------------------------------------------
@@ -156,11 +154,6 @@ class MetricsRegistry:
         if not self.enabled:
             return
         self.counters[name] = self.counters.get(name, 0) + amount
-
-    def gauge(self, name: str, value: float) -> None:
-        if not self.enabled:
-            return
-        self.gauges[name] = value
 
     def observe(self, name: str, value: float,
                 bounds: Iterable[float] = LATENCY_BUCKETS) -> None:
@@ -176,7 +169,6 @@ class MetricsRegistry:
     def as_dict(self) -> dict:
         return {
             "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
             "histograms": {name: h.as_dict()
                            for name, h in self.histograms.items()},
         }
@@ -184,7 +176,6 @@ class MetricsRegistry:
     def merge_dict(self, payload: dict) -> None:
         for name, amount in payload.get("counters", {}).items():
             self.counters[name] = self.counters.get(name, 0) + amount
-        self.gauges.update(payload.get("gauges", {}))
         for name, entry in payload.get("histograms", {}).items():
             histogram = self.histograms.get(name)
             if histogram is None:
@@ -227,11 +218,6 @@ def format_metrics_report(registry_or_payload) -> str:
             rendered = f"{int(value)}" if float(value).is_integer() \
                 else f"{value:.4g}"
             lines.append(f"  {name:<28}{rendered:>12}")
-    gauges = payload.get("gauges", {})
-    if gauges:
-        lines.append("gauges:")
-        for name in sorted(gauges):
-            lines.append(f"  {name:<28}{gauges[name]:>12.4g}")
     histograms = payload.get("histograms", {})
     if histograms:
         lines.append("histograms:" + " " * 22 + "count")

@@ -48,9 +48,6 @@ class Obs:
     def event(self, name: str, **attrs) -> None:
         self.tracer.event(name, **attrs)
 
-    def count(self, name: str, amount: float = 1) -> None:
-        self.metrics.count(name, amount)
-
     def observe(self, name: str, value: float, **kwargs) -> None:
         self.metrics.observe(name, value, **kwargs)
 

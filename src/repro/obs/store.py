@@ -38,7 +38,7 @@ import json
 import mmap
 import os
 import time
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.obs.export import atomic_write_json
 
@@ -242,12 +242,6 @@ class RunStore:
                                 f"{sorted(distinct)}")
         return matches[0]
 
-    def last_matching(self, predicate: Callable[[dict], bool]) -> Optional[dict]:
-        for record in reversed(self.records()):
-            if predicate(record):
-                return record
-        return None
-
 
 # -- record assembly ---------------------------------------------------------
 
@@ -271,7 +265,7 @@ def new_record(command: str, config: Optional[dict] = None,
 
 def finalize_record(record: dict, metrics: Optional[dict] = None,
                     wall_seconds: Optional[float] = None) -> dict:
-    """Attach the metrics snapshot (full: counters/gauges/histograms plus
+    """Attach the metrics snapshot (full: counters/histograms plus
     per-pass timings) and wall time to a record under construction."""
     if wall_seconds is not None:
         record["wall_seconds"] = wall_seconds
@@ -279,7 +273,6 @@ def finalize_record(record: dict, metrics: Optional[dict] = None,
         record["passes"] = metrics.get("passes", {})
         record["metrics"] = {
             "counters": metrics.get("counters", {}),
-            "gauges": metrics.get("gauges", {}),
             "histograms": metrics.get("histograms", {}),
         }
     return record

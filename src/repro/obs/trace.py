@@ -6,8 +6,7 @@ nested children — plus *instant events* attached to the innermost open
 span.  Traces serialize to a JSON-safe payload (what parallel workers ship
 back to the coordinator) and export as Chrome trace-event JSON
 (``{"traceEvents": [...]}``), openable directly in ``chrome://tracing`` or
-https://ui.perfetto.dev.  (The ``--trace-format flat`` event list is the
-pass context's own log, :mod:`repro.pipeline.passes`.)
+https://ui.perfetto.dev.
 
 Clock normalization: ``time.perf_counter()`` has an arbitrary per-process
 epoch, so every tracer captures the wall-clock offset of its process at

@@ -240,9 +240,9 @@ class AkgPipeline:
                 last_error = exc
                 context = self.session.context
                 context.count("resilience.fallback")
-                context.record("resilience.fallback", kernel=kernel.name,
-                               variant=variant, failed_level=level,
-                               error=f"{type(exc).__name__}: {exc}")
+                context.obs.event("resilience.fallback", kernel=kernel.name,
+                                  variant=variant, failed_level=level,
+                                  error=f"{type(exc).__name__}: {exc}")
                 logger.warning("%s/%s: %s at degradation level %r; "
                                "descending the ladder",
                                kernel.name, variant,

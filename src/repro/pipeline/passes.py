@@ -4,7 +4,7 @@ The monolithic ``deps -> schedule -> codegen -> vectorize -> map`` call
 chain is re-expressed as a list of small :class:`Pass` objects driven by a
 :class:`CompilationSession`.  The session carries a :class:`PassContext`
 that aggregates per-pass wall time, scheduler counters (ILP solves,
-backtracking activations, ...) and — optionally — a structured trace log,
+backtracking activations, ...) and — optionally — a span trace,
 and consults a content-keyed :class:`~repro.pipeline.cache.ScheduleCache`
 so structurally equal kernels reuse the expensive schedule-producing
 prefix (dependence analysis, influence-tree build, influenced scheduling)
@@ -50,29 +50,17 @@ PASS_ORDER = ("deps", "influence-tree", "schedule", "codegen", "tile",
 class PassContext:
     """Aggregated instrumentation of one or more compilation sessions.
 
-    Re-based on :mod:`repro.obs`: the context owns an :class:`Obs` bundle —
-    a metrics registry (always on: ``counters`` delegates to it) and a
-    tracer (hierarchical spans, on only when ``trace=True``).
-    ``pass_seconds``/``pass_calls`` hold per-pass wall time, and ``events``
-    is the legacy flat trace log — every event now stamped with a
-    wall-anchored monotonic ``ts`` and a ``worker`` id so merged
-    multi-worker logs keep a coherent order.  Contexts merge: per-worker
-    snapshots from a parallel evaluation fold into a single report (spans
-    are clock-offset-normalized by the tracer, then time-sorted).
+    The context owns an :class:`Obs` bundle: a metrics registry (always
+    on: ``counters`` delegates to it, and each pass run lands in a
+    ``pass.<name>.seconds`` histogram) and a tracer (hierarchical spans,
+    on only when ``trace=True``).  Contexts merge: per-worker snapshots
+    from a parallel evaluation fold into a single report (spans arrive
+    wall-anchored and are time-sorted by the tracer).
     """
 
-    def __init__(self, trace: bool = False, obs: Optional[Obs] = None):
-        if obs is None:
-            obs = Obs(tracer=Tracer(enabled=trace),
-                      metrics=MetricsRegistry())
-        self.obs = obs
-        self.pass_seconds: dict[str, float] = {}
-        self.pass_calls: dict[str, int] = {}
-        self.events: list[dict] = []
-
-    @property
-    def trace_enabled(self) -> bool:
-        return self.obs.tracer.enabled
+    def __init__(self, trace: bool = False):
+        self.obs = Obs(tracer=Tracer(enabled=trace),
+                       metrics=MetricsRegistry())
 
     @property
     def counters(self) -> dict[str, float]:
@@ -82,23 +70,15 @@ class PassContext:
 
     @contextmanager
     def timed(self, name: str, **trace_fields):
-        """Time one pass execution; records a span (and a stamped legacy
-        event) when tracing."""
+        """Time one pass execution into its histogram (and a span when
+        tracing)."""
         start = time.perf_counter()
         with self.obs.span(f"pass.{name}", **trace_fields):
             try:
                 yield
             finally:
-                elapsed = time.perf_counter() - start
-                self.pass_seconds[name] = \
-                    self.pass_seconds.get(name, 0.0) + elapsed
-                self.pass_calls[name] = self.pass_calls.get(name, 0) + 1
-                self.obs.observe(f"pass.{name}.seconds", elapsed)
-                if self.trace_enabled:
-                    self.events.append({
-                        "event": "pass", "pass": name, "seconds": elapsed,
-                        "ts": self.obs.tracer.now() - elapsed,
-                        "worker": self.obs.tracer.worker, **trace_fields})
+                self.obs.observe(f"pass.{name}.seconds",
+                                 time.perf_counter() - start)
 
     def count(self, name: str, amount: float = 1) -> None:
         self.obs.metrics.count(name, amount)
@@ -107,29 +87,24 @@ class PassContext:
         for name, amount in mapping.items():
             self.count(f"{prefix}{name}", amount)
 
-    def record(self, event: str, **fields) -> None:
-        """Append a structured trace event (no-op unless tracing)."""
-        if self.trace_enabled:
-            self.obs.event(event, **fields)
-            self.events.append({"event": event,
-                                "ts": self.obs.tracer.now(),
-                                "worker": self.obs.tracer.worker, **fields})
-
     # -- (de)serialization and merging ---------------------------------------
 
     def as_dict(self) -> dict:
-        """JSON-safe snapshot (what parallel workers ship back)."""
+        """JSON-safe snapshot (what parallel workers ship back).
+
+        ``passes`` is derived from the ``pass.<name>.seconds`` histograms:
+        their count is the pass's calls and their total its seconds."""
         metrics = self.obs.metrics.as_dict()
+        histograms = metrics["histograms"]
         payload = {
-            "passes": {name: {"calls": self.pass_calls.get(name, 0),
-                              "seconds": self.pass_seconds.get(name, 0.0)}
-                       for name in self.pass_seconds},
+            "passes": {name[len("pass."):-len(".seconds")]:
+                       {"calls": entry["count"], "seconds": entry["total"]}
+                       for name, entry in histograms.items()
+                       if name.startswith("pass.")
+                       and name.endswith(".seconds")},
             "counters": metrics["counters"],
-            "gauges": metrics["gauges"],
-            "histograms": metrics["histograms"],
+            "histograms": histograms,
         }
-        if self.events:
-            payload["events"] = list(self.events)
         spans = self.obs.tracer.as_dict()["spans"]
         if spans:
             payload["spans"] = spans
@@ -137,18 +112,8 @@ class PassContext:
 
     def merge_dict(self, payload: dict) -> None:
         """Fold one :meth:`as_dict` snapshot into this context."""
-        for name, entry in payload.get("passes", {}).items():
-            self.pass_seconds[name] = \
-                self.pass_seconds.get(name, 0.0) + entry.get("seconds", 0.0)
-            self.pass_calls[name] = \
-                self.pass_calls.get(name, 0) + entry.get("calls", 0)
-        self.obs.metrics.merge_dict({
-            "counters": payload.get("counters", {}),
-            "gauges": payload.get("gauges", {}),
-            "histograms": payload.get("histograms", {})})
-        self.events.extend(payload.get("events", ()))
-        self.events.sort(key=lambda e: e.get("ts", 0.0))
-        self.obs.tracer.merge_dict({"spans": payload.get("spans", ())})
+        self.obs.metrics.merge_dict(payload)
+        self.obs.tracer.merge_dict(payload)
 
     def chrome_trace(self) -> dict:
         """The (merged) span log as Chrome trace-event JSON."""
@@ -161,16 +126,12 @@ class PassContext:
 
 def merge_metric_dicts(payloads: Iterable[dict]) -> dict:
     """Merge several :meth:`PassContext.as_dict` snapshots into one."""
-    merged = merge_contexts(payloads)
-    out = merged.as_dict()
-    out.setdefault("passes", {})
-    out.setdefault("counters", {})
-    return out
+    return merge_contexts(payloads).as_dict()
 
 
 def merge_contexts(payloads: Iterable[dict]) -> PassContext:
     """Merge snapshots into a fresh tracing context (spans preserved)."""
-    merged = PassContext(trace=True)  # keep events/spans from any payload
+    merged = PassContext(trace=True)  # keep spans from any payload
     for payload in payloads:
         merged.merge_dict(payload)
     return merged
@@ -428,8 +389,8 @@ class CompilationSession:
                     state.schedule = entry.schedule
                     state.scheduler_stats = entry.stats
                     state.from_cache = True
-                    self.context.record("cache-hit", kernel=kernel.name,
-                                        variant=variant)
+                    self.context.obs.event("cache-hit", kernel=kernel.name,
+                                           variant=variant)
             for p in passes:
                 if state.from_cache and p.cacheable:
                     continue

@@ -1,17 +1,16 @@
-"""Schedule serialization: Schedule <-> plain JSON-compatible dicts.
+"""Schedule serialization: Schedule -> plain JSON-compatible dicts.
 
-Scheduling is the expensive phase of the pipeline (one ILP per dimension);
-serializing schedules lets callers cache them across runs, diff them, or
-ship them to other tools.  The format is stable and versioned.
+The golden snapshots and the metamorphic checks compare schedules through
+this format, and the run store identifies each schedule by the content
+hash of it.  The format is versioned.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Mapping, Optional
+from typing import Optional
 
-from repro.ir.kernel import Kernel
-from repro.schedule.functions import DimensionInfo, Schedule, ScheduleRow
+from repro.schedule.functions import Schedule
 
 FORMAT_VERSION = 1
 
@@ -27,8 +26,7 @@ def schedule_to_dict(schedule: Schedule,
 
     ``degradation`` optionally tags the payload with the resilience rung
     the producing compilation took (see
-    :data:`repro.pipeline.akg.DEGRADATION_LEVELS`); consumers read it back
-    with :func:`degradation_of`.
+    :data:`repro.pipeline.akg.DEGRADATION_LEVELS`).
     """
     if degradation is not None and degradation not in KNOWN_DEGRADATIONS:
         raise ValueError(f"unknown degradation rung {degradation!r}; "
@@ -64,61 +62,6 @@ def schedule_to_dict(schedule: Schedule,
     return payload
 
 
-def degradation_of(payload: Mapping) -> str:
-    """The degradation rung a serialized schedule was produced at
-    (``"none"`` for payloads without the tag, including version-1 files
-    written before the resilience ladder existed)."""
-    rung = payload.get("degradation", "none")
-    if rung not in KNOWN_DEGRADATIONS:
-        raise ValueError(f"unknown degradation rung {rung!r} in payload; "
-                         f"pick from {KNOWN_DEGRADATIONS}")
-    return rung
-
-
-def schedule_from_dict(kernel: Kernel, payload: Mapping) -> Schedule:
-    """Rebuild a schedule for ``kernel`` from :func:`schedule_to_dict` output.
-
-    Raises ValueError on version/statement mismatches.
-    """
-    if payload.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported schedule format version "
-                         f"{payload.get('version')!r}")
-    params = list(payload["params"])
-    if params != kernel.parameter_names:
-        raise ValueError(f"parameter mismatch: schedule has {params}, "
-                         f"kernel has {kernel.parameter_names}")
-    names = {s.name for s in kernel.statements}
-    if set(payload["statements"]) != names:
-        raise ValueError("statement set mismatch between kernel and payload")
-
-    schedule = Schedule(kernel.statements, params)
-    n_dims = len(payload["dims"])
-    for name, rows in payload["statements"].items():
-        if len(rows) != n_dims:
-            raise ValueError(f"{name}: {len(rows)} rows vs {n_dims} dims")
-    for d in range(n_dims):
-        rows = {}
-        for s in kernel.statements:
-            raw = payload["statements"][s.name][d]
-            rows[s.name] = ScheduleRow.from_coeffs(
-                s, params, raw["iter_coeffs"], raw["param_coeffs"],
-                raw["const"])
-        meta = payload["dims"][d]
-        schedule.append_dimension(rows, DimensionInfo(
-            coincident=meta["coincident"],
-            parallel=meta["parallel"],
-            band=meta["band"],
-            vector=meta["vector"],
-            vector_width=meta["vector_width"],
-            from_influence=meta["from_influence"],
-        ))
-    return schedule
-
-
-def schedule_to_json(schedule: Schedule) -> str:
-    return json.dumps(schedule_to_dict(schedule), indent=2, sort_keys=True)
-
-
 def schedule_content_hash(schedule: Schedule) -> str:
     """A short stable content hash of the schedule (row coefficients and
     dimension metadata; the degradation tag is excluded so the hash
@@ -130,6 +73,3 @@ def schedule_content_hash(schedule: Schedule) -> str:
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
-
-def schedule_from_json(kernel: Kernel, text: str) -> Schedule:
-    return schedule_from_dict(kernel, json.loads(text))

@@ -83,11 +83,11 @@ MATRIX = _matrix(
     "repro -q table2 --networks LSTM,BERT --limit 2 --seed 1 "
     "--sample-blocks 2 --deadline-ms 60000 --verify --resume",
     "repro table2 --networks LSTM,VGG16 --limit 2 --jobs 2 --trace "
-    "{tmp}/t2c.json --trace-format chrome --no-checkpoint --no-record",
+    "{tmp}/t2c.json --no-checkpoint --no-record",
     # profile and its --resume (the only reader of stored profiles)
     "repro profile lstm --limit 2 --sample-blocks 2 --max-threads 128 "
     "--seed 1 --variant infl --deadline-ms 60000 --trace {tmp}/p.json "
-    "--trace-format chrome --metrics {tmp}/pm.json",
+    "--metrics {tmp}/pm.json",
     "repro profile lstm --limit 2 --sample-blocks 2 --max-threads 128 "
     "--seed 1 --deadline-ms 60000 --resume --baseline latest",
     "repro profile bert --limit 1 --no-checkpoint --no-record",
@@ -118,8 +118,7 @@ MATRIX = _matrix(
      "compile=scheduling-error", 1),
     # .github/workflows/ci.yml, verbatim apart from the output paths
     "repro table2 --networks LSTM --limit 1 --sample-blocks 2 --jobs 2 "
-    "--trace {tmp}/table2-trace.json --trace-format chrome "
-    "--metrics {tmp}/table2-metrics.json",
+    "--trace {tmp}/table2-trace.json --metrics {tmp}/table2-metrics.json",
     "repro verify --metrics {tmp}/verify-metrics.json",
     ("repro verify --networks LSTM --no-corpus", "compile=timeout", 1),
     "repro fuzz --budget 30 --seed 7 --no-corpus",

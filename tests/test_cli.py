@@ -76,12 +76,11 @@ def _namespace(command, func, **fields):
 _TABLE2 = dict(
     limit=6, networks="", seed=0, sample_blocks=8, jobs=1, deadline_ms=0.0,
     verify=False, allow_degraded=False, resume=None, no_checkpoint=False,
-    trace="", trace_format="flat", metrics="", runs_dir="", no_record=False)
+    trace="", metrics="", runs_dir="", no_record=False)
 _PROFILE = dict(
     network="bert", variant="infl", limit=4, seed=0, sample_blocks=8,
     max_threads=256, deadline_ms=0.0, baseline="", resume=None,
-    no_checkpoint=False, trace="", trace_format="flat", metrics="",
-    runs_dir="", no_record=False)
+    no_checkpoint=False, trace="", metrics="", runs_dir="", no_record=False)
 _VERIFY = dict(
     networks="", seed=0, limit=2, sample_blocks=2, max_threads=256,
     update_goldens=False, goldens_dir="", corpus_dir="", no_goldens=False,

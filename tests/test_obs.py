@@ -94,24 +94,20 @@ class TestHistogram:
 
 
 class TestMetricsRegistry:
-    def test_counters_gauges_histograms(self):
+    def test_counters_and_histograms(self):
         registry = MetricsRegistry()
         registry.count("solver.pivots", 3)
         registry.count("solver.pivots", 2)
-        registry.gauge("table1.networks", 7)
         registry.observe("gpu.coalescing_efficiency", 0.5,
                          bounds=RATIO_BUCKETS)
         assert registry.counters["solver.pivots"] == 5
-        assert registry.gauges["table1.networks"] == 7
         assert registry.histograms["gpu.coalescing_efficiency"].count == 1
 
     def test_disabled_registry_is_noop(self):
         registry = MetricsRegistry(enabled=False)
         registry.count("a")
-        registry.gauge("b", 1)
         registry.observe("c", 1.0)
-        assert registry.as_dict() == {"counters": {}, "gauges": {},
-                                      "histograms": {}}
+        assert registry.as_dict() == {"counters": {}, "histograms": {}}
 
     def test_merge_folds_worker_payloads(self):
         ours, theirs = MetricsRegistry(), MetricsRegistry()
@@ -259,7 +255,7 @@ class TestAmbientObs:
         mine = Obs(Tracer(enabled=True), MetricsRegistry())
         with use_obs(mine):
             assert get_obs() is mine
-            get_obs().count("x")
+            get_obs().metrics.count("x")
         assert get_obs() is NULL_OBS
         assert mine.metrics.counters == {"x": 1}
 
@@ -275,7 +271,7 @@ class TestAmbientObs:
         with obs.span("a") as span:
             span.set(n=1)
             obs.event("tick")
-        obs.count("c", 2)
+        obs.metrics.count("c", 2)
         obs.observe("h", 0.5, bounds=RATIO_BUCKETS)
         assert obs.tracer.roots[0].attrs == {"n": 1}
         assert obs.metrics.counters == {"c": 2}

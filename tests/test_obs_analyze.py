@@ -33,7 +33,7 @@ def _run_record(run_id="aaaa", started=1.0, time_infl=1e-5,
         }],
         "passes": {"schedule": {"seconds": 0.5}},
         "metrics": {"counters": {"scheduler.ilp_solves": 4.0},
-                    "gauges": {}, "histograms": {}},
+                    "histograms": {}},
     }
 
 

@@ -1,12 +1,15 @@
 """End-to-end observability: serial-vs-parallel metric identity, merged
 span timelines, and the CLI's ``--trace``/``--metrics`` export files."""
 
+import functools
 import json
+import multiprocessing
 
 import pytest
 
 from repro.cli import main
 from repro.eval import EvaluationConfig, evaluate_network, runner
+from repro.pipeline import merge_contexts
 
 
 def _config(**overrides):
@@ -33,13 +36,30 @@ def warm_process():
     evaluate_network("LSTM", _config())
 
 
+@pytest.fixture
+def both_workers_busy(monkeypatch):
+    """Hold each pool worker at its first task until the other worker has
+    one too, so a two-task ``jobs=2`` run evaluates on both worker pids."""
+    barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
+    evaluate = runner._evaluate_index
+    held = []  # per process: forked workers each start with their own copy
+
+    @functools.wraps(evaluate)
+    def first_task_waits(*args, **kwargs):
+        if not held:
+            held.append(True)
+            barrier.wait()
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "_evaluate_index", first_task_waits)
+
+
 class TestSerialParallelMetrics:
     def test_merged_metrics_identical(self, warm_process):
         serial = evaluate_network("LSTM", _config()).metrics
         parallel = evaluate_network("LSTM", _config(), jobs=2).metrics
 
         assert serial["counters"] == parallel["counters"]
-        assert serial["gauges"] == parallel["gauges"]
         # Pass call counts are deterministic; wall-clock seconds are not.
         serial_calls = {n: e["calls"] for n, e in serial["passes"].items()}
         parallel_calls = {n: e["calls"] for n, e in parallel["passes"].items()}
@@ -68,13 +88,19 @@ class TestSerialParallelMetrics:
                 assert span["start"] <= child["start"]
                 assert child["end"] <= span["end"]
 
-    def test_flat_events_merge_time_ordered(self, warm_process):
+    def test_chrome_trace_merges_both_workers(self, warm_process,
+                                              both_workers_busy):
         result = evaluate_network("LSTM", _config(trace=True), jobs=2)
-        events = result.metrics.get("events", [])
-        assert events
-        assert all("ts" in e and "worker" in e for e in events)
+        events = merge_contexts([result.metrics]).chrome_trace()["traceEvents"]
         stamps = [e["ts"] for e in events]
         assert stamps == sorted(stamps)
+        passes = [e for e in events if e["name"].startswith("pass.")]
+        assert all(e["ph"] == "X" for e in passes)
+        assert len({e["pid"] for e in passes}) == 2
+        # Every counted schedule-cache hit is one instant event.
+        hits = [e for e in events if e["name"] == "cache-hit"]
+        assert all(e["ph"] == "i" for e in hits)
+        assert len(hits) == result.metrics["counters"]["cache.hits"] > 0
 
 
 class TestOperatorMetrics:
@@ -92,8 +118,7 @@ class TestCliExport:
     def test_table2_chrome_trace_is_valid(self, tmp_path):
         trace = tmp_path / "trace.json"
         assert main(["table2", "--networks", "LSTM", "--limit", "1",
-                     "--sample-blocks", "2", "--trace", str(trace),
-                     "--trace-format", "chrome"]) == 0
+                     "--sample-blocks", "2", "--trace", str(trace)]) == 0
         doc = json.loads(trace.read_text())
         assert set(doc) == {"traceEvents", "displayTimeUnit"}
         events = doc["traceEvents"]
@@ -124,8 +149,8 @@ class TestCliExport:
         solve = summaries["solver.solve_seconds"]
         assert solve["count"] > 0
         assert 0 <= solve["p50"] <= solve["p95"] <= solve["max"]
-        # Bulky trace keys stay out of the metrics document.
-        assert "events" not in payload and "spans" not in payload
+        # The bulky spans stay out of the metrics document.
+        assert "spans" not in payload
 
     def test_trace_flushed_when_evaluation_raises(self, tmp_path,
                                                   monkeypatch):
@@ -139,7 +164,7 @@ class TestCliExport:
             main(["table2", "--networks", "LSTM", "--limit", "1",
                   "--trace", str(trace), "--metrics", str(metrics)])
         # Both files exist and hold valid (if empty) JSON documents.
-        assert json.loads(trace.read_text()) == []
+        assert json.loads(trace.read_text())["traceEvents"] == []
         assert json.loads(metrics.read_text())["counters"] == {}
 
     def test_table1_metrics_gauges(self, tmp_path, capsys):
@@ -157,7 +182,6 @@ class TestProfileCommand:
         metrics = tmp_path / "metrics.json"
         assert main(["profile", "lstm", "--limit", "1",
                      "--sample-blocks", "2", "--trace", str(trace),
-                     "--trace-format", "chrome",
                      "--metrics", str(metrics)]) == 0
         out = capsys.readouterr().out
         # Case-insensitive lookup resolved to the Table I name.

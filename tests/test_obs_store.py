@@ -176,13 +176,6 @@ class TestResolve:
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "custom"))
         assert default_store_root() == str(tmp_path / "custom")
 
-    def test_last_matching(self, store):
-        store.append({"command": "a", "n": 1})
-        wanted = store.append({"command": "b", "n": 2})
-        store.append({"command": "a", "n": 3})
-        found = store.last_matching(lambda r: r["command"] == "b")
-        assert found["run_id"] == wanted
-
 
 class TestRecordAssembly:
     def test_new_record_fields(self):
@@ -198,7 +191,7 @@ class TestRecordAssembly:
             new_record("profile"),
             metrics={"passes": {"schedule": {"seconds": 0.5}},
                      "counters": {"scheduler.ilp_solves": 4.0},
-                     "gauges": {}, "histograms": {}},
+                     "histograms": {}},
             wall_seconds=1.25)
         assert record["wall_seconds"] == 1.25
         assert record["passes"]["schedule"]["seconds"] == 0.5

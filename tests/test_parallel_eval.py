@@ -89,8 +89,9 @@ class TestCli:
         assert "TABLE II" in out
         assert "per-pass compile time:" in out
         assert "schedule cache:" in out
-        events = json.loads(trace_file.read_text())
-        assert any(e.get("event") == "pass" for e in events)
+        events = json.loads(trace_file.read_text())["traceEvents"]
+        assert any(e["name"].startswith("pass.") and e["ph"] == "X"
+                   for e in events)
 
     def test_table2_serial_prints_pass_summary(self, capsys):
         assert main(["table2", "--networks", "LSTM", "--limit", "1",

@@ -110,10 +110,12 @@ class TestPassManager:
         pipeline.compile(operators.reduce_producer_op("ctx_k", rows=64,
                                                       red=8), "infl")
         ctx = pipeline.context
+        passes = ctx.as_dict()["passes"]
         for name in ("deps", "influence-tree", "schedule", "codegen",
                      "vectorize", "gpu-map"):
-            assert ctx.pass_calls[name] >= 1
-            assert ctx.pass_seconds[name] >= 0.0
+            histogram = ctx.obs.metrics.histograms[f"pass.{name}.seconds"]
+            assert passes[name]["calls"] == histogram.count >= 1
+            assert passes[name]["seconds"] == histogram.total >= 0.0
         assert ctx.counters["scheduler.ilp_solves"] > 0
 
     def test_session_runs_standalone(self):
@@ -129,13 +131,19 @@ class TestPassManager:
 
     def test_trace_events(self):
         pipeline = AkgPipeline(sample_blocks=2, trace=True)
-        pipeline.compile(operators.elementwise_chain_op("traced", rows=16,
-                                                        cols=8, length=1),
-                         "novec")
-        events = pipeline.context.events
-        assert any(e["event"] == "pass" and e["pass"] == "schedule"
-                   for e in events)
-        assert all("seconds" in e for e in events if e["event"] == "pass")
+        kernel = operators.elementwise_chain_op("traced", rows=16, cols=8,
+                                                length=1)
+        pipeline.compile(kernel, "novec")
+        pipeline.compile(kernel, "infl")  # reuses the novec schedule
+        events = pipeline.context.chrome_trace()["traceEvents"]
+        schedule = [e for e in events if e["name"] == "pass.schedule"]
+        assert schedule
+        assert all(e["ph"] == "X" and e["args"]["kernel"] == "traced"
+                   for e in schedule)
+        hits = [e for e in events if e["name"] == "cache-hit"]
+        assert [e["ph"] for e in hits] == ["i"]
+        assert hits[0]["args"] == {"kernel": "traced", "variant": "infl"}
+        assert pipeline.context.counters["cache.hits"] == 1
 
     def test_metrics_merge_roundtrip(self):
         a = PassContext()
@@ -148,6 +156,9 @@ class TestPassManager:
         b.count("cache.misses", 3)
         merged = merge_metric_dicts([a.as_dict(), b.as_dict()])
         assert merged["passes"]["schedule"]["calls"] == 2
+        histogram = merged["histograms"]["pass.schedule.seconds"]
+        assert merged["passes"] == {"schedule": {
+            "calls": histogram["count"], "seconds": histogram["total"]}}
         assert merged["counters"] == {"cache.hits": 2, "cache.misses": 3}
         summary = format_pass_summary(merged)
         assert "schedule" in summary

@@ -1,22 +1,11 @@
-"""Round-trip and error-path tests for schedule serialization."""
-
-import json
+"""Tests for the degradation tag of serialized schedules."""
 
 import pytest
 
 from repro.influence import build_influence_tree
 from repro.ir.examples import running_example
 from repro.schedule import InfluencedScheduler
-from repro.schedule.serialize import (
-    FORMAT_VERSION,
-    KNOWN_DEGRADATIONS,
-    degradation_of,
-    schedule_from_dict,
-    schedule_from_json,
-    schedule_to_dict,
-    schedule_to_json,
-)
-from repro.workloads import operators
+from repro.schedule.serialize import KNOWN_DEGRADATIONS, schedule_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -30,68 +19,19 @@ def schedule(kernel):
     return scheduler.schedule(build_influence_tree(kernel))
 
 
-class TestRoundTrip:
-    def test_running_example_influenced(self, kernel, schedule):
-        rebuilt = schedule_from_dict(kernel, schedule_to_dict(schedule))
-        assert schedule_to_dict(rebuilt) == schedule_to_dict(schedule)
-
-    def test_round_trip_preserves_dimension_info(self, kernel, schedule):
-        rebuilt = schedule_from_dict(kernel, schedule_to_dict(schedule))
-        for original, copy in zip(schedule.dims, rebuilt.dims):
-            assert original.vector == copy.vector
-            assert original.vector_width == copy.vector_width
-            assert original.coincident == copy.coincident
-            assert original.from_influence == copy.from_influence
-
-    def test_json_round_trip_through_text(self):
-        small = operators.broadcast_bias_op("bb", rows=8, cols=8)
-        baseline = InfluencedScheduler(small).schedule()
-        text = schedule_to_json(baseline)
-        rebuilt = schedule_from_json(small, text)
-        assert schedule_to_json(rebuilt) == text
-        # The payload is genuinely JSON (no Fraction leakage).
-        json.loads(text)
-
-
-class TestVersioning:
-    def test_unknown_version_rejected(self, kernel, schedule):
-        payload = schedule_to_dict(schedule)
-        payload["version"] = FORMAT_VERSION + 1
-        with pytest.raises(ValueError, match="version"):
-            schedule_from_dict(kernel, payload)
-
-    def test_missing_version_rejected(self, kernel, schedule):
-        payload = schedule_to_dict(schedule)
-        del payload["version"]
-        with pytest.raises(ValueError, match="version"):
-            schedule_from_dict(kernel, payload)
-
-    def test_statement_mismatch_rejected(self, schedule):
-        payload = schedule_to_dict(schedule)
-        other = operators.broadcast_bias_op("bb", rows=8, cols=8)
-        with pytest.raises(ValueError, match="statement|parameter"):
-            schedule_from_dict(other, payload)
-
-
 class TestDegradationMetadata:
     def test_untagged_payload_reads_as_none(self, schedule):
         payload = schedule_to_dict(schedule)
         assert "degradation" not in payload
-        assert degradation_of(payload) == "none"
 
     @pytest.mark.parametrize("rung", KNOWN_DEGRADATIONS)
-    def test_tag_round_trips(self, kernel, schedule, rung):
+    def test_tag_round_trips(self, schedule, rung):
         payload = schedule_to_dict(schedule, degradation=rung)
-        assert degradation_of(payload) == rung
-        # The tag never breaks schedule reconstruction.
-        schedule_from_dict(kernel, payload)
+        assert payload["degradation"] == rung
+        # The tag sits beside the schedule: the untagged fields are equal.
+        del payload["degradation"]
+        assert payload == schedule_to_dict(schedule)
 
     def test_unknown_rung_rejected_on_write(self, schedule):
         with pytest.raises(ValueError, match="degradation"):
             schedule_to_dict(schedule, degradation="half-broken")
-
-    def test_unknown_rung_rejected_on_read(self, schedule):
-        payload = schedule_to_dict(schedule)
-        payload["degradation"] = "half-broken"
-        with pytest.raises(ValueError, match="degradation"):
-            degradation_of(payload)
