@@ -114,20 +114,22 @@ def _compile_cases(pipeline):
 
 def test_bench_pipeline_cold(benchmark):
     """Full-pipeline compile cost from cold: each round gets a fresh
-    pipeline, so every schedule is solved, and starts with the four
-    process-wide memos (dependences, emptiness answers, Farkas blocks and
-    simulated profiles) emptied, as in a new process: every dependence is
-    analysed, every emptiness question solved and every Farkas block
-    projected again.  This is the series where solver changes show."""
+    pipeline, so every schedule is solved, and starts with the five
+    process-wide memos (dependences, emptiness answers, Farkas blocks,
+    solved ILPs and simulated profiles) emptied, as in a new process:
+    every dependence is analysed, every emptiness question and dimension
+    ILP solved and every Farkas block projected again.  This is the
+    series where solver changes show."""
     from repro.deps.analysis import DEPENDENCES_MEMO
     from repro.gpu.profile_cache import PROFILE_MEMO
     from repro.pipeline import AkgPipeline
     from repro.schedule.farkas import FARKAS_MEMO
     from repro.sets.polyhedron import EMPTINESS_MEMO
+    from repro.solver.problem import ILP_MEMO
 
     def fresh_pipeline():
         for memo in (DEPENDENCES_MEMO, EMPTINESS_MEMO, FARKAS_MEMO,
-                     PROFILE_MEMO):
+                     ILP_MEMO, PROFILE_MEMO):
             memo.clear()
         return (AkgPipeline(sample_blocks=2),), {}
 

@@ -23,9 +23,13 @@ from repro.solver.problem import Constraint, LinExpr
 Node = Union["Loop", "Guard", "StatementCall", "Seq"]
 
 
-def _expr_str(expr: LinExpr) -> str:
+def _expr_str(expr: LinExpr, names: Optional[dict] = None) -> str:
+    """``expr`` as text, variables sorted by name; ``names`` renames
+    variables (unlisted names stay) before sorting."""
+    items = expr.coeffs.items() if names is None else \
+        [(names.get(n, n), c) for n, c in expr.coeffs.items()]
     parts = []
-    for name, coeff in sorted(expr.coeffs.items()):
+    for name, coeff in sorted(items):
         if coeff == 1:
             parts.append(name)
         elif coeff == -1:
@@ -38,10 +42,11 @@ def _expr_str(expr: LinExpr) -> str:
     return text.replace("+ -", "- ")
 
 
-def _bound_str(exprs: list[LinExpr], which: str) -> str:
+def _bound_str(exprs: list[LinExpr], which: str,
+               names: Optional[dict]) -> str:
     if len(exprs) == 1:
-        return _expr_str(exprs[0])
-    inner = ", ".join(_expr_str(e) for e in exprs)
+        return _expr_str(exprs[0], names)
+    inner = ", ".join(_expr_str(e, names) for e in exprs)
     return f"{which}({inner})"
 
 
@@ -51,10 +56,13 @@ class Seq:
 
     children: list[Node] = field(default_factory=list)
 
-    def render(self, indent: int = 0) -> list[str]:
+    def render(self, indent: int = 0,
+               names: Optional[dict] = None) -> list[str]:
+        """The subtree as text lines; ``names`` renames variables
+        (loop variables included) in the whole subtree."""
         lines: list[str] = []
         for child in self.children:
-            lines.extend(child.render(indent))
+            lines.extend(child.render(indent, names))
         return lines
 
 
@@ -86,19 +94,23 @@ class Loop:
             return "forall"
         return "for"
 
-    def render(self, indent: int = 0) -> list[str]:
+    def render(self, indent: int = 0,
+               names: Optional[dict] = None) -> list[str]:
         pad = "  " * indent
-        lower = _bound_str(self.lowers, "min" if self.lower_is_min else "max")
-        upper = _bound_str(self.uppers, "max" if self.upper_is_max else "min")
+        lower = _bound_str(self.lowers, "min" if self.lower_is_min else "max",
+                           names)
+        upper = _bound_str(self.uppers, "max" if self.upper_is_max else "min",
+                           names)
+        var = self.var if names is None else names.get(self.var, self.var)
         annotations = []
         if self.mapping:
             annotations.append(self.mapping)
         if self.vector and self.vector_width:
             annotations.append(f"width={self.vector_width}")
         suffix = f"  // {', '.join(annotations)}" if annotations else ""
-        lines = [f"{pad}{self.keyword()} ({self.var} = {lower}; "
-                 f"{self.var} <= {upper}; {self.var}++) {{{suffix}"]
-        lines.extend(self.body.render(indent + 1))
+        lines = [f"{pad}{self.keyword()} ({var} = {lower}; "
+                 f"{var} <= {upper}; {var}++) {{{suffix}"]
+        lines.extend(self.body.render(indent + 1, names))
         lines.append(f"{pad}}}")
         return lines
 
@@ -110,14 +122,15 @@ class Guard:
     conditions: list[Constraint]
     body: Seq
 
-    def render(self, indent: int = 0) -> list[str]:
+    def render(self, indent: int = 0,
+               names: Optional[dict] = None) -> list[str]:
         pad = "  " * indent
         conds = []
         for c in self.conditions:
             op = {"<=": "<= 0", ">=": ">= 0", "==": "== 0"}[c.sense]
-            conds.append(f"{_expr_str(c.expr)} {op}")
+            conds.append(f"{_expr_str(c.expr, names)} {op}")
         lines = [f"{pad}if ({' && '.join(conds)}) {{"]
-        lines.extend(self.body.render(indent + 1))
+        lines.extend(self.body.render(indent + 1, names))
         lines.append(f"{pad}}}")
         return lines
 
@@ -147,9 +160,11 @@ class StatementCall:
             out[it] = value
         return out
 
-    def render(self, indent: int = 0) -> list[str]:
+    def render(self, indent: int = 0,
+               names: Optional[dict] = None) -> list[str]:
         pad = "  " * indent
-        args = ", ".join(f"{it}={_expr_str(e)}"
+        # Iterator names are the statement's own: never renamed.
+        args = ", ".join(f"{it}={_expr_str(e, names)}"
                          for it, e in self.iterator_exprs.items())
         vec = f" /*x{self.vector_width}*/" if self.vector_width > 1 else ""
         return [f"{pad}{self.statement.name}({args});{vec}"]

@@ -58,6 +58,21 @@ class MappedKernel:
             n *= d.extent
         return n
 
+    def rebound(self, kernel: Kernel) -> "MappedKernel":
+        """This launch for the content-equal ``kernel``.
+
+        The schedule and the AST (immutable after mapping) are shared, the
+        launch dimensions are copied, and the content-keyed profile
+        signature (:func:`repro.gpu.profile_cache.launch_signature`) is
+        kept.  No simulator state comes along."""
+        launch = MappedKernel(kernel=kernel, schedule=self.schedule,
+                              ast=self.ast, grid=list(self.grid),
+                              block=list(self.block))
+        sig = getattr(self, "_profile_sig", None)
+        if sig is not None:
+            launch._profile_sig = sig
+        return launch
+
     def emit_cuda(self) -> str:
         """Pseudo-CUDA rendering of the mapped kernel."""
         grid = " * ".join(f"{d.extent}" for d in self.grid) or "1"

@@ -395,7 +395,16 @@ def evaluate_all(config: Optional[EvaluationConfig] = None,
     if tasks and n_jobs and n_jobs > 1:
         # Looked up at call time, so a patched module attribute is used.
         from repro.eval.supervisor import run_supervised
-        run_supervised(tasks, config, n_jobs, on_complete)
+        # Forked workers inherit the suites built above instead of
+        # regenerating every network they touch.
+        seeded = {(network, config.seed, config.limit_per_network):
+                  suites[network] for network in names}
+        _WORKER_SUITES.update(seeded)
+        try:
+            run_supervised(tasks, config, n_jobs, on_complete)
+        finally:
+            for key in seeded:
+                _WORKER_SUITES.pop(key, None)
     else:
         pipeline = _make_pipeline(config)
         for network, index in tasks:

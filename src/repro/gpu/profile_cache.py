@@ -8,16 +8,17 @@ mapping, the differential oracle re-measures every launch the variant
 loop already measured, and Table II networks repeat layer shapes across
 operators.  :data:`PROFILE_MEMO` keys
 :func:`repro.gpu.simulate_kernel` on the mapped kernel's *content* — the
-kernel IR signature (names erased), the rendered loop AST, the launch
-geometry — plus the architecture and the sampling width, so
-renamed-but-identical launches hit.
+kernel IR signature (names erased), the loop AST rendered with loop
+variables named by binding position, the launch geometry — plus the
+architecture and the sampling width, so renamed-but-identical launches
+hit.
 
-The memo is process-wide, like the dependence, emptiness and Farkas block
-memos (DESIGN.md "Caches"), and ``simulate_kernel`` consults it on every
-request.  Its ``sim.profile_cache.*`` counters therefore depend on what
-the process simulated before.  The ``sim.fastpath.*`` counters do not:
-each entry keeps the fast-path counters its simulation counted, and a hit
-counts them again, as if the launch had been simulated.
+The memo is process-wide, like the dependence, emptiness, Farkas block
+and ILP memos (DESIGN.md "Caches"), and ``simulate_kernel`` consults it
+on every request.  Its ``sim.profile_cache.*`` counters therefore depend
+on what the process simulated before.  The ``sim.fastpath.*`` counters
+do not: each entry keeps the fast-path counters its simulation counted,
+and a hit counts them again, as if the launch had been simulated.
 
 A replayed profile is bitwise-identical to simulating by construction —
 the simulator is a deterministic pure function of the key's content.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.codegen.ast import Loop, walk
 from repro.ir.signature import kernel_signature
 from repro.memo import Memo
 
@@ -43,6 +45,40 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 MAX_ENTRIES = 4096
 
 
+def _loop_names(ast) -> dict[str, str]:
+    """Each loop variable's name by its binding position: the ``k``-th
+    distinct variable a preorder walk finds bound becomes ``%k`` (a name
+    no parameter, iterator or tensor can have)."""
+    names: dict[str, str] = {}
+    for node in walk(ast):
+        if isinstance(node, Loop) and node.var not in names:
+            names[node.var] = f"%{len(names)}"
+    return names
+
+
+def launch_signature(mapped: "MappedKernel") -> tuple:
+    """The mapped-kernel part of :func:`profile_cache_key`, memoized on the
+    (immutable-after-mapping) ``MappedKernel`` so the AST renders once.
+
+    Loop variables enter by binding position (:func:`_loop_names`), so
+    launches that differ only in loop-variable names share a key: the
+    simulator reads a loop variable only through the loop that binds it
+    and the expressions that use it.  Statement and tensor names stay (a
+    tensor's name decides its base address).
+    """
+    sig = getattr(mapped, "_profile_sig", None)
+    if sig is None:
+        names = _loop_names(mapped.ast)
+        sig = (kernel_signature(mapped.kernel),
+               "\n".join(mapped.ast.render(names=names)),
+               tuple((names.get(d.loop_var, d.loop_var), d.extent, d.mapping)
+                     for d in mapped.grid),
+               tuple((names.get(d.loop_var, d.loop_var), d.extent, d.mapping)
+                     for d in mapped.block))
+        mapped._profile_sig = sig
+    return sig
+
+
 def profile_cache_key(mapped: "MappedKernel", arch: "GpuArch",
                       sample_blocks: int) -> tuple:
     """The content key of one simulation request.
@@ -51,18 +87,10 @@ def profile_cache_key(mapped: "MappedKernel", arch: "GpuArch",
     kernel IR signature (parameters, statement structure, accesses with
     tensor shapes/dtypes — kernel names excluded), the rendered loop AST
     (bounds, guards, mapping annotations, per-call iterator
-    reconstructions), the grid/block geometry, the architecture model and
-    the block-sampling width.  The mapped-kernel part is memoized on the
-    (immutable-after-mapping) ``MappedKernel`` so the AST renders once.
+    reconstructions; see :func:`launch_signature`), the grid/block
+    geometry, the architecture model and the block-sampling width.
     """
-    sig = getattr(mapped, "_profile_sig", None)
-    if sig is None:
-        sig = (kernel_signature(mapped.kernel),
-               "\n".join(mapped.ast.render()),
-               tuple((d.loop_var, d.extent, d.mapping) for d in mapped.grid),
-               tuple((d.loop_var, d.extent, d.mapping) for d in mapped.block))
-        mapped._profile_sig = sig
-    return (sig, arch, sample_blocks)
+    return (launch_signature(mapped), arch, sample_blocks)
 
 
 #: ``(KernelProfile, sim.fastpath counters)`` by :func:`profile_cache_key`.

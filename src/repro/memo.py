@@ -1,10 +1,10 @@
 """The one memo primitive: a bounded LRU map that counts its traffic.
 
-Five caches pay for themselves (see DESIGN.md, "Caches"), and all five are
-a :class:`Memo`: the pipeline's schedule cache (``cache``), and the
-process-wide simulated profile, dependence, emptiness and Farkas block
-memos (``sim.profile_cache``, ``cache.deps``, ``cache.emptiness``,
-``cache.farkas``).  Each counts
+Six caches pay for themselves (see DESIGN.md, "Caches"), and all six are
+a :class:`Memo`: the pipeline's schedule and launch cache (``cache``), and
+the process-wide simulated profile, dependence, emptiness, Farkas block
+and ILP memos (``sim.profile_cache``, ``cache.deps``, ``cache.emptiness``,
+``cache.farkas``, ``cache.ilp``).  Each counts
 ``<name>.hits``, ``<name>.misses`` and ``<name>.evictions`` into the
 ambient metrics registry, and keeps the same totals for :meth:`stats`.
 """

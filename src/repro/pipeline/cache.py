@@ -13,9 +13,17 @@ The cached entry is the expensive schedule-producing prefix of the pass
 list: dependence relations, the finished :class:`Schedule`, and the
 scheduler's counters.  Schedules index their rows by statement *name*, and
 statement names/structure are part of the key, so an entry built from one
-kernel object is valid for every content-equal kernel.  Kernel names are
-deliberately excluded from the key (generated operators carry unique
-names; distributed baselines suffix ``_k0`` per cluster).
+kernel object is valid for every content-equal kernel.
+
+An entry also keeps the finished launch of each back-end pass list it was
+compiled under (code generation, tiling, vectorization and GPU mapping are
+pure functions of the schedule and the kernel's content), keyed by the
+back-end passes' settings and the session's ``max_threads``.  A stored
+launch holds no simulator state; the session hands out copies rebound to
+the requesting kernel (:meth:`~repro.codegen.cuda.MappedKernel.rebound`).
+
+Kernel names are deliberately excluded from the key (generated operators
+carry unique names; distributed baselines suffix ``_k0`` per cluster).
 
 Constraint order inside iteration domains is kept (not sorted away): the
 ILP's variable/constraint layout follows it, and two kernels must only
@@ -24,7 +32,7 @@ share an entry when the whole solve is bit-for-bit identical.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 from repro.influence.scenarios import CostWeights
@@ -38,11 +46,15 @@ __all__ = ["ScheduleCache", "ScheduleCacheEntry", "kernel_signature"]
 
 @dataclass
 class ScheduleCacheEntry:
-    """The cached schedule-producing prefix of a compilation."""
+    """The cached schedule-producing prefix of a compilation, plus the
+    launches built from it: ``(MappedKernel, tiled loop count)`` by
+    back-end key (see :meth:`CompilationSession.run
+    <repro.pipeline.passes.CompilationSession.run>`)."""
 
     relations: list
     schedule: object
     stats: Optional[SchedulerStats]
+    launches: dict = field(default_factory=dict)
 
 
 class ScheduleCache(Memo):
@@ -63,6 +75,8 @@ class ScheduleCache(Memo):
                 astuple(options), astuple(weights))
 
     def store(self, key: tuple, *, relations, schedule,
-              stats: Optional[SchedulerStats] = None) -> None:
-        self.put(key, ScheduleCacheEntry(relations=relations,
-                                         schedule=schedule, stats=stats))
+              stats: Optional[SchedulerStats] = None) -> ScheduleCacheEntry:
+        entry = ScheduleCacheEntry(relations=relations, schedule=schedule,
+                                   stats=stats)
+        self.put(key, entry)
+        return entry

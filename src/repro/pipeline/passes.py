@@ -8,7 +8,8 @@ backtracking activations, ...) and — optionally — a span trace,
 and consults a content-keyed :class:`~repro.pipeline.cache.ScheduleCache`
 so structurally equal kernels reuse the expensive schedule-producing
 prefix (dependence analysis, influence-tree build, influenced scheduling)
-instead of recompiling from scratch.
+and the finished launch of each back-end pass list (codegen, tiling,
+vectorization, GPU mapping) instead of recompiling from scratch.
 
 Pass lists are data: :func:`variant_passes` builds the list for each of
 the paper's four evaluation variants, and callers may splice in extra
@@ -28,6 +29,7 @@ from repro.codegen.tiling import tile_band
 from repro.codegen.vectorize import vectorize
 from repro.deps.analysis import compute_dependences
 from repro.faultinject import fault_action, raise_fault
+from repro.gpu.profile_cache import launch_signature
 from repro.influence.builder import build_influence_tree
 from repro.influence.scenarios import CostWeights
 from repro.ir.kernel import Kernel
@@ -156,21 +158,25 @@ def format_pass_summary(metrics: dict) -> str:
     misses = int(counters.get("cache.misses", 0))
     if hits or misses:
         rate = hits / (hits + misses) * 100.0
+        launches = int(counters.get("cache.launch_hits", 0))
         lines.append(f"  schedule cache: {hits} hits / {misses} misses "
-                     f"({rate:.1f}% hit rate)")
+                     f"({rate:.1f}% hit rate); {launches} hits served "
+                     f"the finished launch")
     for label, prefix in (("profile cache", "sim.profile_cache"),
                           ("dependence memo", "cache.deps"),
                           ("emptiness memo", "cache.emptiness"),
-                          ("farkas memo", "cache.farkas")):
+                          ("farkas memo", "cache.farkas"),
+                          ("ilp memo", "cache.ilp")):
         reuse_hits = int(counters.get(f"{prefix}.hits", 0))
         reuse_misses = int(counters.get(f"{prefix}.misses", 0))
         if reuse_hits or reuse_misses:
             reuse_rate = reuse_hits / (reuse_hits + reuse_misses) * 100.0
-            # Profile and Farkas memo evictions show when a bound is too
-            # small.
+            # Profile, Farkas and ILP memo evictions show when a bound is
+            # too small.
             evicted = (f" / {int(counters.get(f'{prefix}.evictions', 0))} "
                        f"evictions"
-                       if prefix in ("sim.profile_cache", "cache.farkas")
+                       if prefix in ("sim.profile_cache", "cache.farkas",
+                                     "cache.ilp")
                        else "")
             lines.append(f"  {label}: {reuse_hits} hits / "
                          f"{reuse_misses} misses{evicted} "
@@ -220,6 +226,9 @@ class Pass(Protocol):
 
     ``cacheable`` marks the schedule-producing prefix: passes whose outputs
     are stored in (and restored from) the content-keyed schedule cache.
+    The other (back-end) passes carry a hashable ``launch_key`` naming
+    their settings: the finished launch is cached under the back-end
+    passes' keys.
     """
 
     name: str
@@ -275,6 +284,7 @@ class AstGenerationPass:
 
     name = "codegen"
     cacheable = False
+    launch_key = ("codegen",)
 
     def run(self, state: PassState, session: "CompilationSession") -> None:
         state.ast = generate_ast(state.kernel, state.schedule)
@@ -288,6 +298,7 @@ class TilingPass:
 
     def __init__(self, tile_sizes: Sequence[int]):
         self.tile_sizes = tuple(tile_sizes)
+        self.launch_key = ("tile", self.tile_sizes)
 
     def run(self, state: PassState, session: "CompilationSession") -> None:
         state.tiled_loops = tile_band(state.ast, state.schedule,
@@ -303,6 +314,7 @@ class VectorizePass:
 
     def __init__(self, enable: bool):
         self.enable = enable
+        self.launch_key = ("vectorize", enable)
 
     def run(self, state: PassState, session: "CompilationSession") -> None:
         state.ast = vectorize(state.ast, state.kernel, state.schedule,
@@ -314,6 +326,7 @@ class GpuMappingPass:
 
     name = "gpu-map"
     cacheable = False
+    launch_key = ("gpu-map",)
 
     def run(self, state: PassState, session: "CompilationSession") -> None:
         state.mapped = map_to_gpu(state.kernel, state.ast, state.schedule,
@@ -377,28 +390,49 @@ class CompilationSession:
             if action is not None:
                 raise_fault(action, "compile", kernel=kernel.name,
                             variant=variant, influence=influence)
-            key = None
+            key = entry = launch = None
             if self.cache is not None \
                     and any(getattr(p, "cacheable", False) for p in passes):
                 key = self.cache.key_for(kernel, influence=influence,
                                          options=self.options,
                                          weights=self.weights)
+                launch_key = tuple(p.launch_key for p in passes
+                                   if not p.cacheable) + (self.max_threads,)
                 entry = self.cache.get(key)
                 if entry is not None:
                     state.relations = entry.relations
                     state.schedule = entry.schedule
                     state.scheduler_stats = entry.stats
                     state.from_cache = True
+                    launch = entry.launches.get(launch_key)
                     self.context.obs.event("cache-hit", kernel=kernel.name,
                                            variant=variant)
-            for p in passes:
-                if state.from_cache and p.cacheable:
-                    continue
-                with self.context.timed(p.name, kernel=kernel.name,
-                                        variant=variant):
-                    p.run(state, self)
-            if key is not None and not state.from_cache:
-                self.cache.store(key, relations=state.relations,
-                                 schedule=state.schedule,
-                                 stats=state.scheduler_stats)
+            if launch is None:
+                for p in passes:
+                    if state.from_cache and p.cacheable:
+                        continue
+                    with self.context.timed(p.name, kernel=kernel.name,
+                                            variant=variant):
+                        p.run(state, self)
+                if key is not None:
+                    if entry is None:
+                        entry = self.cache.store(
+                            key, relations=state.relations,
+                            schedule=state.schedule,
+                            stats=state.scheduler_stats)
+                    if state.mapped is not None:
+                        # Stored apart from the copies handed out, so
+                        # simulating a copy leaves no simulator state in
+                        # the cache; the profile signature is rendered
+                        # once here and every copy keeps it.
+                        template = state.mapped.rebound(state.mapped.kernel)
+                        launch_signature(template)
+                        launch = entry.launches[launch_key] = (
+                            template, state.tiled_loops)
+            else:
+                self.context.count("cache.launch_hits")
+            if launch is not None:
+                template, state.tiled_loops = launch
+                state.ast = template.ast
+                state.mapped = template.rebound(kernel)
         return state

@@ -15,7 +15,8 @@ library.  It provides:
   :class:`repro.errors.SolverTimeout` when it runs out.
 
 :class:`Problem` calls the simplex and branch and bound directly; there is
-one solver, and no solve is cached or warm-started.
+one solver.  Its solves are memoized by the lowered program's content
+(:data:`repro.solver.problem.ILP_MEMO`) and never warm-started.
 """
 
 from repro.solver.budget import SolveBudget, get_budget, use_budget

@@ -13,18 +13,25 @@ error-prone, so this module provides:
 * :func:`eliminate_pinned` — the one-pass elimination of continuous columns
   pinned by equalities, shared by :meth:`Problem.presolved` and the Farkas
   blocks of :mod:`repro.schedule.farkas`.
+* :data:`ILP_MEMO` — the process-wide memo of solved lowered programs
+  (``cache.ilp``) that :meth:`Problem.solve` and :meth:`Problem.lexmin`
+  consult.
 """
 
 from __future__ import annotations
 
+import marshal
 import time
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.linalg.rational import Rat, div, frac
-from repro.obs.runtime import get_obs
+from repro.memo import Memo
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import Obs, get_obs, use_obs
+from repro.solver.budget import get_budget, use_budget
 from repro.solver.ilp import solve_ilp
 from repro.solver.lexmin import lexicographic_minimize
-from repro.solver.lp import LinearProgram, LPStatus, integer_row
+from repro.solver.lp import LinearProgram, LPResult, LPStatus, integer_row
 
 Scalar = Union[Rat, str]
 
@@ -345,6 +352,112 @@ def eliminate_pinned(constraints: Sequence[Constraint], eligible: set[str],
     return kept, rows[n_original:], trail
 
 
+# -- the solve memo -----------------------------------------------------------
+
+#: Entries kept (LRU).  A serial ``repro table2 --limit 0`` process solves
+#: 846 dimension ILPs, 191 of them distinct; the bound only guards against
+#: pathological workloads.
+MAX_ILP_ENTRIES = 4096
+
+#: ``(point or None, pivot runs, solver.* counters)`` by :func:`_program_key`.
+#: Dimension ILPs recur exactly across operators that differ only in sizes
+#: (the Farkas multipliers are projected out, so sizes rarely reach the
+#: program).  A hit replays the work of the solve it skips (:func:`_replay`),
+#: so work counters and budgets behave as if the program had been solved.
+ILP_MEMO = Memo("cache.ilp", MAX_ILP_ENTRIES)
+
+
+def _scalars(values: list) -> list:
+    """``values`` (canonical scalars or ``None``) with every ``Fraction`` as
+    a ``(numerator, denominator)`` pair, which :mod:`marshal` encodes."""
+    if all(type(v) is int or v is None for v in values):
+        return values
+    return [v if type(v) is int or v is None
+            else (v.numerator, v.denominator) for v in values]
+
+
+def _program_key(lp: LinearProgram, objectives: Sequence[list],
+                 integer_mask: list[bool], max_nodes: int) -> bytes:
+    """Everything the simplex and branch and bound read of a lowered
+    program, as compact bytes: the sparse integer rows (term order kept,
+    the tableau follows it), right-hand sides, bounds, the objective
+    level(s), the integrality mask and the node cap.  ``marshal`` version
+    2 writes no back-references, so equal content gives equal bytes."""
+    return marshal.dumps((lp.integer_rows(), _scalars(lp.b_ub),
+                          _scalars(lp.b_eq), _scalars(lp.lower),
+                          _scalars(lp.upper),
+                          [_scalars(row) for row in objectives],
+                          integer_mask, max_nodes), 2)
+
+
+class _ChargeLog:
+    """Stands in for the ambient budget during a memoized solve: records
+    every charge, as runs of pivots between node charges, and forwards it
+    to the real budget when there is one."""
+
+    __slots__ = ("inner", "runs")
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.runs = [0]
+
+    def charge_pivot(self) -> None:
+        self.runs[-1] += 1
+        if self.inner is not None:
+            self.inner.charge_pivot()
+
+    def charge_node(self) -> None:
+        self.runs.append(0)
+        if self.inner is not None:
+            self.inner.charge_node()
+
+
+def _count(counters: Iterable[tuple[str, float]]) -> None:
+    metrics = get_obs().metrics
+    if metrics.enabled:
+        for name, amount in counters:
+            metrics.count(name, amount)
+
+
+def _replay(runs: tuple, counters: tuple) -> None:
+    """Charge the ambient budget and count the ``solver.*`` work of a
+    memoized solve, in the order the solve did.  A budget that runs out
+    raises :class:`~repro.errors.SolverTimeout` where the solve would
+    have (no work is counted then)."""
+    budget = get_budget()
+    if budget is not None:
+        for index, pivots in enumerate(runs):
+            if index:
+                budget.charge_node()
+            for _ in range(pivots):
+                budget.charge_pivot()
+    _count(counters)
+
+
+def _memo_solve(lp: LinearProgram, objectives: Sequence[list],
+                integer_mask: list[bool], max_nodes: int,
+                solve: Callable[[], LPResult]) -> Optional[tuple]:
+    """The optimal point of ``solve()`` (``None`` when the program has
+    none), through :data:`ILP_MEMO`.  A failed solve
+    (:class:`~repro.errors.BranchLimitExceeded`,
+    :class:`~repro.errors.SolverTimeout`) is never stored."""
+    key = _program_key(lp, objectives, integer_mask, max_nodes)
+    entry = ILP_MEMO.get(key)
+    if entry is not None:
+        _replay(entry[1], entry[2])
+        return entry[0]
+    log = _ChargeLog(get_budget())
+    registry = MetricsRegistry()
+    try:
+        with use_budget(log), use_obs(Obs(get_obs().tracer, registry)):
+            result = solve()
+    finally:
+        _count(registry.counters.items())
+    x = tuple(result.x) if result.status is LPStatus.OPTIMAL else None
+    ILP_MEMO.put(key, (x, tuple(log.runs), tuple(registry.counters.items())))
+    return x
+
+
 class Problem:
     """Collects named variables and constraints; lowers to LinearProgram."""
 
@@ -531,18 +644,19 @@ class Problem:
               presolve: bool = True) -> Optional[dict[str, Rat]]:
         """Minimize ``objective`` (feasibility check if None).
 
-        Returns the assignment dict, or None if infeasible/unbounded.
+        Returns the assignment dict, or None if infeasible/unbounded.  The
+        lowered program is solved through :data:`ILP_MEMO`.
         """
         if presolve:
             protect = objective.variables() if objective is not None else set()
             return self._solve_presolved(protect, lambda reduced: reduced.solve(
                 objective, max_nodes=max_nodes, presolve=False))
         lp = self.lower_to_lp(objective)
-        result = solve_ilp(lp, integer_mask=self.integer_mask(),
-                           max_nodes=max_nodes)
-        if result.status is not LPStatus.OPTIMAL:
-            return None
-        return dict(zip(self._order, result.x))
+        mask = self.integer_mask()
+        x = _memo_solve(lp, [lp.objective], mask, max_nodes,
+                        lambda: solve_ilp(lp, integer_mask=mask,
+                                          max_nodes=max_nodes))
+        return None if x is None else dict(zip(self._order, x))
 
     def lexmin(self, objectives: Sequence[LinExpr],
                max_nodes: int = 100_000,
@@ -557,12 +671,13 @@ class Problem:
                 objectives, max_nodes=max_nodes, presolve=False))
         lp = self.lower_to_lp()
         rows = [self._row(obj) for obj in objectives]
-        result = lexicographic_minimize(lp, rows,
-                                        integer_mask=self.integer_mask(),
-                                        max_nodes=max_nodes)
-        if result.status is not LPStatus.OPTIMAL:
-            return None
-        return dict(zip(self._order, result.x))
+        mask = self.integer_mask()
+        # The program's own (zero) objective is ignored, so it stays out
+        # of the key: a single level solves exactly as Problem.solve does.
+        x = _memo_solve(lp, rows, mask, max_nodes,
+                        lambda: lexicographic_minimize(
+                            lp, rows, integer_mask=mask, max_nodes=max_nodes))
+        return None if x is None else dict(zip(self._order, x))
 
     def fold_objectives(self, objectives: Sequence[LinExpr]) -> Optional[LinExpr]:
         """Collapse a lexicographic objective list into one weighted

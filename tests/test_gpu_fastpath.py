@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.codegen.ast import Guard, Loop, Seq, StatementCall, walk
+from repro.codegen.ast import (Guard, Loop, Seq, StatementCall,
+                              substitute_var, walk)
 from repro.eval.runner import evaluate_operator
 from repro.gpu import fastpath
 from repro.gpu import simulator
@@ -755,6 +756,33 @@ class TestProfileCache:
         assert b.name == "copy_renamed"
         assert a.name == first.kernel.name
         assert a.counters() == b.counters()
+
+    def test_alpha_renamed_launches_share_an_entry(self):
+        """Launches that differ only in loop-variable names share one
+        entry, and that entry is what simulating the renamed launch
+        gives."""
+        first = compile_mapped(operators.transpose2d_op("fp_alpha", 96, 64))
+        renamed = copy.deepcopy(first)
+        loops = [node for node in walk(renamed.ast)
+                 if isinstance(node, Loop)]
+        names = {loop.var: f"{loop.var}_r" for loop in loops}
+        assert len(names) >= 2
+        for old, new in names.items():
+            substitute_var(renamed.ast, old, LinExpr({new: 1}))
+        for loop in loops:
+            loop.var = names[loop.var]
+        for dim in renamed.grid + renamed.block:
+            dim.loop_var = names[dim.loop_var]
+        assert renamed.emit_cuda() != first.emit_cuda()
+        a = simulate_kernel(first, sample_blocks=2)
+        b = simulate_kernel(renamed, sample_blocks=2)
+        assert PROFILE_MEMO.stats() == {"entries": 1, "hits": 1,
+                                        "misses": 1, "evictions": 0}
+        fresh, fresh_fastpath = simulator._simulate(renamed, V100, 2)
+        (entry,) = PROFILE_MEMO._entries.values()
+        assert entry[0].counters() == fresh.counters() == b.counters()
+        assert entry[0].time == fresh.time == a.time
+        assert entry[1] == fresh_fastpath
 
     def test_different_content_misses(self):
         simulate_kernel(compile_mapped(copy_kernel(64, 64)), sample_blocks=2)

@@ -1,13 +1,19 @@
 """The one memo primitive and the caches built on it."""
 
+import pytest
+
 from repro.deps.analysis import DEPENDENCES_MEMO, compute_dependences
+from repro.errors import BranchLimitExceeded, SolverTimeout
 from repro.ir.examples import matmul
 from repro.memo import Memo
 from repro.obs import MetricsRegistry, Obs, get_obs, use_obs
 from repro.schedule.farkas import (FARKAS_MEMO, SymbolicAffineForm,
                                    add_farkas_nonneg)
+from repro.schedule.scheduler import InfluencedScheduler, SchedulerOptions
 from repro.sets.polyhedron import EMPTINESS_MEMO, Polyhedron
-from repro.solver.problem import Problem, var
+from repro.solver.budget import SolveBudget, use_budget
+from repro.solver.problem import ILP_MEMO, Problem, var
+from repro.workloads import operators
 
 
 def _counted(memo_name: str, body) -> dict:
@@ -117,3 +123,73 @@ class TestProcessMemos:
         body()
         assert _counted("cache.farkas", body) == {"hits": 1}
         assert FARKAS_MEMO.name == "cache.farkas"
+
+
+class TestIlpMemo:
+    """``cache.ilp``: a hit returns the cold solve's point and replays its
+    work, so ``solver.*`` counters and budgets cannot tell the two apart."""
+
+    @staticmethod
+    def _solve(budget=None, max_nodes=100_000):
+        # Rebuilt every call: only the lowered program's content can hit.
+        # The relaxation's optimum x + y = 1.5 is fractional, so branch and
+        # bound runs several nodes.
+        problem = Problem()
+        x = problem.add_variable("x", lower=0, upper=10)
+        y = problem.add_variable("y", lower=0, upper=10)
+        problem.add_constraint(x * 2 + y * 2 >= 3)
+        problem.add_constraint(x - y <= 1)
+        obs = Obs(metrics=MetricsRegistry())
+        active = (budget or SolveBudget()).start()
+        with use_obs(obs), use_budget(active):
+            point = problem.solve(objective=x + y * 2, max_nodes=max_nodes)
+        return point, obs.metrics.counters, (active.pivots, active.nodes)
+
+    @staticmethod
+    def _work(counters):
+        return {name: value for name, value in counters.items()
+                if name.startswith("solver.")}
+
+    def setup_method(self):
+        ILP_MEMO.clear()
+
+    def teardown_method(self):
+        ILP_MEMO.clear()
+
+    def test_hit_replays_the_cold_solve(self):
+        cold_point, cold, cold_charges = self._solve()
+        warm_point, warm, warm_charges = self._solve()
+        assert (cold["cache.ilp.misses"], warm["cache.ilp.hits"]) == (1, 1)
+        assert warm_point == cold_point
+        assert cold["solver.bb_nodes"] > 1
+        assert self._work(warm) == self._work(cold)
+        assert list(self._work(warm)) == list(self._work(cold))
+        assert warm_charges == cold_charges
+        assert ILP_MEMO.name == "cache.ilp"
+
+    def test_replay_exhausts_a_budget_where_the_solve_does(self):
+        _, _, (pivots, nodes) = self._solve()
+        for budget, match in ((SolveBudget(max_pivots=pivots - 1), "pivot"),
+                              (SolveBudget(max_ilp_nodes=nodes - 1), "node")):
+            for _ in range(2):  # cold, then replayed from the memo
+                with pytest.raises(SolverTimeout, match=match):
+                    self._solve(budget)
+        assert len(ILP_MEMO) == 1
+
+    def test_failed_solves_are_not_stored(self):
+        with pytest.raises(BranchLimitExceeded):
+            self._solve(max_nodes=1)
+        with pytest.raises(SolverTimeout):
+            self._solve(SolveBudget(max_pivots=0))
+        assert len(ILP_MEMO) == 0
+        _, counters, _ = self._solve()
+        assert counters["cache.ilp.misses"] == 1
+
+    def test_scheduler_budget_runs_out_on_replayed_solves(self):
+        kernel = operators.reduce_producer_op("ilp_memo_budget", rows=64,
+                                              red=8)
+        InfluencedScheduler(kernel).schedule()  # every dimension ILP stored
+        scheduler = InfluencedScheduler(
+            kernel, options=SchedulerOptions(budget=SolveBudget(max_pivots=1)))
+        with pytest.raises(SolverTimeout):
+            scheduler.schedule()

@@ -26,7 +26,8 @@ def warm_process():
     ``cache.deps``), the emptiness memo
     (``repro.sets.polyhedron.EMPTINESS_MEMO``, ``cache.emptiness``), the
     Farkas block memo (``repro.schedule.farkas.FARKAS_MEMO``,
-    ``cache.farkas``) and the profile memo
+    ``cache.farkas``), the ILP memo (``repro.solver.problem.ILP_MEMO``,
+    ``cache.ilp``) and the profile memo
     (``repro.gpu.profile_cache.PROFILE_MEMO``, ``sim.profile_cache``)
     persist for the life of the process: the first evaluation misses and
     pays extra solver work (LP solves, pivots) and simulations that later

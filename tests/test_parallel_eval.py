@@ -59,6 +59,38 @@ class TestParallelEquivalence:
              for index, op in enumerate(result.operators)]
 
 
+class TestWorkerSuites:
+    def test_workers_inherit_the_parent_suites(self, monkeypatch):
+        """Workers evaluate from the suites ``evaluate_all`` built before
+        the pool starts; none regenerates a network."""
+        from repro.eval import runner, supervisor
+        generated = []
+        real_generate = runner.generate_network_suite
+
+        def counting_generate(*args, **kwargs):
+            generated.append(args)
+            return real_generate(*args, **kwargs)
+
+        def in_process(tasks, config, jobs, on_complete):
+            # The worker entry point, run where the pool would fork.
+            seen = len(generated)
+            for network, index in tasks:
+                on_complete(network, *runner._evaluate_index(
+                    network, config, index))
+            assert len(generated) == seen
+
+        monkeypatch.setattr(runner, "_WORKER_SUITES", {})
+        monkeypatch.setattr(runner, "generate_network_suite",
+                            counting_generate)
+        monkeypatch.setattr(supervisor, "run_supervised", in_process)
+        results = evaluate_all(_config(limit_per_network=1),
+                               networks=["LSTM", "VGG16"], jobs=2)
+        assert [len(results[n].operators) for n in ("LSTM", "VGG16")] \
+            == [1, 1]
+        assert len(generated) == 2
+        assert runner._WORKER_SUITES == {}
+
+
 class TestMergedMetrics:
     def test_parallel_metrics_merged(self):
         result = evaluate_network("LSTM", _config(), jobs=2)

@@ -177,6 +177,14 @@ class TestPassManager:
         # The other memo lines keep their format.
         assert "dependence memo: 3 hits / 1 misses (75.0% hit rate)" in summary
 
+    def test_summary_reports_the_ilp_memo(self):
+        context = PassContext()
+        context.count("cache.ilp.hits", 3)
+        context.count("cache.ilp.misses", 1)
+        summary = format_pass_summary(merge_metric_dicts([context.as_dict()]))
+        assert ("ilp memo: 3 hits / 1 misses / 0 evictions "
+                "(75.0% hit rate)") in summary
+
     def test_summary_reports_profile_memo_evictions(self):
         context = PassContext()
         context.count("sim.profile_cache.hits", 3)
@@ -287,6 +295,118 @@ class TestScheduleCache:
         assert compiled.n_launches == 1
         assert "cache.hits" not in pipeline.context.counters
         assert "cache.misses" not in pipeline.context.counters
+
+
+class TestLaunchCache:
+    """Schedule-cache entries also keep the finished launch of each
+    back-end pass list, so content-equal kernels skip codegen, vectorize
+    and gpu-map."""
+
+    def test_content_equal_kernel_skips_the_back_end(self):
+        pipeline = AkgPipeline(sample_blocks=2)
+        first = pipeline.compile(
+            operators.reduce_producer_op("launch_one", rows=64, red=8), "infl")
+        pipeline.session.context = PassContext()
+        second = pipeline.compile(
+            operators.reduce_producer_op("launch_two", rows=64, red=8), "infl")
+        assert pipeline.context.as_dict()["passes"] == {}
+        assert pipeline.context.counters["cache.launch_hits"] == 1
+        a, b = first.launches[0], second.launches[0]
+        assert b.kernel.name == "launch_two"
+        assert b.ast is a.ast and b.schedule is a.schedule
+        assert b.emit_cuda() == a.emit_cuda().replace("launch_one",
+                                                      "launch_two")
+        assert second.signature() == first.signature()
+        assert "1 hits served the finished launch" in \
+            pipeline.context.format_summary()
+
+    def test_back_end_settings_split_launches(self):
+        session = CompilationSession(cache=ScheduleCache())
+        kernel = operators.elementwise_chain_op("split_k", rows=256, cols=32,
+                                                length=1)
+        novec = session.run(kernel, variant_passes(True, False))
+        infl = session.run(kernel, variant_passes(True, True))
+        again = session.run(kernel, variant_passes(True, True))
+        assert infl.schedule is novec.schedule
+        assert infl.mapped.ast is not novec.mapped.ast
+        assert again.mapped.ast is infl.mapped.ast
+        assert session.context.counters["cache.launch_hits"] == 1
+        narrow = CompilationSession(cache=session.cache, max_threads=64).run(
+            kernel, variant_passes(True, True))
+        assert narrow.schedule is infl.schedule
+        assert narrow.mapped.ast is not infl.mapped.ast
+
+    def test_served_launch_is_isolated_from_its_source(self,
+                                                       empty_profile_memo):
+        from repro.gpu.simulator import _simulate, simulate_kernel
+        from repro.verify.oracle import differential_oracle
+        pipeline = AkgPipeline(sample_blocks=2, max_threads=64)
+        source = operators.transpose2d_op("iso_source", 64, 32)
+        copied_from = pipeline.compile(source, "novec")
+        served = pipeline.compile(
+            operators.transpose2d_op("iso_served", 64, 32), "novec")
+        launch = served.launches[0]
+        text = launch.emit_cuda()
+        # Simulate, vectorize (the infl variant of the same schedule) and
+        # oracle-check the source; the served launch must not notice.
+        pipeline.measure(copied_from)
+        pipeline.compile(source, "infl")
+        assert differential_oracle(source, pipeline=pipeline) == []
+        assert launch.kernel.name == "iso_served"
+        assert launch.emit_cuda() == text
+        assert not hasattr(launch, "_fastpath_states")
+        key = pipeline.cache.key_for(source, influence=True,
+                                     options=pipeline.scheduler_options,
+                                     weights=pipeline.weights)
+        stored = [template for template, _ in
+                  pipeline.cache.get(key).launches.values()]
+        assert len(stored) == 2
+        assert not any(hasattr(t, "_fastpath_states") for t in stored)
+        profile = simulate_kernel(launch, sample_blocks=2)
+        fresh, _ = _simulate(launch, pipeline.arch, 2)
+        assert profile.counters() == fresh.counters()
+        assert profile.name == "iso_served"
+
+
+class TestRepeatedEvaluation:
+    def test_second_pass_is_served_from_every_cache(self):
+        """Evaluating the same operators again in one process misses no
+        cache and reproduces the records and emitted code byte for byte."""
+        import json
+        from repro.eval.runner import evaluate_operator
+        classes = ("elementwise_neutral", "elementwise_vec", "broadcast",
+                   "layout_conversion", "layout_conversion_f16")
+        suite = [(op_class, kernel)
+                 for network in ("BERT", "LSTM")
+                 for op_class, kernel in generate_network_suite(
+                     network, seed=0, limit=6)
+                 if op_class in classes]
+        assert len(suite) >= 4
+        pipeline = AkgPipeline(sample_blocks=2)
+
+        def evaluate():
+            pipeline.session.context = PassContext()
+            records, hashes, code = [], [], []
+            for op_class, kernel in suite:
+                result = evaluate_operator(pipeline, kernel.name, op_class,
+                                           kernel, templates=True)
+                records.append(json.dumps(result.as_record(),
+                                          sort_keys=True))
+                hashes.append(result.schedule_hashes)
+                code.append([launch.emit_cuda()
+                             for variant in VARIANTS
+                             for launch in pipeline.compile(
+                                 kernel, variant).launches])
+            return (records, hashes, code), pipeline.context.counters
+
+        first, _ = evaluate()
+        second, counters = evaluate()
+        assert second == first
+        for memo in ("cache", "cache.ilp", "cache.deps", "cache.farkas",
+                     "cache.emptiness", "sim.profile_cache"):
+            assert counters.get(f"{memo}.misses", 0) == 0, memo
+        assert counters["cache.launch_hits"] == counters["cache.hits"] > 0
+        assert pipeline.context.as_dict()["passes"] == {}
 
 
 class TestAutotuneSharesSchedules:
