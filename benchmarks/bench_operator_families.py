@@ -3,10 +3,10 @@
 Each new operator family (depthwise conv, attention block, 2D stencils)
 is compiled under the ``isl``/``tvm``/``infl`` variants and under its
 TVM-style template (:mod:`repro.workloads.templates`), at production-ish
-shapes.  Two things feed the trend store:
+shapes.  It reports two things:
 
 * per-family *compile* latency (wall clock) for each variant — the
-  scheduler-cost trend on dependence structures the older families never
+  scheduler cost on dependence structures the older families never
   exercised (windowed reuse, reduce -> broadcast -> reduce chains, mixed
   iteration spaces);
 * a simulated-execution artifact table comparing variant times against
@@ -50,7 +50,7 @@ def _kernel(family):
 @pytest.mark.parametrize("variant", BENCH_VARIANTS)
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_bench_family_compile(benchmark, family, variant):
-    """Wall-clock compile latency per family and variant (trend series)."""
+    """Wall-clock compile latency per family and variant."""
     kernel = _kernel(family)
     compiled = benchmark.pedantic(
         lambda: AkgPipeline(sample_blocks=SAMPLE_BLOCKS).compile(

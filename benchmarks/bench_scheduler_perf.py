@@ -8,11 +8,14 @@ scheduling cost for increasing statement counts and nest depths.
 import pytest
 from conftest import write_artifact
 
-from repro.deps.analysis import compute_dependences
+from repro.deps.analysis import DEPENDENCES_MEMO, compute_dependences
 from repro.influence import build_influence_tree
 from repro.ir.examples import elementwise_chain, matmul, running_example
 from repro.obs import MetricsRegistry, Obs, Tracer, use_obs
 from repro.schedule import InfluencedScheduler
+from repro.schedule.farkas import FARKAS_MEMO
+from repro.sets.polyhedron import EMPTINESS_MEMO
+from repro.solver.problem import ILP_MEMO
 from repro.workloads import operators
 
 
@@ -26,6 +29,16 @@ CASES = {
 }
 
 
+def _cold():
+    """Pedantic ``setup``: empty the process-wide memos (dependences,
+    emptiness answers, Farkas blocks, solved ILPs), so no round replays
+    the analyses or solves of the round before.  The benches that use it
+    also run one untimed warm-up round, which takes the process's
+    one-time first-call costs out of the first timed round."""
+    for memo in (DEPENDENCES_MEMO, EMPTINESS_MEMO, FARKAS_MEMO, ILP_MEMO):
+        memo.clear()
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_bench_plain_scheduling(benchmark, case):
     kernel = CASES[case]()
@@ -34,7 +47,8 @@ def test_bench_plain_scheduling(benchmark, case):
     def run():
         return InfluencedScheduler(kernel, relations=relations).schedule()
 
-    schedule = benchmark.pedantic(run, rounds=2, iterations=1)
+    schedule = benchmark.pedantic(run, setup=_cold, rounds=2,
+                                  warmup_rounds=1, iterations=1)
     assert schedule.is_complete()
 
 
@@ -47,16 +61,19 @@ def test_bench_influenced_scheduling(benchmark, case):
     def run():
         return InfluencedScheduler(kernel, relations=relations).schedule(tree)
 
-    schedule = benchmark.pedantic(run, rounds=2, iterations=1)
+    schedule = benchmark.pedantic(run, setup=_cold, rounds=2,
+                                  warmup_rounds=1, iterations=1)
     assert schedule.is_complete()
 
 
 def test_bench_influenced_scheduling_instrumented(benchmark):
     """Influenced scheduling with full observability (spans + metrics)
     installed as the ambient handle.  The plain `test_bench_influenced_*`
-    cases above run against the disabled default handle, so comparing the
-    two in BENCH_* runs bounds the instrumentation overhead (the budget:
-    disabled tracing must stay within noise, enabled well under 2x)."""
+    cases above run against the disabled default handle, and every round
+    of both starts cold, so comparing this series with
+    `test_bench_influenced_scheduling[running_example]` bounds the
+    instrumentation overhead (the budget: disabled tracing must stay
+    within noise, enabled well under 2x)."""
     kernel = CASES["running_example"]()
     relations = compute_dependences(kernel)
     tree = build_influence_tree(kernel)
@@ -67,7 +84,8 @@ def test_bench_influenced_scheduling_instrumented(benchmark):
             return InfluencedScheduler(kernel,
                                        relations=relations).schedule(tree)
 
-    schedule = benchmark.pedantic(run, rounds=2, iterations=1)
+    schedule = benchmark.pedantic(run, setup=_cold, rounds=2,
+                                  warmup_rounds=1, iterations=1)
     assert schedule.is_complete()
     assert obs.metrics.counters["solver.lp_solves"] > 0
     assert any(s.name == "scheduler.schedule" for s in obs.tracer.roots)
@@ -94,7 +112,8 @@ def test_bench_influenced_scheduling_journaled(benchmark):
         journals.append(journal)
         return schedule
 
-    schedule = benchmark.pedantic(run, rounds=2, iterations=1)
+    schedule = benchmark.pedantic(run, setup=_cold, rounds=2,
+                                  warmup_rounds=1, iterations=1)
     assert schedule.is_complete()
     assert any(e["kind"] == "dimension" for e in journals[-1].events)
 
@@ -102,7 +121,8 @@ def test_bench_influenced_scheduling_journaled(benchmark):
 def test_bench_dependence_analysis(benchmark):
     kernel = elementwise_chain(32, 4)
     relations = benchmark.pedantic(lambda: compute_dependences(kernel),
-                                   rounds=2, iterations=1)
+                                   setup=_cold, rounds=2, warmup_rounds=1,
+                                   iterations=1)
     assert relations
 
 
@@ -120,17 +140,12 @@ def test_bench_pipeline_cold(benchmark):
     every dependence is analysed, every emptiness question and dimension
     ILP solved and every Farkas block projected again.  This is the
     series where solver changes show."""
-    from repro.deps.analysis import DEPENDENCES_MEMO
     from repro.gpu.profile_cache import PROFILE_MEMO
     from repro.pipeline import AkgPipeline
-    from repro.schedule.farkas import FARKAS_MEMO
-    from repro.sets.polyhedron import EMPTINESS_MEMO
-    from repro.solver.problem import ILP_MEMO
 
     def fresh_pipeline():
-        for memo in (DEPENDENCES_MEMO, EMPTINESS_MEMO, FARKAS_MEMO,
-                     ILP_MEMO, PROFILE_MEMO):
-            memo.clear()
+        _cold()
+        PROFILE_MEMO.clear()
         return (AkgPipeline(sample_blocks=2),), {}
 
     compiled = benchmark.pedantic(_compile_cases, setup=fresh_pipeline,
@@ -142,8 +157,7 @@ def test_bench_pipeline_warm(benchmark):
     """Full-pipeline compile cost served from the content-keyed schedule
     cache: one untimed compile fills it, then every round rebuilds *equal*
     (but distinct) kernels and must hit.  The artifact captures the
-    per-pass time breakdown and the cache hit-rate so the perf trajectory
-    of the pass manager shows up in BENCH_* runs."""
+    per-pass time breakdown and the cache hit-rate of the pass manager."""
     from repro.pipeline import AkgPipeline
 
     pipeline = AkgPipeline(sample_blocks=2)
@@ -169,7 +183,7 @@ def test_bench_compile_and_measure(benchmark, sim, monkeypatch):
     """Full compile+measure cost on each simulator interpreter.
 
     The two series bound the simulator's share of end-to-end pipeline
-    wall time in the BENCH_* trend; the artifact breaks each round into
+    wall time; the artifact breaks each round into
     compile vs simulate seconds so a simulator regression is attributable
     at a glance.  With the fast path the pass summary must also show
     its fast-path counters (memoization working on real pipeline output,

@@ -3,8 +3,8 @@
 The fast interpreter (:mod:`repro.gpu.fastpath`) must be a pure
 performance change: bitwise-identical :class:`KernelProfile` counters at
 a fraction of the reference interpreter's latency.  Each family benchmarks
-both interpreters on the same mapped kernel so the BENCH_* trend tracks the
-two latencies (and their ratio) over time, and the speedup test enforces
+both interpreters on the same mapped kernel, so each run reports the two
+latencies and their ratio, and the speedup test enforces
 the acceptance floor — >= 5x on the transpose and reduction families,
 where per-warp signature memoization pays off the most, a floor on each
 fused union-loop family, where loop segment plans skip the iterations
@@ -43,7 +43,7 @@ def simulate_uncached(mapped, sample_blocks):
     return simulate_kernel(mapped, sample_blocks=sample_blocks)
 
 
-# Series name -> simulation entry point; the names match BENCH_baseline.json.
+# Series name -> simulation entry point.
 SIMULATORS = {"fast": simulate_uncached, "reference": simulate_reference}
 
 # family -> (kernel factory, influenced, acceptance floor for fast/ref).
@@ -130,7 +130,7 @@ def _interleaved_best_of(fns, repeats=5):
 @pytest.mark.parametrize("sim", ["fast", "reference"])
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_bench_simulate(benchmark, family, sim):
-    """Per-interpreter simulation latency (one trend series each)."""
+    """Per-interpreter simulation latency (one series each)."""
     mapped = _compiled(family)
     simulate = SIMULATORS[sim]
     profile = benchmark.pedantic(

@@ -52,12 +52,11 @@ from repro.obs import (
     logger,
     use_journal,
 )
-from repro.obs.analyze import DEFAULT_SIGNIFICANCE, Delta, build_trend, diff_runs
+from repro.obs.analyze import DEFAULT_SIGNIFICANCE, Delta, diff_runs
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.provenance import format_decision_path
 from repro.obs.runtime import Obs, use_obs
 from repro.obs.store import (
-    RUN_SCHEMA_VERSION,
     RunStore,
     RunStoreError,
     finalize_record,
@@ -639,50 +638,6 @@ def _cmd_obs_diff(args) -> int:
     return 0
 
 
-def _cmd_obs_trend(args) -> int:
-    store = _store_for(args)
-    if _no_runs(store):
-        return 0
-    report = build_trend(store.records(), match=args.match,
-                         threshold=args.threshold)
-    print(report.render())
-    if args.fail_on_regression and report.regressions():
-        logger.error("%d series regressed beyond %.0f%%",
-                     len(report.regressions()), args.threshold * 100)
-        return 1
-    return 0
-
-
-def _cmd_obs_bench_append(args) -> int:
-    """Ingest a pytest-benchmark JSON file as one run record.
-
-    ``started_at`` comes from the file's own timestamp (not the ingestion
-    time), so re-ingesting the same file is idempotent: the record is
-    byte-identical and content addressing dedups it.  Prints the run id.
-    """
-    with open(args.file) as handle:
-        payload = json.load(handle)
-    stamp = _datetime.datetime.fromisoformat(payload["datetime"])
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=_datetime.timezone.utc)
-    record = {
-        "schema": RUN_SCHEMA_VERSION,
-        "command": "bench",
-        "started_at": stamp.timestamp(),
-        "pid": 0,
-        "status": "ok",
-        "config": {"source": args.source or os.path.basename(args.file)},
-        "benchmarks": {
-            bench["fullname"]: bench["stats"]["mean"]
-            for bench in payload.get("benchmarks", ())},
-    }
-    store = _store_for(args)
-    run_id = store.append(record)
-    logger.info("benchmark run recorded in %s", store.root)
-    print(run_id)
-    return 0
-
-
 def _cmd_verify(args) -> int:
     networks = tuple(args.networks.split(",")) if args.networks else ()
     unknown = [n for n in networks if n not in NETWORKS]
@@ -909,27 +864,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         "the threshold")
     q.set_defaults(func=_cmd_obs_diff)
 
-    q = obs_sub.add_parser("trend",
-                           help="per-kernel time series across stored runs, "
-                                "flagging regressions",
-                           parents=[_store_flags(recording=False)])
-    q.add_argument("--match", default="",
-                   help="only series whose name contains this substring")
-    q.add_argument("--threshold", type=float, default=DEFAULT_SIGNIFICANCE,
-                   help="regression threshold vs the best previous value")
-    q.add_argument("--fail-on-regression", action="store_true",
-                   help="exit 1 when any series regressed")
-    q.set_defaults(func=_cmd_obs_trend)
-
-    q = obs_sub.add_parser("bench-append",
-                           help="ingest a pytest-benchmark JSON file as a "
-                                "run record (idempotent; prints the run id)",
-                           parents=[_store_flags(recording=False)])
-    q.add_argument("file", help="pytest-benchmark --benchmark-json output")
-    q.add_argument("--source", default="",
-                   help="label recorded as the run's config.source")
-    q.set_defaults(func=_cmd_obs_bench_append)
-
     p = sub.add_parser("verify",
                        help="check golden schedules, the cross-variant "
                             "oracle, metamorphic relations and the fuzz "
@@ -1009,7 +943,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                      "finish from the checkpoint", exc)
         return 1
     except BrokenPipeError:
-        # Reader closed early (e.g. `repro obs trend | head`); the POSIX
+        # Reader closed early (e.g. `repro obs list | head`); the POSIX
         # convention is a silent 141, not a traceback.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

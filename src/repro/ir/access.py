@@ -156,10 +156,6 @@ class Access:
             raise ValueError("non-integer offset")
         return int(offset)
 
-    def byte_address(self, point: dict[str, Rat], base: int = 0) -> int:
-        """Byte address at a concrete iteration point (``base`` in bytes)."""
-        return base + self.linearized(point) * self.tensor.dtype.size_bytes
-
     def __str__(self):
         def render(expr: LinExpr) -> str:
             parts = []

@@ -15,7 +15,6 @@ from repro.linalg.matrix import Matrix, Vector
 from repro.linalg.rational import (
     div,
     frac,
-    vec_dot,
     clear_denominators,
     primitive,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "Vector",
     "div",
     "frac",
-    "vec_dot",
     "clear_denominators",
     "primitive",
     "integer_nullspace",

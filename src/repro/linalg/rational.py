@@ -56,13 +56,6 @@ def div(a: Rat, b: Rat) -> Rat:
     return frac(Fraction(a, b))
 
 
-def vec_dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
-    """Return the dot product of ``a`` and ``b``."""
-    if len(a) != len(b):
-        raise ValueError(f"vector length mismatch: {len(a)} vs {len(b)}")
-    return frac(sum(x * y for x, y in zip(a, b)))
-
-
 def clear_denominators(a: Sequence[Rat]) -> list[int]:
     """Scale ``a`` by the lcm of its denominators and return integer entries."""
     lcm = 1

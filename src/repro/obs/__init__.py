@@ -12,8 +12,8 @@
   every CLI invocation records into;
 * :mod:`repro.obs.provenance` — the scheduler decision journal behind
   ``repro explain``;
-* :mod:`repro.obs.analyze` — cross-run diff and trend analytics;
-* :mod:`repro.obs.export` — atomic JSON export shared by all writers.
+* :mod:`repro.obs.analyze` — cross-run diff of stored runs;
+* :mod:`repro.obs.export` — atomic JSON export of the trace and metrics files.
 
 Metric naming scheme (dotted, lowercase): ``scheduler.*`` for Algorithm 1
 activity, ``solver.*`` for simplex/ILP internals, ``cache.*`` for the

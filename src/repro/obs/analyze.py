@@ -1,24 +1,17 @@
 """Cross-run analytics over the persistent run store.
 
-Two consumers:
-
-* ``repro obs diff RUN_A RUN_B`` — :func:`diff_runs` compares two stored
-  records section by section: per-operator variant times (flagged only
-  beyond a significance threshold, so timer noise does not read as
-  change), schedule-hash changes (any change is significant — the
-  compilation model is deterministic), status/degradation transitions,
-  benchmark means, per-pass timings and counters.
-* ``repro obs trend`` — :func:`build_trend` folds every stored record into
-  per-kernel (and per-benchmark) time series ordered by ``started_at`` and
-  flags series whose latest value regressed beyond the threshold against
-  the best previously observed value.  The CI bench job appends its result
-  to the committed trend store, so BENCH history accumulates across runs.
+``repro obs diff RUN_A RUN_B`` — :func:`diff_runs` compares two stored
+records section by section: per-operator variant times (flagged only
+beyond a significance threshold, so timer noise does not read as change),
+schedule-hash changes (any change is significant — the compilation model
+is deterministic), status/degradation transitions, per-kernel profile
+times, per-pass timings and counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 # Relative time change below which a delta is reported as noise.
 DEFAULT_SIGNIFICANCE = 0.05
@@ -75,7 +68,6 @@ class RunDiff:
     run_b: str
     threshold: float = DEFAULT_SIGNIFICANCE
     time_deltas: list = field(default_factory=list)      # Delta, operators
-    bench_deltas: list = field(default_factory=list)     # Delta, benchmarks
     kernel_deltas: list = field(default_factory=list)    # Delta, profiles
     pass_deltas: list = field(default_factory=list)      # Delta, pass seconds
     schedule_changes: list = field(default_factory=list)  # (name, old, new)
@@ -87,14 +79,13 @@ class RunDiff:
         return len(self.schedule_changes)
 
     def significant_deltas(self) -> list:
-        return [d for d in (self.time_deltas + self.bench_deltas
-                            + self.kernel_deltas)
+        return [d for d in (self.time_deltas + self.kernel_deltas)
                 if d.significant(self.threshold)]
 
     def regressions(self, threshold: Optional[float] = None) -> list:
         limit = self.threshold if threshold is None else threshold
-        return [d for d in (self.time_deltas + self.bench_deltas
-                            + self.kernel_deltas) if d.regressed(limit)]
+        return [d for d in (self.time_deltas + self.kernel_deltas)
+                if d.regressed(limit)]
 
     def render(self) -> str:
         lines = [f"diff {self.run_a} -> {self.run_b} "
@@ -173,12 +164,6 @@ def diff_runs(record_a: dict, record_b: dict,
         diff.kernel_deltas.append(Delta(f"kernel {name}",
                                         a.get("time"), b.get("time")))
 
-    bench_a = record_a.get("benchmarks", {})
-    bench_b = record_b.get("benchmarks", {})
-    for name in sorted(set(bench_a) | set(bench_b)):
-        diff.bench_deltas.append(Delta(name, bench_a.get(name),
-                                       bench_b.get(name)))
-
     passes_a = record_a.get("passes", {})
     passes_b = record_b.get("passes", {})
     for name in sorted(set(passes_a) | set(passes_b)):
@@ -196,102 +181,3 @@ def diff_runs(record_a: dict, record_b: dict,
             diff.counter_deltas.append((name, old, new))
     return diff
 
-
-# -- trend -------------------------------------------------------------------
-
-
-@dataclass
-class TrendSeries:
-    """One per-kernel (or per-benchmark) time series across stored runs."""
-
-    name: str
-    points: list = field(default_factory=list)  # (started_at, run_id, value)
-
-    @property
-    def values(self) -> list:
-        return [value for _, _, value in self.points]
-
-    @property
-    def latest(self) -> float:
-        return self.values[-1]
-
-    @property
-    def best_previous(self) -> Optional[float]:
-        previous = self.values[:-1]
-        return min(previous) if previous else None
-
-    def regressed(self, threshold: float) -> bool:
-        best = self.best_previous
-        return best is not None and best > 0 \
-            and self.latest / best - 1.0 > threshold
-
-
-@dataclass
-class TrendReport:
-    """All series plus the regression verdicts."""
-
-    series: list = field(default_factory=list)
-    threshold: float = DEFAULT_SIGNIFICANCE
-
-    def regressions(self) -> list:
-        return [s for s in self.series
-                if len(s.points) > 1 and s.regressed(self.threshold)]
-
-    def render(self) -> str:
-        if not self.series:
-            return "(no runs stored)"
-        width = max(len(s.name) for s in self.series) + 2
-        lines = [f"{'series':<{width}}{'runs':>6}{'first':>12}{'latest':>12}"
-                 f"{'best':>12}{'vs best':>9}"]
-        for s in sorted(self.series, key=lambda s: s.name):
-            values = s.values
-            best = min(values)
-            ratio = s.latest / best if best else float("nan")
-            flag = "  REGRESSED" if (len(values) > 1
-                                     and s.regressed(self.threshold)) else ""
-            lines.append(f"{s.name:<{width}}{len(values):>6}"
-                         f"{_fmt_seconds(values[0]):>12}"
-                         f"{_fmt_seconds(s.latest):>12}"
-                         f"{_fmt_seconds(best):>12}{ratio:>8.2f}x{flag}")
-        regressed = self.regressions()
-        lines.append(f"{len(self.series)} series, "
-                     f"{len(regressed)} regressed beyond "
-                     f"{self.threshold * 100:.0f}%")
-        return "\n".join(lines)
-
-
-def _series_points(record: dict) -> Iterable[tuple[str, float]]:
-    """Every (series name, seconds) pair one record contributes."""
-    network = record.get("config", {}).get("networks", "")
-    prefix = f"{network}/" if isinstance(network, str) and network else ""
-    for op in record.get("operators", ()):
-        time = op.get("times", {}).get("infl")
-        if time is not None:
-            yield f"{prefix}{op.get('name', '?')}/infl", time
-    for kernel in record.get("kernels", ()):
-        if kernel.get("time") is not None:
-            yield f"{prefix}{kernel.get('name', '?')}", kernel["time"]
-    for name, mean in record.get("benchmarks", {}).items():
-        yield name, mean
-
-
-def build_trend(records: list[dict], match: str = "",
-                threshold: float = DEFAULT_SIGNIFICANCE) -> TrendReport:
-    """Fold stored records into per-kernel series (append order = time
-    order for one store; ``started_at`` breaks ties across merged stores).
-
-    ``match`` filters series by substring.
-    """
-    ordered = sorted(records, key=lambda r: r.get("started_at", 0.0))
-    series: dict[str, TrendSeries] = {}
-    for record in ordered:
-        run_id = record.get("run_id", "?")
-        started = record.get("started_at", 0.0)
-        for name, value in _series_points(record):
-            if match and match not in name:
-                continue
-            entry = series.get(name)
-            if entry is None:
-                entry = series[name] = TrendSeries(name=name)
-            entry.points.append((started, run_id, value))
-    return TrendReport(series=list(series.values()), threshold=threshold)

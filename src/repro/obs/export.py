@@ -1,10 +1,9 @@
-"""Atomic JSON export shared by every observability writer.
+"""Atomic JSON export of the ``--trace``/``--metrics`` files.
 
-All on-disk observability artifacts — ``--trace``/``--metrics`` files, run
-records, trend stores — go through :func:`atomic_write_json`: the payload
-is serialized into a sibling temp file and moved into place with
-``os.replace``, so a crash mid-export can never leave a truncated JSON
-file behind and concurrent readers only ever observe complete documents.
+:func:`atomic_write_json` serializes the payload into a sibling temp file
+and moves it into place with ``os.replace``, so a crash mid-export can
+never leave a truncated JSON file behind and concurrent readers only ever
+observe complete documents.
 """
 
 from __future__ import annotations

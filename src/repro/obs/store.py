@@ -1,12 +1,12 @@
 """Persistent, content-addressed, append-only run store.
 
-Every ``compile``/``table2``/``profile``/bench invocation records one *run
+Every ``compile``/``table2``/``profile`` invocation records one *run
 record* — kernel and solver configuration, per-pass timings, the full
 metrics snapshot, per-operator times/status/degradation rung and schedule
 hashes — into ``.repro/runs/runs.jsonl`` (override with ``REPRO_RUNS_DIR``
-or an explicit store root).  The store is the substrate the cross-run
-analytics (:mod:`repro.obs.analyze`), ``repro explain`` and the future
-compile-service daemon read from.
+or an explicit store root).  ``repro obs``, ``repro explain --run`` and
+``profile --resume``/``--baseline`` read it back through
+:meth:`RunStore.records` and :meth:`RunStore.resolve`.
 
 Durability and concurrency model:
 
@@ -14,18 +14,14 @@ Durability and concurrency model:
   ``os.write`` on an ``O_APPEND`` descriptor: POSIX serializes the
   offset-update-plus-write, so two processes appending concurrently (two
   ``--jobs`` evaluations sharing a store) produce two intact lines, never
-  an interleaving.  Nothing is ever rewritten in place.
+  an interleaving.  Nothing is ever rewritten in place, and an append
+  reads nothing of what is already stored, so its cost does not grow
+  with the store.
 * **Content-addressed ids.**  ``run_id`` is a SHA-256 prefix over the
-  record's canonical JSON (which includes ``started_at``/``pid``, so two
-  observations of the same configuration remain distinct records unless
-  byte-identical).  Re-appending a byte-identical record — e.g. CI
-  re-ingesting the committed benchmark baseline — deduplicates naturally.
-* **mmap-friendly index.**  ``index.json`` maps ``run_id`` to a
-  ``[byte offset, byte length]`` pair into ``runs.jsonl`` so single-record
-  reads slice an ``mmap`` of the log instead of parsing it.  The index is
-  a rebuildable cache, refreshed (write-then-rename) whenever its recorded
-  log size goes stale; a racing writer can at worst leave it stale, never
-  wrong, because reads fall back to a full scan on any miss.
+  record's canonical JSON, which includes ``started_at``/``pid``, so two
+  observations of the same configuration are distinct records.
+* **Torn tails are skipped.**  A writer that crashed mid-line leaves a
+  line that does not parse; readers skip it.
 
 Records are schema-versioned (:data:`RUN_SCHEMA_VERSION`); readers reject
 majors they do not understand instead of misinterpreting them.
@@ -35,12 +31,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
 import time
-from typing import Iterator, Optional
-
-from repro.obs.export import atomic_write_json
+from typing import Optional
 
 RUN_SCHEMA_VERSION = 1
 
@@ -48,7 +41,6 @@ DEFAULT_RUNS_DIR = os.path.join(".repro", "runs")
 ENV_RUNS_DIR = "REPRO_RUNS_DIR"
 
 RECORDS_FILE = "runs.jsonl"
-INDEX_FILE = "index.json"
 
 
 def content_hash(payload) -> str:
@@ -72,25 +64,20 @@ class RunStore:
     def __init__(self, root: Optional[str] = None):
         self.root = root or default_store_root()
         self.records_path = os.path.join(self.root, RECORDS_FILE)
-        self.index_path = os.path.join(self.root, INDEX_FILE)
 
     # -- writing -------------------------------------------------------------
 
     def append(self, record: dict) -> str:
         """Append one record; returns its (content-addressed) ``run_id``.
 
-        The record is stamped with ``schema`` and ``run_id`` fields; a
-        record whose ``run_id`` already exists is not re-appended (content
-        addressing makes duplicates byte-identical, hence redundant).
+        The record is stamped with ``schema`` and ``run_id`` fields and
+        written without reading the store.
         """
         record = dict(record)
         record.setdefault("schema", RUN_SCHEMA_VERSION)
         record.pop("run_id", None)
         run_id = content_hash(record)
         record["run_id"] = run_id
-        if self._index().get(run_id) is not None or \
-                any(rid == run_id for rid, _ in self._scan_ids()):
-            return run_id
         line = json.dumps(record, sort_keys=True,
                           separators=(",", ":")) + "\n"
         # Fault-injection site: chaos plans can fail durable appends with
@@ -117,58 +104,9 @@ class RunStore:
             os.write(fd, data)
         finally:
             os.close(fd)
-        self._refresh_index()
         return run_id
 
-    # -- the index -----------------------------------------------------------
-
-    def _log_size(self) -> int:
-        try:
-            return os.path.getsize(self.records_path)
-        except OSError:
-            return 0
-
-    def _index(self) -> dict:
-        """The run_id -> [offset, length] map, or {} when stale/absent."""
-        try:
-            with open(self.index_path) as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return {}
-        if payload.get("size") != self._log_size():
-            return {}
-        return payload.get("runs", {})
-
-    def _refresh_index(self) -> None:
-        """Rebuild the index from the log (best-effort, atomic replace)."""
-        runs = {rid: span for rid, span in self._scan_ids()}
-        try:
-            atomic_write_json(self.index_path,
-                              {"size": self._log_size(), "runs": runs},
-                              indent=None)
-        except OSError:  # pragma: no cover - index is just a cache
-            pass
-
     # -- reading -------------------------------------------------------------
-
-    def _scan_ids(self) -> Iterator[tuple[str, list[int]]]:
-        """Yield ``(run_id, [offset, length])`` for every intact line."""
-        try:
-            handle = open(self.records_path, "rb")
-        except OSError:
-            return
-        with handle:
-            offset = 0
-            for raw in handle:
-                length = len(raw)
-                line = raw.strip()
-                if line:
-                    try:
-                        record = json.loads(line)
-                        yield record.get("run_id", ""), [offset, length]
-                    except ValueError:
-                        pass  # torn tail line from a crashed writer
-                offset += length
 
     def records(self) -> list[dict]:
         """Every intact record, in append order."""
@@ -193,26 +131,6 @@ class RunStore:
     @staticmethod
     def _schema_ok(record: dict) -> bool:
         return record.get("schema", 0) <= RUN_SCHEMA_VERSION
-
-    def read(self, run_id: str) -> dict:
-        """One record by exact ``run_id`` (mmap slice via the index when
-        fresh, full scan otherwise)."""
-        span = self._index().get(run_id)
-        if span is not None:
-            offset, length = span
-            try:
-                with open(self.records_path, "rb") as handle:
-                    with mmap.mmap(handle.fileno(), 0,
-                                   access=mmap.ACCESS_READ) as view:
-                        record = json.loads(view[offset:offset + length])
-                if record.get("run_id") == run_id:
-                    return record
-            except (OSError, ValueError):
-                pass
-        for record in self.records():
-            if record.get("run_id") == run_id:
-                return record
-        raise RunStoreError(f"run {run_id!r} not found in {self.root}")
 
     def resolve(self, ref: str) -> dict:
         """A record by reference: exact id, unique id prefix, or

@@ -8,14 +8,14 @@ dimensions.  It supports the operations the polyhedral stack needs:
 * dimension elimination (exact substitution through equalities, otherwise
   Fourier–Motzkin),
 * bound extraction for code generation,
-* renaming / substitution / intersection.
+* renaming / substitution.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from repro.linalg.rational import Rat, frac
+from repro.linalg.rational import Rat
 from repro.memo import Memo
 from repro.obs.logutil import logger
 from repro.obs.runtime import get_obs
@@ -52,11 +52,6 @@ class Polyhedron:
 
     # -- construction -------------------------------------------------------
 
-    @classmethod
-    def universe(cls, dims: Sequence[str]) -> "Polyhedron":
-        """The unconstrained set over ``dims``."""
-        return cls(dims)
-
     def copy(self) -> "Polyhedron":
         """An independent copy; the source's constraints were checked when
         they entered it, so they are not checked again."""
@@ -70,13 +65,6 @@ class Polyhedron:
         out = self.copy()
         out._extend(constraints, set(self.dims))
         return out
-
-    def intersect(self, other: "Polyhedron") -> "Polyhedron":
-        """Conjunction; the other polyhedron's dims must be a subset."""
-        missing = set(other.dims) - set(self.dims)
-        if missing:
-            raise ValueError(f"cannot intersect: unknown dims {sorted(missing)}")
-        return self.with_constraints(other.constraints)
 
     def rename(self, mapping: dict[str, str]) -> "Polyhedron":
         """Rename dimensions according to ``mapping`` (identity elsewhere)."""
@@ -157,17 +145,6 @@ class Polyhedron:
         if missing:
             raise KeyError(f"point misses dimensions {sorted(missing)}")
         return all(c.satisfied_by(point) for c in self.constraints)
-
-    def sample(self, box: int = 1000) -> Optional[dict[str, Rat]]:
-        """An integer point with all coordinates in ``[-box, box]`` or None."""
-        box = frac(box)
-        boxed = self._to_lp().with_bounds([-box] * len(self.dims),
-                                          [box] * len(self.dims))
-        from repro.solver.ilp import solve_ilp
-        result = solve_ilp(boxed)
-        if result.status is not LPStatus.OPTIMAL:
-            return None
-        return dict(zip(self.dims, result.x))
 
     # -- elimination ------------------------------------------------------------
 

@@ -51,7 +51,7 @@ S1[i: 0..M, j: 0..N]: C[j][i] = B[i][j] + A[i][j]
 @dataclass(frozen=True)
 class Invocation:
     """One census run: ``command`` is ``repro ARGS...`` or a script path
-    and arguments, with ``{tmp}``, ``{kdl}`` and ``{repo}`` filled in;
+    and arguments, with ``{tmp}`` and ``{kdl}`` filled in;
     ``fault_plan`` sets ``$REPRO_FAULT_PLAN``; the run must exit with
     ``exit_code``."""
 
@@ -97,8 +97,7 @@ MATRIX = _matrix(
     "repro explain LSTM --run latest --operator lstm_op002_elementwise_vec",
     "repro obs list",
     "repro obs show latest",
-    "repro obs diff latest~1 latest --threshold 0.5",
-    "repro obs trend --match table2 --threshold 0.5 --fail-on-regression",
+    "repro obs diff latest~1 latest --threshold 0.5 --fail-on-regression",
     # verify (goldens re-blessed into a temp dir; every check off), fuzz
     "repro verify --networks LSTM --limit 1 --seed 0 --sample-blocks 2 "
     "--max-threads 256 --update-goldens --goldens-dir {tmp}/goldens "
@@ -122,13 +121,6 @@ MATRIX = _matrix(
     "repro verify --metrics {tmp}/verify-metrics.json",
     ("repro verify --networks LSTM --no-corpus", "compile=timeout", 1),
     "repro fuzz --budget 30 --seed 7 --no-corpus",
-    "repro -q obs bench-append {repo}/BENCH_baseline.json --runs-dir "
-    "{tmp}/trend --source BENCH_baseline.json",
-    "repro -q obs bench-append {repo}/BENCH_baseline.json --runs-dir "
-    "{tmp}/trend --source ci-run",
-    "repro obs trend --runs-dir {tmp}/trend",
-    "repro obs diff latest~1 latest --runs-dir {tmp}/trend "
-    "--fail-on-regression --threshold 1.0",
     ("repro table2 --networks LSTM --limit 1 --sample-blocks 2 "
      "--allow-degraded", _LADDER),
     ("repro table2 --networks LSTM --limit 1 --sample-blocks 2",
@@ -251,7 +243,7 @@ def run_matrix(matrix: Sequence[Invocation], trace_path: str, root: Path,
         REPRO_RUNS_DIR=os.path.join(work, "runs"))
     problems = []
     for invocation in matrix:
-        program, *argv = [arg.format(tmp=work, kdl=kdl, repo=REPO)
+        program, *argv = [arg.format(tmp=work, kdl=kdl)
                           for arg in invocation.command.split()]
         done = subprocess.run(
             [sys.executable, "-m", "tests.reach_census", "--child",

@@ -125,12 +125,6 @@ PARSER_TABLE = [
      _namespace("obs", "_cmd_obs_diff", obs_command="diff", run_a="a",
                 run_b="b", threshold=0.05, fail_on_regression=True,
                 runs_dir="")),
-    (["obs", "trend"],
-     _namespace("obs", "_cmd_obs_trend", obs_command="trend", match="",
-                threshold=0.05, fail_on_regression=False, runs_dir="")),
-    (["obs", "bench-append", "f.json"],
-     _namespace("obs", "_cmd_obs_bench_append", obs_command="bench-append",
-                file="f.json", source="", runs_dir="")),
     (["verify"], _namespace("verify", "_cmd_verify", **_VERIFY)),
     (["verify", "--sample-blocks", "4", "--seed", "1"],
      dict(_namespace("verify", "_cmd_verify", **_VERIFY), sample_blocks=4,

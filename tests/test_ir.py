@@ -128,11 +128,6 @@ class TestAccess:
         point = {"k": Fraction(1), "i": Fraction(2), "j": Fraction(3)}
         assert a.linearized(point) == 64 + 16 + 3
 
-    def test_byte_address(self):
-        a = self.make()
-        point = {"k": Fraction(0), "i": Fraction(0), "j": Fraction(2)}
-        assert a.byte_address(point, base=100) == 100 + 2 * 4
-
     def test_constant_subscript(self):
         t = Tensor("A", (4, 4))
         a = Access.build(t, [0, "i"])

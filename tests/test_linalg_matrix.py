@@ -5,12 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro.linalg import Matrix
-from repro.linalg.rational import (
-    clear_denominators,
-    frac,
-    primitive,
-    vec_dot,
-)
+from repro.linalg.rational import clear_denominators, frac, primitive
 
 
 class TestRationalHelpers:
@@ -28,13 +23,6 @@ class TestRationalHelpers:
         with pytest.raises(TypeError):
             frac(True)
 
-    def test_vec_dot(self):
-        assert vec_dot([frac(1), frac(2)], [frac(3), frac(4)]) == 11
-
-    def test_vec_length_mismatch(self):
-        with pytest.raises(ValueError):
-            vec_dot([frac(1)], [frac(1), frac(2)])
-
     def test_clear_denominators(self):
         assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
 
@@ -49,11 +37,6 @@ class TestRationalHelpers:
 
 
 class TestMatrixBasics:
-    def test_zeros(self):
-        m = Matrix.zeros(2, 3)
-        assert m.shape == (2, 3)
-        assert all(x == 0 for row in m.rows for x in row)
-
     def test_identity(self):
         eye = Matrix.identity(3)
         assert eye[1, 1] == 1 and eye[0, 1] == 0
@@ -62,37 +45,10 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             Matrix([[1, 2], [3]])
 
-    def test_transpose(self):
-        m = Matrix([[1, 2, 3], [4, 5, 6]])
-        assert m.transpose().rows == Matrix([[1, 4], [2, 5], [3, 6]]).rows
-
-    def test_add_sub(self):
-        a = Matrix([[1, 2], [3, 4]])
-        b = Matrix([[5, 6], [7, 8]])
-        assert (a + b).rows == [[6, 8], [10, 12]]
-        assert (b - a).rows == [[4, 4], [4, 4]]
-
-    def test_scalar_mul(self):
-        assert (2 * Matrix([[1, 2]])).rows == [[2, 4]]
-
-    def test_matmul_matrix(self):
-        a = Matrix([[1, 2], [3, 4]])
-        b = Matrix([[0, 1], [1, 0]])
-        assert (a @ b).rows == [[2, 1], [4, 3]]
-
-    def test_matmul_vector(self):
-        a = Matrix([[1, 2], [3, 4]])
-        assert a @ [1, 1] == [3, 7]
-
-    def test_hstack_vstack(self):
+    def test_hstack(self):
         a = Matrix([[1], [2]])
         b = Matrix([[3], [4]])
         assert a.hstack(b).rows == [[1, 3], [2, 4]]
-        assert a.vstack(b).rows == [[1], [2], [3], [4]]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            Matrix([[1]]) + Matrix([[1, 2]])
 
 
 class TestElimination:
@@ -105,33 +61,17 @@ class TestElimination:
     def test_nullspace_orthogonal(self):
         m = Matrix([[1, 2, 3], [0, 1, 1]])
         for v in m.nullspace():
-            assert m @ v == [0, 0]
+            assert [sum(a * b for a, b in zip(row, v))
+                    for row in m.rows] == [0, 0]
 
     def test_nullspace_dimension(self):
         m = Matrix([[1, 0, 0]])
         assert len(m.nullspace()) == 2
 
-    def test_solve_consistent(self):
-        m = Matrix([[2, 1], [1, 3]])
-        x = m.solve([5, 10])
-        assert m @ x == [5, 10]
-
-    def test_solve_inconsistent(self):
-        m = Matrix([[1, 1], [1, 1]])
-        assert m.solve([1, 2]) is None
-
     def test_inverse(self):
         m = Matrix([[2, 1], [1, 1]])
-        inv = m.inverse()
-        assert (m @ inv).rows == Matrix.identity(2).rows
+        assert m.inverse().rows == [[1, -1], [-1, 2]]
 
     def test_inverse_singular(self):
         with pytest.raises(ValueError):
             Matrix([[1, 2], [2, 4]]).inverse()
-
-    def test_determinant(self):
-        assert Matrix([[2, 1], [1, 1]]).determinant() == 1
-        assert Matrix([[1, 2], [2, 4]]).determinant() == 0
-
-    def test_determinant_sign_on_swap(self):
-        assert Matrix([[0, 1], [1, 0]]).determinant() == -1

@@ -5,12 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.analyze import (
-    Delta,
-    TrendSeries,
-    build_trend,
-    diff_runs,
-)
+from repro.obs.analyze import Delta, diff_runs
 from repro.obs.store import RunStore
 
 
@@ -85,47 +80,9 @@ class TestDiffRuns:
         diff = diff_runs(_run_record(), _run_record(status="degraded"))
         assert diff.status_changes
 
-    def test_benchmark_records_diff(self):
-        a = {"run_id": "a", "benchmarks": {"bench::one": 1.0}}
-        b = {"run_id": "b", "benchmarks": {"bench::one": 1.5}}
-        diff = diff_runs(a, b, threshold=0.1)
-        assert [d.name for d in diff.regressions()] == ["bench::one"]
-
-
-class TestTrend:
-    def test_series_built_per_kernel_in_time_order(self):
-        records = [_run_record(run_id="b", started=2.0, time_infl=2e-5),
-                   _run_record(run_id="a", started=1.0, time_infl=1e-5)]
-        report = build_trend(records)
-        series = {s.name: s for s in report.series}
-        assert series["LSTM/op0/infl"].values == [1e-5, 2e-5]
-
-    def test_regression_flagged_vs_best_previous(self):
-        records = [_run_record(run_id="a", started=1.0, time_infl=1e-5),
-                   _run_record(run_id="b", started=2.0, time_infl=2e-5)]
-        report = build_trend(records, threshold=0.05)
-        assert [s.name for s in report.regressions()] == ["LSTM/op0/infl"]
-        assert "REGRESSED" in report.render()
-
-    def test_improvement_not_flagged(self):
-        records = [_run_record(run_id="a", started=1.0, time_infl=2e-5),
-                   _run_record(run_id="b", started=2.0, time_infl=1e-5)]
-        assert build_trend(records, threshold=0.05).regressions() == []
-
-    def test_match_filters_series(self):
-        report = build_trend([_run_record()], match="nomatch")
-        assert report.series == []
-
-    def test_single_point_never_regresses(self):
-        series = TrendSeries("x", points=[(1.0, "a", 5.0)])
-        assert series.best_previous is None
-
-    def test_empty_report_renders(self):
-        assert "(no runs stored)" in build_trend([]).render()
-
 
 class TestObsCli:
-    """`repro obs list|show|diff|trend|bench-append` against a tmp store
+    """`repro obs list|show|diff` against a tmp store
     (the autouse fixture points REPRO_RUNS_DIR at tmp_path)."""
 
     @pytest.fixture
@@ -148,10 +105,6 @@ class TestObsCli:
 
     def test_obs_show_empty(self, capsys):
         assert main(["obs", "show", "latest"]) == 0
-        assert "no runs recorded" in capsys.readouterr().out
-
-    def test_obs_trend_empty(self, capsys):
-        assert main(["obs", "trend"]) == 0
         assert "no runs recorded" in capsys.readouterr().out
 
     def test_obs_show(self, seeded_store, capsys):
@@ -178,28 +131,3 @@ class TestObsCli:
 
     def test_obs_diff_unknown_run(self, capsys):
         assert main(["obs", "diff", "nope", "alsono"]) == 2
-
-    def test_obs_trend(self, seeded_store, capsys):
-        assert main(["obs", "trend"]) == 0
-        out = capsys.readouterr().out
-        assert "LSTM/op0/infl" in out and "REGRESSED" in out
-        assert main(["obs", "trend", "--fail-on-regression"]) == 1
-
-    def test_obs_bench_append_idempotent(self, tmp_path, capsys):
-        bench = tmp_path / "bench.json"
-        bench.write_text(json.dumps({
-            "datetime": "2026-08-06T08:05:24.600012+00:00",
-            "benchmarks": [
-                {"fullname": "bench.py::test_one",
-                 "stats": {"mean": 0.25}},
-            ]}))
-        assert main(["obs", "bench-append", str(bench)]) == 0
-        first = capsys.readouterr().out.strip()
-        assert main(["obs", "bench-append", str(bench)]) == 0
-        second = capsys.readouterr().out.strip()
-        assert first == second  # byte-identical record -> dedup
-        store = RunStore()
-        assert len(store.records()) == 1
-        record = store.read(first)
-        assert record["benchmarks"]["bench.py::test_one"] == 0.25
-        assert record["command"] == "bench"

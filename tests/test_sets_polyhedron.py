@@ -20,7 +20,7 @@ def box(dims, lo, hi):
 
 class TestConstruction:
     def test_universe_not_empty(self):
-        assert not Polyhedron.universe(["i"]).is_empty()
+        assert not Polyhedron(["i"]).is_empty()
 
     def test_duplicate_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -31,21 +31,9 @@ class TestConstruction:
             Polyhedron(["i"], [var("j") >= 0])
 
     def test_with_constraints_copies(self):
-        p = Polyhedron.universe(["i"])
+        p = Polyhedron(["i"])
         q = p.with_constraints([var("i") >= 0])
         assert len(p.constraints) == 0 and len(q.constraints) == 1
-
-    def test_intersect(self):
-        p = Polyhedron(["i", "j"], [var("i") >= 0])
-        q = Polyhedron(["i"], [var("i") <= 5])
-        r = p.intersect(q)
-        assert len(r.constraints) == 2
-
-    def test_intersect_dim_mismatch(self):
-        p = Polyhedron(["i"])
-        q = Polyhedron(["k"], [var("k") >= 0])
-        with pytest.raises(ValueError):
-            p.intersect(q)
 
     def test_rename(self):
         p = Polyhedron(["i"], [var("i") >= 3])
@@ -77,16 +65,6 @@ class TestEmptiness:
     def test_contains_missing_dim(self):
         with pytest.raises(KeyError):
             box(["i"], 0, 1).contains({})
-
-    def test_sample_in_set(self):
-        p = box(["i", "j"], 2, 5).with_constraints([var("i") + var("j") >= 9])
-        point = p.sample()
-        assert point is not None
-        assert p.contains(point)
-
-    def test_sample_empty(self):
-        p = Polyhedron(["i"], [var("i") >= 1, var("i") <= 0])
-        assert p.sample() is None
 
 
 class TestElimination:
