@@ -4,7 +4,11 @@ Workers are forked, so they start with the parent's warm process-wide
 memos (dependences, emptiness, Farkas blocks, simulated profiles).  Each
 evaluates ``(network, index)`` tasks through
 :func:`repro.eval.runner._evaluate_index` and returns the operator
-result with its metric snapshot.
+result with its metric snapshot.  A worker moves everything it inherited
+into the collector's permanent generation (``gc.freeze``), so no
+full collection walks the parent's heap in the middle of an operator:
+where such a pause landed shifted with every change to the number of
+objects the program allocates, and it set the slowest operators' times.
 
 Two failure modes stay loud and bounded:
 
@@ -21,6 +25,7 @@ A solve that runs too long is bounded inside the worker by the
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import threading
@@ -29,8 +34,10 @@ from multiprocessing.connection import wait
 from typing import Callable
 
 
-def _exit_with_parent() -> None:
-    """Pool initializer: end this worker as soon as its parent dies."""
+def _init_worker() -> None:
+    """Pool initializer: freeze the inherited heap, and end this worker as
+    soon as its parent dies."""
+    gc.freeze()
     sentinel = multiprocessing.parent_process().sentinel
 
     def watch() -> None:
@@ -52,7 +59,7 @@ def run_supervised(tasks: list[tuple[str, int]], config, jobs: int,
 
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                                mp_context=multiprocessing.get_context("fork"),
-                               initializer=_exit_with_parent)
+                               initializer=_init_worker)
     try:
         futures = {pool.submit(runner._evaluate_index, network, config,
                                index): network
