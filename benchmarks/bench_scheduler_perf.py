@@ -157,7 +157,7 @@ def test_bench_pipeline_warm(benchmark):
     """Full-pipeline compile cost served from the content-keyed schedule
     cache: one untimed compile fills it, then every round rebuilds *equal*
     (but distinct) kernels and must hit.  The artifact captures the
-    per-pass time breakdown and the cache hit-rate of the pass manager."""
+    per-pass time breakdown and the cache hit-rate of the session."""
     from repro.pipeline import AkgPipeline
 
     pipeline = AkgPipeline(sample_blocks=2)
@@ -189,8 +189,13 @@ def test_bench_compile_and_measure(benchmark, sim, monkeypatch):
     its fast-path counters (memoization working on real pipeline output,
     not just on the micro-bench kernels).
 
-    Every round starts from an empty profile memo, so both series time
-    their interpreter rather than replays of launches simulated before."""
+    Every round compiles on a fresh pipeline and starts with the
+    process-wide memos (dependences, emptiness answers, Farkas blocks,
+    solved ILPs and simulated profiles) emptied, as in
+    :func:`test_bench_pipeline_cold`: no round is served by the schedule
+    cache of the round before, and both series time their interpreter
+    rather than replays of launches simulated before.  One untimed
+    warm-up round takes the process's first-call costs out of round 0."""
     import time
 
     import repro.gpu.simulator as simulator
@@ -206,11 +211,16 @@ def test_bench_compile_and_measure(benchmark, sim, monkeypatch):
         monkeypatch.setattr(
             simulator, "_simulate",
             lambda *args: (simulator.simulate_reference(*args), ()))
-    pipeline = AkgPipeline(sample_blocks=4)
-    breakdown = []  # (compile_s, measure_s) per round
+    pipelines = []
+    breakdown = []  # (compile_s, measure_s) per round, warm-up first
 
-    def run():
+    def fresh_pipeline():
+        _cold()
         simulator.PROFILE_MEMO.clear()
+        pipelines.append(AkgPipeline(sample_blocks=4))
+        return (pipelines[-1],), {}
+
+    def run(pipeline):
         compile_s = measure_s = 0.0
         timings = []
         for case in CASES:
@@ -224,15 +234,22 @@ def test_bench_compile_and_measure(benchmark, sim, monkeypatch):
         breakdown.append((compile_s, measure_s))
         return timings
 
-    timings = benchmark.pedantic(run, rounds=2, iterations=1)
+    timings = benchmark.pedantic(run, setup=fresh_pipeline, rounds=2,
+                                 warmup_rounds=1, iterations=1)
     assert all(t.time > 0 for t in timings)
-    summary = pipeline.context.format_summary()
+    assert len(pipelines) == len(breakdown) == 3
+    for pipeline in pipelines[1:]:
+        stats = pipeline.cache.stats()
+        assert (stats["hits"], stats["misses"]) == (0, len(CASES)), \
+            "a timed round must compile every case cold"
+    summary = pipelines[-1].context.format_summary()
     if sim == "fast":
         assert "simulator fast path" in summary
     lines = [f"compile vs simulate wall time, sim={sim} "
-             f"({len(CASES)} kernels per round):",
+             f"({len(CASES)} kernels per round, fresh pipeline and "
+             f"memos each round, after one warm-up round):",
              f"  {'round':<7}{'compile ms':>12}{'simulate ms':>13}"]
-    for index, (compile_s, measure_s) in enumerate(breakdown):
+    for index, (compile_s, measure_s) in enumerate(breakdown[1:]):
         lines.append(f"  {index:<7}{compile_s * 1e3:>12.1f}"
                      f"{measure_s * 1e3:>13.1f}")
     write_artifact(f"scheduler_perf_measure_{sim}.txt",

@@ -77,8 +77,6 @@ def _unsafe_carried(relations: Iterable[DependenceRelation], schedule: Schedule,
                     dim: int, loop: Loop, names: set[str]) -> bool:
     """True iff grouping iterations of ``dim`` can break a dependence."""
     for rel in relations:
-        if rel.kind == "input":
-            continue
         if rel.source.name not in names or rel.target.name not in names:
             continue
         src_scalar = _row_is_scalar_at(schedule, rel.source.name, dim)

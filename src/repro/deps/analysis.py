@@ -1,8 +1,7 @@
 """Dependence analysis: build all dependence relations of a kernel.
 
 For every ordered pair of statements and every pair of conflicting accesses
-(same tensor, at least one write — or two reads when input dependences are
-requested), we build the conflict polyhedron
+(same tensor, at least one write), we build the conflict polyhedron
 
 * both iterations in their domains,
 * equal subscripts on every tensor dimension,
@@ -84,9 +83,7 @@ def _dependence_kind(src_is_write: bool, tgt_is_write: bool) -> str:
         return "output"
     if src_is_write:
         return "flow"
-    if tgt_is_write:
-        return "anti"
-    return "input"
+    return "anti"
 
 
 def _split_by_level(base: Polyhedron, source: Statement,
@@ -117,15 +114,9 @@ def _split_by_level(base: Polyhedron, source: Statement,
         prefix_eqs.append(equality)
 
 
-def compute_dependences(kernel: Kernel,
-                        include_input: bool = False) -> list[DependenceRelation]:
-    """All dependence relations of ``kernel``, split by precedence level.
-
-    ``include_input`` adds read-after-read relations, which carry no
-    validity requirement but sharpen the proximity (reuse distance) cost —
-    the paper considers them for proximity (Section IV-A-2).
-    """
-    key = (kernel_signature(kernel), include_input)
+def compute_dependences(kernel: Kernel) -> list[DependenceRelation]:
+    """All dependence relations of ``kernel``, split by precedence level."""
+    key = kernel_signature(kernel)
     cached = DEPENDENCES_MEMO.get(key)
     if cached is not None:
         return list(cached)
@@ -136,8 +127,7 @@ def compute_dependences(kernel: Kernel,
             if src_access.tensor.name != tgt_access.tensor.name:
                 continue
             if not (src_access.is_write or tgt_access.is_write):
-                if not include_input:
-                    continue
+                continue
             kind = _dependence_kind(src_access.is_write, tgt_access.is_write)
             shared_params = [p for p in params]
             base = _conflict_polyhedron(source, target, src_access,

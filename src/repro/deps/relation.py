@@ -46,13 +46,13 @@ class DependenceRelation:
 
     source: Statement
     target: Statement
-    kind: str  # "flow" | "anti" | "output" | "input"
+    kind: str  # "flow" | "anti" | "output"
     polyhedron: Polyhedron
     level: int  # lexicographic precedence level in the interleaved order
     source_access: Access
     target_access: Access
 
-    KINDS = ("flow", "anti", "output", "input")
+    KINDS = ("flow", "anti", "output")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:

@@ -14,6 +14,11 @@ the paper's four evaluation configurations:
   disabled;
 * ``infl``  — the full approach: influence-tree scheduling + explicit
   load/store vector types.
+
+Each variant runs the one stage chain of
+:meth:`~repro.pipeline.passes.CompilationSession.run` (dependences,
+influence tree, scheduling, code generation, vectorization, GPU mapping)
+with influence and vectorization switched on or off.
 """
 
 from repro.pipeline.akg import AkgPipeline, CompiledOperator, OperatorTiming, VARIANTS
@@ -24,7 +29,6 @@ from repro.pipeline.passes import (
     format_pass_summary,
     merge_contexts,
     merge_metric_dicts,
-    variant_passes,
 )
 
 __all__ = [
@@ -39,5 +43,4 @@ __all__ = [
     "format_pass_summary",
     "merge_contexts",
     "merge_metric_dicts",
-    "variant_passes",
 ]

@@ -1,10 +1,10 @@
 """The AKG-like compilation pipeline and its four evaluation variants.
 
 :class:`AkgPipeline` is a thin driver: each variant maps to a clustering
-decision (how statements split into kernel launches) plus a pass list from
-:func:`~repro.pipeline.passes.variant_passes`; the actual work happens in
-a shared :class:`~repro.pipeline.passes.CompilationSession`, which carries
-the per-pass instrumentation and the content-keyed schedule cache.
+decision (how statements split into kernel launches) plus the two switches
+of the stage chain, influence and vectorization; the actual work happens
+in a shared :class:`~repro.pipeline.passes.CompilationSession`, which
+carries the per-pass instrumentation and the content-keyed schedule cache.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from repro.ir.kernel import Kernel
 from repro.ir.statement import Statement
 from repro.obs import logger, use_obs
 from repro.pipeline.cache import ScheduleCache
-from repro.pipeline.passes import (
-    CompilationSession,
-    PassContext,
-    variant_passes,
-)
+from repro.pipeline.passes import CompilationSession, PassContext
 from repro.schedule.scheduler import SchedulerOptions, SchedulerStats
 from repro.schedule.serialize import schedule_content_hash
 
@@ -101,12 +97,6 @@ class OperatorTiming:
         return sum(p.dram_bytes for p in self.profiles)
 
 
-def _state_hashes(states) -> list[str]:
-    """Schedule content hashes for a sequence of pipeline states."""
-    return [schedule_content_hash(s.schedule) if s.schedule is not None else ""
-            for s in states]
-
-
 def _domain_signature(statement: Statement) -> tuple:
     """Iteration-space signature used for isl-style clustering."""
     return (statement.depth, statement.domain.canonical()[1])
@@ -150,7 +140,6 @@ class AkgPipeline:
                  sample_blocks: int = 8,
                  weights: Optional[CostWeights] = None,
                  scheduler_options: Optional[SchedulerOptions] = None,
-                 cache: Optional[ScheduleCache] = None,
                  enable_cache: bool = True,
                  trace: bool = False):
         self.arch = arch
@@ -159,8 +148,7 @@ class AkgPipeline:
         self.weights = weights = \
             weights if weights is not None else CostWeights()
         self.scheduler_options = scheduler_options or SchedulerOptions()
-        self.cache = cache if cache is not None \
-            else (ScheduleCache() if enable_cache else None)
+        self.cache = ScheduleCache() if enable_cache else None
         self.session = CompilationSession(options=self.scheduler_options,
                                           weights=weights,
                                           max_threads=max_threads,
@@ -202,22 +190,21 @@ class AkgPipeline:
     def _compile_once(self, kernel: Kernel, variant: str, tag: str,
                       clusters, influence: bool,
                       enable_vec: bool) -> CompiledOperator:
-        passes = variant_passes(influence=influence, enable_vec=enable_vec)
         if clusters is None:
-            state = self.session.run(kernel, passes, variant=tag)
-            return CompiledOperator(kernel=kernel, variant=variant,
-                                    launches=[state.mapped],
-                                    scheduler_stats=[state.scheduler_stats],
-                                    schedule_hashes=_state_hashes([state]))
-        states = []
-        for index, cluster in enumerate(clusters):
-            sub = _sub_kernel(kernel, cluster, f"_k{index}")
-            states.append(self.session.run(sub, passes, variant=tag))
+            parts = [kernel]
+        else:
+            parts = [_sub_kernel(kernel, cluster, f"_k{index}")
+                     for index, cluster in enumerate(clusters)]
+        results = [self.session.run(part, influence=influence,
+                                    enable_vec=enable_vec, variant=tag)
+                   for part in parts]
         return CompiledOperator(kernel=kernel, variant=variant,
-                                launches=[s.mapped for s in states],
-                                scheduler_stats=[s.scheduler_stats
-                                                 for s in states],
-                                schedule_hashes=_state_hashes(states))
+                                launches=[r.mapped for r in results],
+                                scheduler_stats=[r.scheduler_stats
+                                                 for r in results],
+                                schedule_hashes=[
+                                    schedule_content_hash(r.schedule)
+                                    for r in results])
 
     def compile(self, kernel: Kernel, variant: str) -> CompiledOperator:
         """Compile under ``variant``, degrading gracefully on failure.

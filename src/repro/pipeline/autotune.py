@@ -15,12 +15,7 @@ from repro.gpu.arch import GpuArch, V100
 from repro.gpu.simulator import simulate_kernel
 from repro.ir.kernel import Kernel
 from repro.pipeline.cache import ScheduleCache
-from repro.pipeline.passes import (
-    CompilationSession,
-    GpuMappingPass,
-    TilingPass,
-    variant_passes,
-)
+from repro.pipeline.passes import CompilationSession
 
 DEFAULT_CANDIDATES: tuple[tuple[int, ...], ...] = (
     (),            # untiled baseline
@@ -61,22 +56,19 @@ def compile_tiled(kernel: Kernel, tile_sizes: Sequence[int],
                   session: Optional[CompilationSession] = None):
     """Compile one kernel with band tiling applied before mapping.
 
-    A :class:`TilingPass` is spliced into the variant pass list just before
-    GPU mapping.  Pass a shared ``session`` (as the autotuner does) so the
+    The session's stage chain runs ``tile`` between ``vectorize`` and
+    ``gpu-map``.  Pass a shared ``session`` (as the autotuner does) so the
     content-keyed cache reuses one schedule across all tiling candidates —
-    only codegen/tile/vectorize/map rerun per candidate.
+    only codegen/vectorize/tile/map rerun per candidate.
 
     Returns ``(mapped_kernel, tiled_loop_count)``.
     """
     if session is None:
         session = CompilationSession(max_threads=max_threads,
                                      cache=ScheduleCache())
-    passes = list(variant_passes(influence=influenced, enable_vec=enable_vec))
-    mapping_index = next(i for i, p in enumerate(passes)
-                         if isinstance(p, GpuMappingPass))
-    passes.insert(mapping_index, TilingPass(tile_sizes))
-    state = session.run(kernel, tuple(passes), variant="tiled")
-    return state.mapped, state.tiled_loops
+    result = session.run(kernel, influence=influenced, enable_vec=enable_vec,
+                         tile_sizes=tile_sizes, variant="tiled")
+    return result.mapped, result.tiled_loops
 
 
 def autotune_tile_sizes(kernel: Kernel,

@@ -9,18 +9,18 @@ signature of the IR (parameters, statement structure, iteration domains,
 accesses with tensor shapes and dtypes) combined with the variant-relevant
 compilation inputs (influence on/off, scheduler options, cost weights).
 
-The cached entry is the expensive schedule-producing prefix of the pass
-list: dependence relations, the finished :class:`Schedule`, and the
-scheduler's counters.  Schedules index their rows by statement *name*, and
-statement names/structure are part of the key, so an entry built from one
-kernel object is valid for every content-equal kernel.
+The cached entry is the expensive front end of the stage chain:
+dependence relations, the finished :class:`Schedule`, and the scheduler's
+counters.  Schedules index their rows by statement *name*, and statement
+names/structure are part of the key, so an entry built from one kernel
+object is valid for every content-equal kernel.
 
-An entry also keeps the finished launch of each back-end pass list it was
-compiled under (code generation, tiling, vectorization and GPU mapping are
-pure functions of the schedule and the kernel's content), keyed by the
-back-end passes' settings and the session's ``max_threads``.  A stored
-launch holds no simulator state; the session hands out copies rebound to
-the requesting kernel (:meth:`~repro.codegen.cuda.MappedKernel.rebound`).
+An entry also keeps the finished launch of each back-end setting it was
+compiled under (code generation, vectorization, tiling and GPU mapping are
+pure functions of the schedule and the kernel's content), keyed by
+``(enable_vec, tile_sizes, max_threads)``.  A stored launch holds no
+simulator state; the session hands out copies rebound to the requesting
+kernel (:meth:`~repro.codegen.cuda.MappedKernel.rebound`).
 
 Kernel names are deliberately excluded from the key (generated operators
 carry unique names; distributed baselines suffix ``_k0`` per cluster).
@@ -46,9 +46,9 @@ __all__ = ["ScheduleCache", "ScheduleCacheEntry", "kernel_signature"]
 
 @dataclass
 class ScheduleCacheEntry:
-    """The cached schedule-producing prefix of a compilation, plus the
-    launches built from it: ``(MappedKernel, tiled loop count)`` by
-    back-end key (see :meth:`CompilationSession.run
+    """The cached front end of a compilation, plus the launches built
+    from it: ``(MappedKernel, tiled loop count)`` by back-end key (see
+    :meth:`CompilationSession.run
     <repro.pipeline.passes.CompilationSession.run>`)."""
 
     relations: list
@@ -58,7 +58,7 @@ class ScheduleCacheEntry:
 
 
 class ScheduleCache(Memo):
-    """Schedule-prefix results keyed by kernel content, on a :class:`Memo`
+    """Front-end results keyed by kernel content, on a :class:`Memo`
     named ``cache`` (so it counts ``cache.{hits,misses,evictions}``)."""
 
     def __init__(self, max_entries: int = 4096):

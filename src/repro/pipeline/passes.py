@@ -1,19 +1,16 @@
-"""Pass-manager architecture for the compilation pipeline.
+"""The compilation stage chain and its instrumentation.
 
-The monolithic ``deps -> schedule -> codegen -> vectorize -> map`` call
-chain is re-expressed as a list of small :class:`Pass` objects driven by a
-:class:`CompilationSession`.  The session carries a :class:`PassContext`
-that aggregates per-pass wall time, scheduler counters (ILP solves,
-backtracking activations, ...) and — optionally — a span trace,
-and consults a content-keyed :class:`~repro.pipeline.cache.ScheduleCache`
-so structurally equal kernels reuse the expensive schedule-producing
-prefix (dependence analysis, influence-tree build, influenced scheduling)
-and the finished launch of each back-end pass list (codegen, tiling,
-vectorization, GPU mapping) instead of recompiling from scratch.
-
-Pass lists are data: :func:`variant_passes` builds the list for each of
-the paper's four evaluation variants, and callers may splice in extra
-stages (the tile autotuner inserts :class:`TilingPass` before mapping).
+:meth:`CompilationSession.run` is the AKG flow of Fig. 1(b) as one fixed
+chain: ``deps -> influence-tree -> schedule`` (the front end) then
+``codegen -> vectorize -> tile -> gpu-map`` (the back end).  Three
+values choose which stages run: influence on/off, vectorization on/off,
+and optional tile sizes (the tile autotuner's).  Each stage is timed into
+the session's :class:`PassContext`, which also aggregates scheduler
+counters (ILP solves, backtracking activations, ...) and, optionally, a
+span trace.  A content-keyed :class:`~repro.pipeline.cache.ScheduleCache`
+serves the front end (dependence relations, finished schedule) of
+structurally equal kernels, and the finished launch of each back-end
+setting, instead of recompiling from scratch.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Optional, Sequence
 
 from repro.codegen.cuda import MappedKernel, map_to_gpu
 from repro.codegen.generate import generate_ast
@@ -42,8 +39,8 @@ from repro.schedule.scheduler import (
 )
 
 # Canonical pass execution order (used by summaries for stable display).
-PASS_ORDER = ("deps", "influence-tree", "schedule", "codegen", "tile",
-              "vectorize", "gpu-map")
+PASS_ORDER = ("deps", "influence-tree", "schedule", "codegen", "vectorize",
+              "tile", "gpu-map")
 
 
 # -- metrics ----------------------------------------------------------------
@@ -201,238 +198,129 @@ def format_pass_summary(metrics: dict) -> str:
     return "\n".join(lines)
 
 
-# -- session state ----------------------------------------------------------
-
-
-@dataclass
-class PassState:
-    """Mutable state threaded through one pass list over one kernel."""
-
-    kernel: Kernel
-    variant: str = "custom"
-    relations: Optional[list] = None
-    tree: Optional[object] = None
-    schedule: Optional[object] = None
-    scheduler_stats: Optional[SchedulerStats] = None
-    ast: Optional[object] = None
-    mapped: Optional[MappedKernel] = None
-    tiled_loops: int = 0
-    from_cache: bool = False
-
-
-@runtime_checkable
-class Pass(Protocol):
-    """One compilation stage.
-
-    ``cacheable`` marks the schedule-producing prefix: passes whose outputs
-    are stored in (and restored from) the content-keyed schedule cache.
-    The other (back-end) passes carry a hashable ``launch_key`` naming
-    their settings: the finished launch is cached under the back-end
-    passes' keys.
-    """
-
-    name: str
-    cacheable: bool
-
-    def run(self, state: PassState, session: "CompilationSession") -> None:
-        ...
-
-
-# -- concrete passes --------------------------------------------------------
-
-
-class DependenceAnalysisPass:
-    """Compute the kernel's dependence relations."""
-
-    name = "deps"
-    cacheable = True
-
-    def run(self, state: PassState, session: "CompilationSession") -> None:
-        state.relations = compute_dependences(state.kernel)
-        session.context.count("deps.relations", len(state.relations))
-
-
-class InfluenceTreePass:
-    """Build the influence constraint tree (Algorithm 2 + Section IV)."""
-
-    name = "influence-tree"
-    cacheable = True
-
-    def run(self, state: PassState, session: "CompilationSession") -> None:
-        state.tree = build_influence_tree(state.kernel,
-                                          weights=session.weights)
-
-
-class SchedulingPass:
-    """Run Algorithm 1 (influenced when a tree was built)."""
-
-    name = "schedule"
-    cacheable = True
-
-    def run(self, state: PassState, session: "CompilationSession") -> None:
-        scheduler = InfluencedScheduler(state.kernel,
-                                        relations=state.relations,
-                                        options=session.options)
-        state.schedule = scheduler.schedule(state.tree)
-        state.scheduler_stats = scheduler.stats
-        session.context.add_counters(scheduler.stats.as_dict(),
-                                     prefix="scheduler.")
-
-
-class AstGenerationPass:
-    """Polyhedral code generation: schedule -> loop AST."""
-
-    name = "codegen"
-    cacheable = False
-    launch_key = ("codegen",)
-
-    def run(self, state: PassState, session: "CompilationSession") -> None:
-        state.ast = generate_ast(state.kernel, state.schedule)
-
-
-class TilingPass:
-    """Apply band tiling between code generation and mapping."""
-
-    name = "tile"
-    cacheable = False
-
-    def __init__(self, tile_sizes: Sequence[int]):
-        self.tile_sizes = tuple(tile_sizes)
-        self.launch_key = ("tile", self.tile_sizes)
-
-    def run(self, state: PassState, session: "CompilationSession") -> None:
-        state.tiled_loops = tile_band(state.ast, state.schedule,
-                                      state.kernel.params, self.tile_sizes) \
-            if self.tile_sizes else 0
-
-
-class VectorizePass:
-    """Finalize (or strip, for ``novec``/baselines) vector-marked loops."""
-
-    name = "vectorize"
-    cacheable = False
-
-    def __init__(self, enable: bool):
-        self.enable = enable
-        self.launch_key = ("vectorize", enable)
-
-    def run(self, state: PassState, session: "CompilationSession") -> None:
-        state.ast = vectorize(state.ast, state.kernel, state.schedule,
-                              state.relations, enable=self.enable)
-
-
-class GpuMappingPass:
-    """Map the AST onto a CUDA launch geometry."""
-
-    name = "gpu-map"
-    cacheable = False
-    launch_key = ("gpu-map",)
-
-    def run(self, state: PassState, session: "CompilationSession") -> None:
-        state.mapped = map_to_gpu(state.kernel, state.ast, state.schedule,
-                                  max_threads=session.max_threads)
-
-
-def variant_passes(influence: bool, enable_vec: bool) -> tuple:
-    """The pass list shared by the four variants: influence-tree build is
-    present for influenced configurations (``tvm``/``novec``/``infl``),
-    vectorization is finalized only for ``infl``."""
-    passes: list = [DependenceAnalysisPass()]
-    if influence:
-        passes.append(InfluenceTreePass())
-    passes += [SchedulingPass(), AstGenerationPass(),
-               VectorizePass(enable_vec), GpuMappingPass()]
-    return tuple(passes)
-
-
 # -- the session ------------------------------------------------------------
 
 
+@dataclass
+class CompileResult:
+    """What one :meth:`CompilationSession.run` hands back."""
+
+    schedule: object
+    scheduler_stats: Optional[SchedulerStats]
+    mapped: MappedKernel
+    tiled_loops: int = 0
+
+
 class CompilationSession:
-    """Drives pass lists over kernels, with caching and instrumentation.
+    """Runs the stage chain over kernels, with caching and instrumentation.
 
     One session is shared by all compilations of a pipeline: its
     :class:`PassContext` accumulates metrics across kernels and variants,
     and its :class:`~repro.pipeline.cache.ScheduleCache` (when present)
-    short-circuits the cacheable prefix for content-equal kernels.
+    serves the front end, and the finished launch, of content-equal
+    kernels.
     """
 
     def __init__(self, options: Optional[SchedulerOptions] = None,
                  weights: Optional[CostWeights] = None,
                  max_threads: int = 256,
                  cache=None,
-                 context: Optional[PassContext] = None,
                  trace: bool = False):
         self.options = options or SchedulerOptions()
         self.weights = weights if weights is not None else CostWeights()
         self.max_threads = max_threads
         self.cache = cache
-        self.context = context or PassContext(trace=trace)
+        self.context = PassContext(trace=trace)
 
-    def run(self, kernel: Kernel, passes: Sequence[Pass],
-            variant: str = "custom") -> PassState:
-        """Run ``passes`` over ``kernel``; returns the final state.
+    def run(self, kernel: Kernel, *, influence: bool, enable_vec: bool,
+            tile_sizes: Optional[Sequence[int]] = None,
+            variant: str = "custom") -> CompileResult:
+        """Compile ``kernel``: the front end (``deps``, ``influence-tree``
+        when ``influence``, ``schedule``) on a schedule-cache miss, the
+        back end (``codegen``, ``vectorize``, ``tile`` when ``tile_sizes``
+        is given, ``gpu-map``) on a launch-cache miss.
 
         The session's :class:`~repro.obs.Obs` bundle is installed as the
         ambient handle for the duration, so deep instrumentation (solver
         pivots, scheduler spans) lands in this context."""
-        state = PassState(kernel=kernel, variant=variant)
-        influence = any(isinstance(p, InfluenceTreePass) for p in passes)
-        with use_obs(self.context.obs), \
-                self.context.obs.span("compile", kernel=kernel.name,
-                                      variant=variant):
+        if tile_sizes is not None:
+            tile_sizes = tuple(tile_sizes)
+        context = self.context
+
+        def stage(name: str):
+            return context.timed(name, kernel=kernel.name, variant=variant)
+
+        with use_obs(context.obs), \
+                context.obs.span("compile", kernel=kernel.name,
+                                 variant=variant):
             # Fault-injection site: sits BEFORE the cache lookup so an
-            # injected failure fires even when the schedule-producing
-            # prefix would be served from cache (the `infl` variant
-            # usually hits the entry stored by `novec`).
+            # injected failure fires even when the front end would be
+            # served from cache (the `infl` variant usually hits the
+            # entry stored by `novec`).
             action = fault_action("compile", kernel=kernel.name,
                                   variant=variant, influence=influence)
             if action is not None:
                 raise_fault(action, "compile", kernel=kernel.name,
                             variant=variant, influence=influence)
-            key = entry = launch = None
-            if self.cache is not None \
-                    and any(getattr(p, "cacheable", False) for p in passes):
+            key = entry = None
+            launch_key = (enable_vec, tile_sizes, self.max_threads)
+            if self.cache is not None:
                 key = self.cache.key_for(kernel, influence=influence,
                                          options=self.options,
                                          weights=self.weights)
-                launch_key = tuple(p.launch_key for p in passes
-                                   if not p.cacheable) + (self.max_threads,)
                 entry = self.cache.get(key)
-                if entry is not None:
-                    state.relations = entry.relations
-                    state.schedule = entry.schedule
-                    state.scheduler_stats = entry.stats
-                    state.from_cache = True
-                    launch = entry.launches.get(launch_key)
-                    self.context.obs.event("cache-hit", kernel=kernel.name,
-                                           variant=variant)
-            if launch is None:
-                for p in passes:
-                    if state.from_cache and p.cacheable:
-                        continue
-                    with self.context.timed(p.name, kernel=kernel.name,
-                                            variant=variant):
-                        p.run(state, self)
-                if key is not None:
-                    if entry is None:
-                        entry = self.cache.store(
-                            key, relations=state.relations,
-                            schedule=state.schedule,
-                            stats=state.scheduler_stats)
-                    if state.mapped is not None:
-                        # Stored apart from the copies handed out, so
-                        # simulating a copy leaves no simulator state in
-                        # the cache; the profile signature is rendered
-                        # once here and every copy keeps it.
-                        template = state.mapped.rebound(state.mapped.kernel)
-                        launch_signature(template)
-                        launch = entry.launches[launch_key] = (
-                            template, state.tiled_loops)
+            if entry is not None:
+                context.obs.event("cache-hit", kernel=kernel.name,
+                                  variant=variant)
+                launch = entry.launches.get(launch_key)
+                if launch is not None:
+                    context.count("cache.launch_hits")
+                    template, tiled_loops = launch
+                    return CompileResult(entry.schedule, entry.stats,
+                                         template.rebound(kernel),
+                                         tiled_loops)
+                relations, schedule, stats = \
+                    entry.relations, entry.schedule, entry.stats
             else:
-                self.context.count("cache.launch_hits")
-            if launch is not None:
-                template, state.tiled_loops = launch
-                state.ast = template.ast
-                state.mapped = template.rebound(kernel)
-        return state
+                with stage("deps"):
+                    relations = compute_dependences(kernel)
+                    context.count("deps.relations", len(relations))
+                tree = None
+                if influence:
+                    with stage("influence-tree"):
+                        tree = build_influence_tree(kernel,
+                                                    weights=self.weights)
+                with stage("schedule"):
+                    scheduler = InfluencedScheduler(kernel,
+                                                    relations=relations,
+                                                    options=self.options)
+                    schedule = scheduler.schedule(tree)
+                    stats = scheduler.stats
+                    context.add_counters(stats.as_dict(),
+                                         prefix="scheduler.")
+            with stage("codegen"):
+                ast = generate_ast(kernel, schedule)
+            with stage("vectorize"):
+                ast = vectorize(ast, kernel, schedule, relations,
+                                enable=enable_vec)
+            tiled_loops = 0
+            if tile_sizes is not None:
+                with stage("tile"):
+                    if tile_sizes:
+                        tiled_loops = tile_band(ast, schedule, kernel.params,
+                                                tile_sizes)
+            with stage("gpu-map"):
+                mapped = map_to_gpu(kernel, ast, schedule,
+                                    max_threads=self.max_threads)
+            if key is not None:
+                if entry is None:
+                    entry = self.cache.store(key, relations=relations,
+                                             schedule=schedule, stats=stats)
+                # Stored apart from the copies handed out, so simulating a
+                # copy leaves no simulator state in the cache; the profile
+                # signature is rendered once here and every copy keeps it.
+                template = mapped.rebound(mapped.kernel)
+                launch_signature(template)
+                entry.launches[launch_key] = (template, tiled_loops)
+                mapped = template.rebound(kernel)
+        return CompileResult(schedule, stats, mapped, tiled_loops)

@@ -52,16 +52,13 @@ def verify_schedule(schedule: Schedule,
                     relations: Iterable[DependenceRelation]) -> list[ScheduleViolation]:
     """Exhaustively check semantics preservation.
 
-    For every validity relation (flow/anti/output): walking the dimensions,
-    the delta restricted to previously-tied pairs must never be negative,
-    and the relation must be strongly satisfied at some dimension.
-    Input (read-after-read) relations are skipped.  Returns all violations
-    (empty list == valid schedule).
+    For every relation: walking the dimensions, the delta restricted to
+    previously-tied pairs must never be negative, and the relation must be
+    strongly satisfied at some dimension.  Returns all violations (empty
+    list == valid schedule).
     """
     violations = []
     for rel in relations:
-        if rel.kind == "input":
-            continue
         poly = rel.polyhedron
         satisfied = False
         for d in range(schedule.n_dims):
@@ -91,8 +88,7 @@ def annotate_parallelism(schedule: Schedule,
     ``d``: restricted to pairs tied on dimensions ``< d``, the delta at
     ``d`` is identically zero for every relation still alive there.
     """
-    validity = [r for r in relations if r.kind != "input"]
-    alive = [(r, r.polyhedron) for r in validity]
+    alive = [(r, r.polyhedron) for r in relations]
     for d in range(schedule.n_dims):
         carried = False
         next_alive = []

@@ -43,16 +43,20 @@ def const_coeff_name(stmt: str) -> str:
     return f"c[{stmt}].0"
 
 
+# Constant terms of schedule rows, and the proximity bound's ``w``, live
+# in [0, CONST_BOUND].
+CONST_BOUND = 31
+
+
 class DimensionProblem:
     """The ILP for one scheduling dimension."""
 
     def __init__(self, statements: Sequence[Statement], params: Sequence[str],
-                 coeff_bound: int = 7, const_bound: int = 31,
+                 coeff_bound: int = 7,
                  forms: Optional[dict] = None):
         self.statements = list(statements)
         self.params = list(params)
         self.coeff_bound = coeff_bound
-        self.const_bound = const_bound
         #: Symbolic forms per ``(kind, id(relation))`` as ``(relation,
         #: form)`` (holding the relation keeps its id unique), shared by
         #: forks.  A scheduler passes one dict to every dimension problem
@@ -83,7 +87,6 @@ class DimensionProblem:
         copy.statements = self.statements
         copy.params = self.params
         copy.coeff_bound = self.coeff_bound
-        copy.const_bound = self.const_bound
         copy._forms = self._forms
         copy.problem = self.problem.clone()
         copy._farkas_counter = self._farkas_counter
@@ -103,7 +106,7 @@ class DimensionProblem:
                 self.problem.add_variable(param_coeff_name(s.name, p),
                                           lower=0, upper=self.coeff_bound)
             self.problem.add_variable(const_coeff_name(s.name),
-                                      lower=0, upper=self.const_bound)
+                                      lower=0, upper=CONST_BOUND)
 
     def _add_farkas(self, poly, form: SymbolicAffineForm) -> None:
         self._farkas_counter += 1
@@ -181,7 +184,7 @@ class DimensionProblem:
                 self._u_vars[p] = self.problem.add_variable(
                     f"u[{p}]", lower=0, upper=self.coeff_bound)
             self._w_var = self.problem.add_variable(
-                "w", lower=0, upper=self.const_bound)
+                "w", lower=0, upper=CONST_BOUND)
         for rel in relations:
             self._add_farkas(rel.polyhedron,
                              self._relation_form("proximity", rel))

@@ -50,6 +50,12 @@ __all__ = ["SchedulingError", "SchedulerOptions", "SchedulerStats",
            "InfluencedScheduler"]
 
 
+# Dimension-construction steps before a schedule is given up.
+MAX_ITERATIONS = 400
+# Branch-and-bound nodes per dimension ILP.
+MAX_ILP_NODES = 60_000
+
+
 class _RestartWithoutInfluence(Exception):
     """Internal: no influence scenario is feasible; rerun plain."""
 
@@ -59,12 +65,6 @@ class SchedulerOptions:
     """Configuration of the influenced scheduler."""
 
     coeff_bound: int = 7          # schedule coefficients live in [0, bound]
-    const_bound: int = 31
-    outer_coincidence: bool = True  # try zero-reuse-distance dims first
-    proximity_input_deps: bool = False  # include read-after-read in proximity
-    textual_tie_break: bool = True  # prefer original loop order on cost ties
-    max_iterations: int = 400
-    max_ilp_nodes: int = 60_000
     # Optional cumulative work budget per construction attempt; exhausting
     # it raises SolverTimeout (see repro.solver.budget for the semantics).
     budget: Optional[SolveBudget] = None
@@ -103,11 +103,8 @@ class InfluencedScheduler:
         self.kernel = kernel
         self.options = options or SchedulerOptions()
         if relations is None:
-            relations = compute_dependences(
-                kernel, include_input=self.options.proximity_input_deps)
+            relations = compute_dependences(kernel)
         self.relations = list(relations)
-        self.validity_relations = [r for r in self.relations if r.kind != "input"]
-        self.input_relations = [r for r in self.relations if r.kind == "input"]
         self.stats = SchedulerStats()
         self._obs = NULL_OBS
         self._journal = NULL_JOURNAL
@@ -145,7 +142,7 @@ class InfluencedScheduler:
             self._journal.note("schedule-done", kernel=self.kernel.name,
                                dimensions=result.n_dims,
                                ilp_solves=self.stats.ilp_solves)
-        annotate_parallelism(result, self.validity_relations)
+        annotate_parallelism(result, self.relations)
         return result
 
     def _budget_scope(self):
@@ -164,14 +161,14 @@ class InfluencedScheduler:
         statements = self.kernel.statements
         params = self.kernel.parameter_names
         schedule = Schedule(statements, params)
-        active: list[DependenceRelation] = list(self.validity_relations)
+        active: list[DependenceRelation] = list(self.relations)
         cursor: Optional[TreeCursor] = tree.cursor() if tree else None
         # Snapshot of `active` at the moment each tree depth was entered,
         # plus the schedule dimension count at that moment (for withdrawal).
         backups: list[tuple[list[DependenceRelation], int]] = []
         band = 0
 
-        for _ in range(self.options.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             if schedule.is_complete():
                 # Retire dependences strongly satisfied by the built rows.
                 remaining = [r for r in active
@@ -265,7 +262,7 @@ class InfluencedScheduler:
         Returns (rows or None, coincident_flag)."""
         node = cursor.node if cursor is not None else None
         base = self._build_base(active)
-        if self.options.outer_coincidence and active:
+        if active:
             rows = self._solve_dimension(schedule, active, cursor,
                                          with_progression=True,
                                          coincidence=True, base=base)
@@ -285,10 +282,9 @@ class InfluencedScheduler:
         base = DimensionProblem(self.kernel.statements,
                                 self.kernel.parameter_names,
                                 coeff_bound=self.options.coeff_bound,
-                                const_bound=self.options.const_bound,
                                 forms=self._forms)
         base.add_validity(active)
-        base.add_proximity(list(active) + list(self.input_relations))
+        base.add_proximity(active)
         return base
 
     def _solve_dimension(self, schedule: Schedule, active, cursor,
@@ -315,8 +311,7 @@ class InfluencedScheduler:
                 for name in expr.variables():
                     problem.problem.add_variable(
                         name, lower=0, upper=self.options.coeff_bound)
-        extra = self._tie_break_objectives(statements) \
-            if self.options.textual_tie_break else []
+        extra = self._tie_break_objectives(statements)
         action = fault_action("scheduler.dimension",
                               kernel=self.kernel.name, dim=schedule.n_dims,
                               coincidence=coincidence)
@@ -338,7 +333,7 @@ class InfluencedScheduler:
         try:
             rows = problem.solve(extra_objectives=extra,
                                  injected_objectives=injected,
-                                 max_nodes=self.options.max_ilp_nodes)
+                                 max_nodes=MAX_ILP_NODES)
         except BranchLimitExceeded:
             # A degenerate per-dimension ILP is treated like infeasibility:
             # backtrack rather than abort the whole construction.
@@ -460,7 +455,7 @@ class InfluencedScheduler:
         # helps if ordering the components strongly satisfies (and thereby
         # retires) at least one dependence; otherwise the next dimension
         # problem fails for the very same reason and the ladder would loop
-        # appending scalar dimensions until max_iterations — withdraw the
+        # appending scalar dimensions until MAX_ITERATIONS — withdraw the
         # fruitless dimension and fall through to the final rung instead.
         if self._separate_sccs(schedule, active, band + 1):
             remaining = [r for r in active

@@ -259,7 +259,7 @@ def test_pipeline_values_are_canonical(name, build, monkeypatch):
                 list(problem._upper.values()):
             assert bound is None or canonical(bound)
 
-    relations = compute_dependences(kernel, include_input=True)
+    relations = compute_dependences(kernel)
     assert relations
     for rel in relations:
         for constraint in rel.polyhedron.constraints:

@@ -1,8 +1,8 @@
 """Smoke tests: the runnable examples execute end to end.
 
-The heavyweight examples (transpose shapes, autotuning sweeps) are covered
-by the benchmarks; here we run the two fast ones and check their output
-tells the story they promise.
+The heavyweight examples (transpose shapes, the running example) are
+covered by the benchmarks; here we run the three fast ones, the tile
+autotuner included, and check their output tells the story they promise.
 """
 
 import runpy
@@ -30,6 +30,12 @@ def test_constraint_tree_explorer(capsys):
     out = run_example("constraint_tree_explorer.py", capsys)
     assert "sibling fallback" in out
     assert "influence abandoned: True" in out
+
+
+def test_tile_autotune(capsys):
+    out = run_example("tile_autotune.py", capsys)
+    assert "<== best" in out
+    assert "speedup over untiled" in out
 
 
 def test_examples_exist_and_are_executable():

@@ -126,7 +126,7 @@ def kernels(draw) -> Kernel:
 def test_fuzz_plain_pipeline(kernel):
     scheduler = InfluencedScheduler(kernel)
     schedule = scheduler.schedule()
-    assert verify_schedule(schedule, scheduler.validity_relations) == []
+    assert verify_schedule(schedule, scheduler.relations) == []
     ast = generate_ast(kernel, schedule)
     ast = vectorize(ast, kernel, schedule, scheduler.relations, enable=False)
     mapped = map_to_gpu(kernel, ast, schedule, max_threads=4)
@@ -142,7 +142,7 @@ def test_fuzz_influenced_pipeline(kernel):
     scheduler = InfluencedScheduler(kernel)
     tree = build_influence_tree(kernel)
     schedule = scheduler.schedule(tree)
-    assert verify_schedule(schedule, scheduler.validity_relations) == []
+    assert verify_schedule(schedule, scheduler.relations) == []
     ast = generate_ast(kernel, schedule)
     ast = vectorize(ast, kernel, schedule, scheduler.relations, enable=True)
     mapped = map_to_gpu(kernel, ast, schedule, max_threads=4)

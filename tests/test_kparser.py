@@ -74,7 +74,7 @@ S[i: 0..N]: A[i], B[i] = f(A[i])
         scheduler = InfluencedScheduler(
             kernel, relations=compute_dependences(kernel))
         schedule = scheduler.schedule()
-        assert verify_schedule(schedule, scheduler.validity_relations) == []
+        assert verify_schedule(schedule, scheduler.relations) == []
 
 
 class TestErrors:

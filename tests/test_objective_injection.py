@@ -24,7 +24,7 @@ class TestObjectiveInjection:
             label="prefer-j",
             objectives=[var(theta_iter("S", 0, 0))]))  # minimize coeff of i
         scheduler, schedule = schedule_with(tree)
-        assert verify_schedule(schedule, scheduler.validity_relations) == []
+        assert verify_schedule(schedule, scheduler.relations) == []
         assert schedule.rows["S"][0].coefficient_of("j") == 1
         assert schedule.rows["S"][0].coefficient_of("i") == 0
 
@@ -38,7 +38,7 @@ class TestObjectiveInjection:
             label="want-k",
             objectives=[-1 * var(theta_iter("S", 0, 2))]))
         scheduler, schedule = schedule_with(tree)
-        assert verify_schedule(schedule, scheduler.validity_relations) == []
+        assert verify_schedule(schedule, scheduler.relations) == []
         # k still cannot be the (coincident) outermost dimension.
         assert schedule.rows["S"][0].coefficient_of("k") == 0
 
@@ -57,7 +57,7 @@ class TestObjectiveInjection:
         node.add_child(InfluenceNode(
             constraints=[var(theta_iter("S", 1, 2)).eq(0)]))
         scheduler, schedule = schedule_with(tree)
-        assert verify_schedule(schedule, scheduler.validity_relations) == []
+        assert verify_schedule(schedule, scheduler.relations) == []
         assert schedule.rows["S"][0].coefficient_of("j") == 1
         assert schedule.rows["S"][1].coefficient_of("i") == 1
         assert schedule.rows["S"][2].coefficient_of("k") == 1

@@ -1,8 +1,8 @@
-"""Tests for the pass-manager compilation sessions and the content cache.
+"""Tests for the compilation session's stage chain and the content cache.
 
-The regression class guards the refactor itself: the pass-manager pipeline
-must produce exactly the compiled signatures (and modelled times) of the
-former inline stage chain for all four variants on a fixed-seed suite.
+The regression class guards the session against the plain inline stage
+chain: it must produce exactly the compiled signatures (and modelled
+times) of ``legacy_compile`` for all four variants on a fixed-seed suite.
 """
 
 import math
@@ -22,11 +22,9 @@ from repro.pipeline import (
     ScheduleCache,
     VARIANTS,
     kernel_signature,
-    variant_passes,
 )
 from repro.pipeline.akg import CompiledOperator, _adjacent_clusters, _sub_kernel
 from repro.pipeline.passes import (
-    InfluenceTreePass,
     PassContext,
     format_pass_summary,
     merge_metric_dicts,
@@ -96,15 +94,6 @@ class TestRegression:
 
 
 class TestPassManager:
-    def test_variant_pass_lists(self):
-        isl = variant_passes(influence=False, enable_vec=False)
-        infl = variant_passes(influence=True, enable_vec=True)
-        assert not any(isinstance(p, InfluenceTreePass) for p in isl)
-        assert any(isinstance(p, InfluenceTreePass) for p in infl)
-        assert [p.name for p in infl] == ["deps", "influence-tree",
-                                          "schedule", "codegen",
-                                          "vectorize", "gpu-map"]
-
     def test_context_records_all_passes(self):
         pipeline = AkgPipeline(sample_blocks=2)
         pipeline.compile(operators.reduce_producer_op("ctx_k", rows=64,
@@ -122,12 +111,11 @@ class TestPassManager:
         session = CompilationSession(cache=ScheduleCache())
         kernel = operators.elementwise_chain_op("standalone", rows=16,
                                                 cols=8, length=1)
-        state = session.run(kernel,
-                            variant_passes(influence=True, enable_vec=True),
-                            variant="infl")
-        assert state.mapped is not None
-        assert state.schedule.is_complete()
-        assert state.scheduler_stats.dimensions_built > 0
+        result = session.run(kernel, influence=True, enable_vec=True,
+                             variant="infl")
+        assert result.mapped is not None
+        assert result.schedule.is_complete()
+        assert result.scheduler_stats.dimensions_built > 0
 
     def test_trace_events(self):
         pipeline = AkgPipeline(sample_blocks=2, trace=True)
@@ -193,6 +181,51 @@ class TestPassManager:
         # The memo is process-wide and bounded: evictions show, zero too.
         assert ("profile cache: 3 hits / 1 misses / 0 evictions "
                 "(75.0% hit rate)") in summary
+
+
+class TestStageChain:
+    """The traced ``pass.*`` spans of one compile name its stages in the
+    order they ran."""
+
+    @staticmethod
+    def stages(context):
+        return [event["name"][len("pass."):]
+                for event in context.chrome_trace()["traceEvents"]
+                if event["name"].startswith("pass.")]
+
+    @staticmethod
+    def kernel(name):
+        return operators.elementwise_chain_op(name, rows=256, cols=32,
+                                              length=1)
+
+    def test_isl_compile(self):
+        pipeline = AkgPipeline(sample_blocks=2, trace=True)
+        pipeline.compile(self.kernel("chain_isl"), "isl")
+        assert self.stages(pipeline.context) == [
+            "deps", "schedule", "codegen", "vectorize", "gpu-map"]
+
+    def test_influenced_compile(self):
+        pipeline = AkgPipeline(sample_blocks=2, trace=True)
+        pipeline.compile(self.kernel("chain_infl"), "infl")
+        assert self.stages(pipeline.context) == [
+            "deps", "influence-tree", "schedule", "codegen", "vectorize",
+            "gpu-map"]
+
+    def test_tiled_compile(self):
+        from repro.pipeline.autotune import compile_tiled
+        session = CompilationSession(cache=ScheduleCache(), trace=True)
+        compile_tiled(self.kernel("chain_tiled"), (16, 16), session=session)
+        assert self.stages(session.context) == [
+            "deps", "schedule", "codegen", "vectorize", "tile", "gpu-map"]
+
+    def test_launch_cache_hit_runs_no_stage(self):
+        pipeline = AkgPipeline(sample_blocks=2, trace=True)
+        pipeline.compile(self.kernel("chain_first"), "infl")
+        pipeline.session.context = PassContext(trace=True)
+        pipeline.compile(self.kernel("chain_again"), "infl")
+        events = pipeline.context.chrome_trace()["traceEvents"]
+        assert [e["name"] for e in events] == ["compile", "cache-hit"]
+        assert self.stages(pipeline.context) == []
 
 
 class TestScheduleCache:
@@ -299,7 +332,7 @@ class TestScheduleCache:
 
 class TestLaunchCache:
     """Schedule-cache entries also keep the finished launch of each
-    back-end pass list, so content-equal kernels skip codegen, vectorize
+    back-end setting, so content-equal kernels skip codegen, vectorize
     and gpu-map."""
 
     def test_content_equal_kernel_skips_the_back_end(self):
@@ -324,15 +357,15 @@ class TestLaunchCache:
         session = CompilationSession(cache=ScheduleCache())
         kernel = operators.elementwise_chain_op("split_k", rows=256, cols=32,
                                                 length=1)
-        novec = session.run(kernel, variant_passes(True, False))
-        infl = session.run(kernel, variant_passes(True, True))
-        again = session.run(kernel, variant_passes(True, True))
+        novec = session.run(kernel, influence=True, enable_vec=False)
+        infl = session.run(kernel, influence=True, enable_vec=True)
+        again = session.run(kernel, influence=True, enable_vec=True)
         assert infl.schedule is novec.schedule
         assert infl.mapped.ast is not novec.mapped.ast
         assert again.mapped.ast is infl.mapped.ast
         assert session.context.counters["cache.launch_hits"] == 1
         narrow = CompilationSession(cache=session.cache, max_threads=64).run(
-            kernel, variant_passes(True, True))
+            kernel, influence=True, enable_vec=True)
         assert narrow.schedule is infl.schedule
         assert narrow.mapped.ast is not infl.mapped.ast
 

@@ -91,7 +91,7 @@ class TestSatisfactionDepth:
         kernel = matmul(4)
         scheduler = InfluencedScheduler(kernel)
         schedule = scheduler.schedule()
-        self_rels = [r for r in scheduler.validity_relations
+        self_rels = [r for r in scheduler.relations
                      if r.source.name == r.target.name]
         assert self_rels
         assert {satisfaction_depth(r, schedule) for r in self_rels} == {2}
@@ -102,7 +102,7 @@ class TestParallelismAnnotation:
         kernel = elementwise_chain(4, 2)
         scheduler = InfluencedScheduler(kernel)
         schedule = scheduler.schedule()
-        annotate_parallelism(schedule, scheduler.validity_relations)
+        annotate_parallelism(schedule, scheduler.relations)
         # Loop dims parallel; the final scalar dim carries the chain order.
         loop_dims = [d for d in range(schedule.n_dims)
                      if not all(schedule.rows[s.name][d].is_scalar
@@ -113,7 +113,7 @@ class TestParallelismAnnotation:
         kernel = matmul(4)
         scheduler = InfluencedScheduler(kernel)
         schedule = scheduler.schedule()
-        annotate_parallelism(schedule, scheduler.validity_relations)
+        annotate_parallelism(schedule, scheduler.relations)
         flags = [info.parallel for info in schedule.dims]
         assert flags == [True, True, False]
 

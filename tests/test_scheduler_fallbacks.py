@@ -21,7 +21,7 @@ def run(tree):
     scheduler = InfluencedScheduler(
         kernel, options=SchedulerOptions(coeff_bound=COEFF_BOUND))
     schedule = scheduler.schedule(tree)
-    assert verify_schedule(schedule, scheduler.validity_relations) == []
+    assert verify_schedule(schedule, scheduler.relations) == []
     return scheduler, schedule
 
 

@@ -28,7 +28,7 @@ class TestRunningExampleInfluenced:
 
     def test_valid(self, result):
         scheduler, schedule = result
-        assert verify_schedule(schedule, scheduler.validity_relations) == []
+        assert verify_schedule(schedule, scheduler.relations) == []
 
     def test_vector_dimension_marked(self, result):
         _, schedule = result
@@ -74,7 +74,7 @@ class TestHandBuiltTree:
     def test_schedules_j_at_dim2(self):
         kernel = running_example(16)
         scheduler, schedule = schedule_with_tree(kernel, self.build_tree())
-        assert verify_schedule(schedule, scheduler.validity_relations) == []
+        assert verify_schedule(schedule, scheduler.relations) == []
         assert schedule.rows["Y"][0].coefficient_of("j") == 0
         assert schedule.rows["Y"][1].coefficient_of("j") == 0
         assert schedule.rows["Y"][2].coefficient_of("j") == 1
@@ -97,7 +97,7 @@ class TestSiblingFallback:
         scheduler, schedule = schedule_with_tree(kernel, tree)
         assert scheduler.stats.sibling_fallbacks >= 1
         assert schedule.rows["S"][0].coefficient_of("i") == 1
-        assert verify_schedule(schedule, scheduler.validity_relations) == []
+        assert verify_schedule(schedule, scheduler.relations) == []
 
     def test_all_branches_infeasible_runs_plain(self):
         kernel = matmul(8)
@@ -109,7 +109,7 @@ class TestSiblingFallback:
                 label=label))
         scheduler, schedule = schedule_with_tree(kernel, tree)
         assert scheduler.stats.influence_abandoned
-        assert verify_schedule(schedule, scheduler.validity_relations) == []
+        assert verify_schedule(schedule, scheduler.relations) == []
 
 
 class TestAncestorBacktrack:
@@ -138,7 +138,7 @@ class TestAncestorBacktrack:
         assert scheduler.stats.ancestor_backtracks >= 1
         assert schedule.rows["S"][0].coefficient_of("i") == 1
         assert schedule.rows["S"][1].coefficient_of("j") == 1
-        assert verify_schedule(schedule, scheduler.validity_relations) == []
+        assert verify_schedule(schedule, scheduler.relations) == []
 
 
 class TestInfluencedVsPlain:
@@ -148,7 +148,7 @@ class TestInfluencedVsPlain:
         kernel = transpose_add(16)
         tree = build_influence_tree(kernel)
         scheduler, influenced = schedule_with_tree(kernel, tree)
-        assert verify_schedule(influenced, scheduler.validity_relations) == []
+        assert verify_schedule(influenced, scheduler.relations) == []
         dim = influenced.vector_dim()
         assert dim is not None
         # Both statements write [i][j]: innermost must be j for both.

@@ -22,7 +22,7 @@ class TestRunningExample:
 
     def test_valid(self, result):
         scheduler, schedule = result
-        assert verify_schedule(schedule, scheduler.validity_relations) == []
+        assert verify_schedule(schedule, scheduler.relations) == []
 
     def test_complete(self, result):
         _, schedule = result
@@ -60,7 +60,7 @@ class TestMatmul:
 
     def test_valid_and_complete(self, result):
         scheduler, schedule = result
-        assert verify_schedule(schedule, scheduler.validity_relations) == []
+        assert verify_schedule(schedule, scheduler.relations) == []
         assert schedule.is_complete()
 
     def test_two_parallel_one_sequential(self, result):
@@ -79,7 +79,7 @@ class TestMatmul:
 
     def test_self_dependence_satisfied_at_k(self, result):
         scheduler, schedule = result
-        flows = [r for r in scheduler.validity_relations
+        flows = [r for r in scheduler.relations
                  if r.kind == "flow" and r.source.name == "S"]
         assert flows
         assert all(satisfaction_depth(r, schedule) == 2 for r in flows)
@@ -88,7 +88,7 @@ class TestMatmul:
 class TestElementwiseChain:
     def test_fusion_zero_traffic_schedule(self):
         scheduler, schedule = schedule_kernel(elementwise_chain(8, length=3))
-        assert verify_schedule(schedule, scheduler.validity_relations) == []
+        assert verify_schedule(schedule, scheduler.relations) == []
         # All three statements share the first two (parallel) dimensions.
         for d in range(2):
             coeffs = {name: schedule.rows[name][d].iter_coeffs
@@ -107,7 +107,7 @@ class TestElementwiseChain:
 class TestTransposeAdd:
     def test_valid(self):
         scheduler, schedule = schedule_kernel(transpose_add(8))
-        assert verify_schedule(schedule, scheduler.validity_relations) == []
+        assert verify_schedule(schedule, scheduler.relations) == []
         assert schedule.is_complete()
 
 

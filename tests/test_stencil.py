@@ -57,7 +57,7 @@ class TestOperatorFamilies:
         _, kernel, _, _ = family
         scheduler = InfluencedScheduler(kernel)
         schedule = scheduler.schedule()
-        assert verify_schedule(schedule, scheduler.validity_relations) == []
+        assert verify_schedule(schedule, scheduler.relations) == []
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_all_variants_semantics(self, family, variant):
