@@ -12,6 +12,7 @@ from repro.deps.analysis import DEPENDENCES_MEMO, compute_dependences
 from repro.influence import build_influence_tree
 from repro.ir.examples import elementwise_chain, matmul, running_example
 from repro.obs import MetricsRegistry, Obs, Tracer, use_obs
+from repro.pipeline.passes import format_pass_summary
 from repro.schedule import InfluencedScheduler
 from repro.schedule.farkas import FARKAS_MEMO
 from repro.sets.polyhedron import EMPTINESS_MEMO
@@ -170,7 +171,7 @@ def test_bench_pipeline_warm(benchmark):
     assert stats["misses"] == misses, "warm rounds must hit the content cache"
     # The summary includes the schedule-cache hit-rate line, so reuse
     # behaviour lands in the artifact alongside the pass table.
-    summary = pipeline.context.format_summary()
+    summary = format_pass_summary(pipeline.context.as_dict())
     assert "schedule cache:" in summary
     write_artifact(
         "scheduler_perf_passes.txt",
@@ -242,7 +243,7 @@ def test_bench_compile_and_measure(benchmark, sim, monkeypatch):
         stats = pipeline.cache.stats()
         assert (stats["hits"], stats["misses"]) == (0, len(CASES)), \
             "a timed round must compile every case cold"
-    summary = pipelines[-1].context.format_summary()
+    summary = format_pass_summary(pipelines[-1].context.as_dict())
     if sim == "fast":
         assert "simulator fast path" in summary
     lines = [f"compile vs simulate wall time, sim={sim} "

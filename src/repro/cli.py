@@ -7,6 +7,7 @@
     python -m repro table1
     python -m repro table2 --limit 6 --networks ResNet50,VGG16
     python -m repro profile BERT --limit 4
+    python -m repro report latest
     python -m repro verify --networks LSTM
     python -m repro verify --update-goldens
     python -m repro fuzz --budget 30 --seed 7
@@ -20,6 +21,10 @@ Both files are written atomically (temp file + ``os.replace``) and are
 flushed even when evaluation raises, so partial runs stay debuggable.
 Progress goes through the ``repro`` logger: ``-v`` for debug output,
 ``-q`` to silence progress.
+
+``table2`` and ``profile`` append a run record to the run store and print
+:func:`repro.eval.tables.render` of it; ``report RUN`` prints the same
+report of a stored run (``latest``, ``latest~N``, or an id prefix).
 """
 
 from __future__ import annotations
@@ -36,23 +41,21 @@ from typing import Optional, Sequence
 from repro.errors import ReproError
 from repro.eval import (
     EvaluationConfig,
+    OperatorResult,
     evaluate_all,
-    evaluate_network,
     format_table1,
-    format_table2,
 )
 from repro.eval.checkpoint import CheckpointError, EvalCheckpoint
-from repro.eval.tables import format_degradation_summary, geomean_speedup
+from repro.eval.tables import render
 from repro.influence import build_influence_tree, build_scenarios
 from repro.ir.kparser import KernelParseError, parse_kernel_file
 from repro.obs import (
     atomic_write_json,
     configure_logging,
-    format_metrics_report,
     logger,
     use_journal,
 )
-from repro.obs.analyze import DEFAULT_SIGNIFICANCE, Delta, diff_runs
+from repro.obs.analyze import DEFAULT_SIGNIFICANCE, diff_runs
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.provenance import format_decision_path
 from repro.obs.runtime import Obs, use_obs
@@ -65,7 +68,6 @@ from repro.obs.store import (
 from repro.pipeline import (
     AkgPipeline,
     VARIANTS,
-    format_pass_summary,
     merge_contexts,
     merge_metric_dicts,
 )
@@ -127,23 +129,6 @@ def _append_run(args, record: dict) -> str:
         return ""
     logger.info("run %s recorded in %s", run_id, store.root)
     return run_id
-
-
-def _profile_to_record(profile) -> dict:
-    """A lossless rendering of a ``KernelProfile`` for checkpoints (the
-    derived quantities — time, DRAM bytes, coalescing — are properties
-    recomputed from these fields on restore)."""
-    from dataclasses import asdict
-    return asdict(profile)
-
-
-def _profile_from_record(record: dict):
-    """Rebuild a ``KernelProfile`` from :func:`_profile_to_record`."""
-    from repro.gpu.arch import GpuArch
-    from repro.gpu.simulator import KernelProfile
-    fields = dict(record)
-    arch = GpuArch(**fields.pop("arch"))
-    return KernelProfile(arch=arch, **fields)
 
 
 def _kernel_record(profile) -> dict:
@@ -286,15 +271,6 @@ def _cmd_table2(args) -> int:
                                   resume=args.resume is not None)
         results = [by_network[network] for network in networks]
         completed = True
-        print(format_table2(results))
-        print(f"\ngeomean speedup (infl over isl): "
-              f"{geomean_speedup(results):.2f}x")
-        print()
-        print(format_degradation_summary(results))
-        merged = merge_metric_dicts([r.metrics for r in results if r.metrics])
-        if merged.get("passes"):
-            print()
-            print(format_pass_summary(merged))
     finally:
         # Recorded (and exported) even when evaluation raises: partial runs
         # stay diagnosable, marked by status.
@@ -312,6 +288,7 @@ def _cmd_table2(args) -> int:
             wall_seconds=time.monotonic() - started)
         _append_run(args, record)
         _export_observability(args, [r.metrics for r in results if r.metrics])
+    print(render(record))
     degraded = sum(r.count_degraded for r in results)
     failed = sum(r.count_failed for r in results)
     drifted = [op for r in results for op in r.operators if op.verify_problems]
@@ -336,26 +313,6 @@ def _resolve_network(name: str) -> Optional[str]:
     return by_lower.get(name.lower())
 
 
-def _format_kernel_table(profiles: list) -> str:
-    """Per-kernel memory-counter table (the nvprof-style view behind
-    Tables I-II: DRAM transactions, coalescing efficiency, issue mix)."""
-    width = max([len(p.name) for p in profiles] + [6]) + 2
-    lines = [
-        "per-kernel memory counters:",
-        f"  {'kernel':<{width}}{'blocks':>8}{'thr':>6}{'DRAM tx':>12}"
-        f"{'DRAM MB':>10}{'coalesce':>10}{'vec issue':>11}{'time us':>10}",
-    ]
-    for p in profiles:
-        issues = p.scalar_issues + p.vector_issues
-        vec_share = p.vector_issues / issues if issues else 0.0
-        lines.append(
-            f"  {p.name:<{width}}{p.n_blocks:>8}{p.n_threads_per_block:>6}"
-            f"{p.dram_transactions:>12.0f}{p.dram_bytes / 1e6:>10.2f}"
-            f"{p.coalescing_efficiency * 100:>9.1f}%"
-            f"{vec_share * 100:>10.1f}%{p.time * 1e6:>10.1f}")
-    return "\n".join(lines)
-
-
 def _cmd_profile(args) -> int:
     network = _resolve_network(args.network)
     if network is None:
@@ -370,27 +327,8 @@ def _cmd_profile(args) -> int:
                            max_threads=args.max_threads,
                            scheduler_options=options,
                            trace=bool(args.trace))
-    baseline_record = None
-    if args.baseline:
-        try:
-            baseline_record = _store_for(args).resolve(args.baseline)
-        except RunStoreError as exc:
-            logger.error("error: %s", exc)
-            return 2
     suite = generate_network_suite(network, seed=args.seed,
                                    limit=args.limit if args.limit > 0 else None)
-    checkpoint = None
-    stored: dict = {}
-    if not args.no_checkpoint:
-        checkpoint = EvalCheckpoint("profile", [network], {
-            "variant": args.variant, "seed": args.seed, "limit": args.limit,
-            "sample_blocks": args.sample_blocks,
-            "max_threads": args.max_threads,
-            "deadline_ms": args.deadline_ms,
-        }, root=_store_for(args).root)
-        if args.resume is not None:
-            checkpoint.use_ref(args.resume)
-            stored = checkpoint.stored_records()
     started = time.monotonic()
     record = new_record("profile", config={
         "networks": network, "variant": args.variant, "seed": args.seed,
@@ -398,129 +336,53 @@ def _cmd_profile(args) -> int:
         "sample_blocks": args.sample_blocks,
         "max_threads": args.max_threads})
     profiles = []
-    operators: list[dict] = []
+    operators: list[OperatorResult] = []
     metric_dicts: list[dict] = []
-    degraded: list[tuple[str, str]] = []
-    failed: list[tuple[str, str]] = []
     completed = False
     try:
-        for index, (op_class, kernel) in enumerate(suite):
-            restored = stored.get(checkpoint.operator_key(kernel)) \
-                if stored else None
-            if restored is not None and "operator" in restored:
-                entry = restored["operator"]
-                operators.append(entry)
-                profiles.extend(_profile_from_record(k)
-                                for k in restored.get("profiles", ()))
-                metric_dicts.append(restored.get("metrics") or {})
-                if entry.get("status") == "failed":
-                    failed.append((kernel.name, entry.get("error", "")))
-                elif entry.get("status") == "degraded":
-                    level = entry.get("degradation", {}) \
-                        .get(args.variant, "?")
-                    degraded.append((kernel.name, level))
-                logger.info("restored %s (%s) from checkpoint",
-                            kernel.name, op_class)
-                continue
+        for op_class, kernel in suite:
             logger.info("profiling %s (%s)...", kernel.name, op_class)
-            # One metric snapshot per operator — the granularity both the
-            # checkpoint and the merged report need.
+            # One context per operator, so its counters (fallbacks among
+            # them) are the operator's own.
             pipeline.session.context = PassContext(trace=bool(args.trace))
-            entry = {"name": kernel.name, "op_class": op_class,
-                     "times": {}, "launches": {}, "schedule_hashes": {},
-                     "status": "ok"}
-            operators.append(entry)
-            op_profiles: list = []
+            result = OperatorResult(name=kernel.name, op_class=op_class,
+                                    times={}, influenced=False,
+                                    vectorized=False, launches={})
+            operators.append(result)
             try:
                 compiled = pipeline.compile(kernel, args.variant)
             except ReproError as exc:
-                failed.append((kernel.name, f"{type(exc).__name__}: {exc}"))
-                entry["status"] = "failed"
-                entry["error"] = f"{type(exc).__name__}: {exc}"
+                result.status = "failed"
+                result.error = f"{type(exc).__name__}: {exc}"
                 logger.warning("skipping %s: %s", kernel.name, exc)
             else:
                 if compiled.degradation != "none":
-                    degraded.append((kernel.name, compiled.degradation))
-                    entry["status"] = "degraded"
-                    entry["degradation"] = {args.variant:
-                                            compiled.degradation}
+                    result.status = "degraded"
+                    result.degradation = {args.variant: compiled.degradation}
                 timing = pipeline.measure(compiled)
-                entry["times"][args.variant] = timing.time
-                entry["launches"][args.variant] = compiled.n_launches
-                entry["schedule_hashes"][args.variant] = \
-                    compiled.schedule_hash
-                op_profiles = list(timing.profiles)
-                profiles.extend(op_profiles)
-            metrics = pipeline.context.as_dict()
-            metric_dicts.append(metrics)
-            if checkpoint is not None:
-                checkpoint.record(network, index, kernel, {
-                    "operator": entry,
-                    "profiles": [_profile_to_record(p) for p in op_profiles],
-                    "metrics": metrics})
+                result.times[args.variant] = timing.time
+                result.launches[args.variant] = compiled.n_launches
+                result.schedule_hashes[args.variant] = compiled.schedule_hash
+                profiles.extend(timing.profiles)
+            result.fallbacks = int(
+                pipeline.context.counters.get("resilience.fallback", 0))
+            metric_dicts.append(pipeline.context.as_dict())
         completed = True
-        merged_context = merge_contexts(metric_dicts)
-        print(f"profile report — {network}, variant {args.variant}, "
-              f"{len(suite)} operator(s), {len(profiles)} kernel launch(es)")
-        print()
-        print(merged_context.format_summary())
-        print()
-        print(format_metrics_report(merged_context.obs.metrics))
-        print()
-        print(_format_kernel_table(profiles))
-        print()
-        counters = merged_context.counters
-        ok = len(suite) - len(degraded) - len(failed)
-        print(f"degradation summary: {ok} ok, {len(degraded)} degraded, "
-              f"{len(failed)} failed; "
-              f"fallbacks={int(counters.get('resilience.fallback', 0))}")
-        for name, level in degraded:
-            print(f"  {name}: degraded ({level})")
-        for name, error in failed:
-            print(f"  {name}: FAILED ({error})")
-        if baseline_record is not None:
-            print()
-            print(_render_profile_baseline(baseline_record, profiles))
     finally:
-        if failed or not completed:
+        statuses = {op.status for op in operators}
+        if "failed" in statuses or not completed:
             record["status"] = "failed" if completed else "error"
-        elif degraded:
+        elif "degraded" in statuses:
             record["status"] = "degraded"
-        record["operators"] = operators
+        record["operators"] = [dict(op.as_record(), network=network)
+                               for op in operators]
         record["kernels"] = [_kernel_record(p) for p in profiles]
-        if checkpoint is not None and checkpoint.counters:
-            metric_dicts.append({"counters": dict(checkpoint.counters)})
         finalize_record(record, metrics=merge_metric_dicts(metric_dicts),
                         wall_seconds=time.monotonic() - started)
         _append_run(args, record)
         _export_observability(args, metric_dicts)
-    return 1 if failed else 0
-
-
-def _render_profile_baseline(baseline: dict, profiles: list) -> str:
-    """Per-kernel deltas of the current profile against a stored run
-    (``repro profile --baseline RUN``)."""
-    before = {k.get("name", ""): k for k in baseline.get("kernels", ())}
-    after = {p.name: p for p in profiles}
-    lines = [f"deltas vs run {baseline.get('run_id', '?')} "
-             f"({baseline.get('command', '?')})"]
-    if not before:
-        lines.append("  (baseline run recorded no kernels)")
-        return "\n".join(lines)
-    for name in sorted(set(before) | set(after)):
-        old = before.get(name)
-        new = after.get(name)
-        delta = Delta(name, old.get("time") if old else None,
-                      new.time if new else None)
-        dram = ""
-        if old is not None and new is not None:
-            old_tx = old.get("dram_transactions") or 0.0
-            if old_tx:
-                dram = (f", DRAM tx {old_tx:.0f} -> "
-                        f"{new.dram_transactions:.0f} "
-                        f"({new.dram_transactions / old_tx:.2f}x)")
-        lines.append(f"  {delta.render()}{dram}")
-    return "\n".join(lines)
+    print(render(record))
+    return 1 if "failed" in statuses else 0
 
 
 def _cmd_explain(args) -> int:
@@ -547,9 +409,7 @@ def _cmd_explain(args) -> int:
                     stored.get("run_id"))
     # The schedule cache is disabled: a cache hit would skip scheduling
     # entirely and the journal would have nothing to explain.
-    pipeline = AkgPipeline(sample_blocks=args.sample_blocks,
-                           max_threads=args.max_threads,
-                           enable_cache=False)
+    pipeline = AkgPipeline(max_threads=args.max_threads, enable_cache=False)
     suite = generate_network_suite(network, seed=seed,
                                    limit=limit if limit > 0 else None)
     names = [kernel.name for _, kernel in suite]
@@ -621,6 +481,11 @@ def _cmd_obs_show(args) -> int:
         return 0
     record = store.resolve(args.run)
     print(json.dumps(record, indent=2, sort_keys=True))
+    return 0
+
+
+def _cmd_report(args) -> int:
+    print(render(_store_for(args).resolve(args.run)))
     return 0
 
 
@@ -721,18 +586,6 @@ def _deadline_flags() -> argparse.ArgumentParser:
     return parent
 
 
-def _checkpoint_flags() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--resume", nargs="?", const="auto", default=None,
-                        metavar="CKPT",
-                        help="reload completed operators from the checkpoint "
-                             "(bare: the one this configuration derives; or "
-                             "a checkpoint-id prefix) and run the remainder")
-    parent.add_argument("--no-checkpoint", action="store_true",
-                        help="do not append per-operator checkpoint records")
-    return parent
-
-
 def _obs_flags() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--trace", default="", metavar="FILE",
@@ -789,8 +642,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="regenerate Table II",
                        parents=[_seed_flags(),
                                 _sampling_flags(max_threads=False),
-                                _deadline_flags(), _checkpoint_flags(),
-                                _obs_flags(), _store_flags()])
+                                _deadline_flags(), _obs_flags(),
+                                _store_flags()])
     p.add_argument("--limit", type=int, default=6,
                    help="operators per network (0 = the paper's full counts)")
     p.add_argument("--networks", default="",
@@ -803,6 +656,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-degraded", action="store_true",
                    help="exit 0 even when operators compiled at reduced "
                         "quality via the degradation ladder")
+    p.add_argument("--resume", nargs="?", const="auto", default=None,
+                   metavar="CKPT",
+                   help="reload completed operators from the checkpoint "
+                        "(bare: the one this configuration derives; or "
+                        "a checkpoint-id prefix) and run the remainder")
+    p.add_argument("--no-checkpoint", action="store_true",
+                   help="do not append per-operator checkpoint records")
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("profile",
@@ -810,24 +670,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             "(pass table, solver histograms, per-kernel "
                             "memory counters)",
                        parents=[_seed_flags(), _sampling_flags(),
-                                _deadline_flags(), _checkpoint_flags(),
-                                _obs_flags(), _store_flags()])
+                                _deadline_flags(), _obs_flags(),
+                                _store_flags()])
     p.add_argument("network", help="a Table I network (case-insensitive)")
     p.add_argument("--variant", choices=VARIANTS, default="infl")
     p.add_argument("--limit", type=int, default=4,
                    help="operators to profile (0 = the full suite)")
-    p.add_argument("--baseline", default="", metavar="RUN",
-                   help="print per-kernel deltas against a stored run "
-                        "(id, unique prefix, or latest[~N])")
     p.set_defaults(func=_cmd_profile)
+
+    p = sub.add_parser("report",
+                       help="print a stored table2 or profile run's report "
+                            "again, from its record",
+                       parents=[_store_flags(recording=False)])
+    p.add_argument("run", help="run id, unique prefix, or latest[~N]")
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("explain",
                        help="render the scheduler decision path: scenarios "
                             "considered with static costs, the injected "
                             "constraint per dimension, fallback activations",
-                       parents=[_seed_flags(), _sampling_flags(),
-                                _store_flags(recording=False)])
+                       parents=[_seed_flags(), _store_flags(recording=False)])
     p.add_argument("network", help="a Table I network (case-insensitive)")
+    p.add_argument("--max-threads", type=int, default=256)
     p.add_argument("--operator", default="", metavar="NAME",
                    help="explain only this operator (default: whole suite)")
     p.add_argument("--variant", choices=VARIANTS, default="infl")

@@ -1,6 +1,6 @@
 """Crash-safe incremental evaluation checkpoints.
 
-A ``table2`` or ``profile`` run appends one *partial record* per
+A ``table2`` run appends one *partial record* per
 completed operator to ``<runs-dir>/checkpoints/<eval_key>.jsonl``.  The
 file follows the run store's durability discipline (:mod:`repro.obs.store`):
 append-only JSONL, one whole line per ``os.write`` on an ``O_APPEND``
@@ -120,6 +120,7 @@ def operator_from_record(record: dict):
         error=record.get("error", ""),
         verify_problems=list(record.get("verify_problems", ())),
         schedule_hashes=dict(record.get("schedule_hashes", {})),
+        fallbacks=record.get("fallbacks", 0),
     )
 
 

@@ -86,6 +86,7 @@ class OperatorResult:
     error: str = ""             # "variant: ExcType: message; ..." when failed
     verify_problems: list = field(default_factory=list)  # oracle findings
     schedule_hashes: dict = field(default_factory=dict)  # variant -> hash
+    fallbacks: int = 0          # degradation-ladder rungs that failed
 
     def speedup(self, variant: str) -> float:
         base = self.times.get("isl")
@@ -113,6 +114,8 @@ class OperatorResult:
             record["error"] = self.error
         if self.verify_problems:
             record["verify_problems"] = list(self.verify_problems)
+        if self.fallbacks:
+            record["fallbacks"] = self.fallbacks
         return record
 
 
@@ -213,6 +216,7 @@ def evaluate_operator(pipeline: AkgPipeline, name: str, op_class: str,
     degradation: dict[str, str] = {}
     errors: list[str] = []
     vectorized = False
+    fallbacks_before = pipeline.context.counters.get("resilience.fallback", 0)
     for variant in VARIANTS:
         try:
             compiled = pipeline.compile(kernel, variant)
@@ -269,6 +273,8 @@ def evaluate_operator(pipeline: AkgPipeline, name: str, op_class: str,
         error="; ".join(errors),
         verify_problems=verify_problems,
         schedule_hashes=hashes,
+        fallbacks=int(pipeline.context.counters.get("resilience.fallback", 0)
+                      - fallbacks_before),
     )
 
 

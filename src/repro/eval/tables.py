@@ -1,10 +1,20 @@
-"""Formatting of Table I and Table II in the paper's layout."""
+"""Formatting of Table I and Table II in the paper's layout, and the
+reports of stored runs.
+
+:func:`render` is the one printer of a ``table2`` or ``profile`` run: the
+commands print ``render(record)`` of the record they append, and
+``repro report RUN`` prints it again from the store.
+"""
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from repro.eval.checkpoint import operator_from_record
 from repro.eval.runner import NetworkResult
+from repro.obs.metrics import format_metrics_report
+from repro.obs.store import RunStoreError
+from repro.pipeline.passes import format_pass_summary
 from repro.workloads.networks import table1_rows
 
 
@@ -93,13 +103,12 @@ def format_table2(results: Iterable[NetworkResult]) -> str:
 
 def degradation_row(result: NetworkResult) -> dict:
     """Per-network resilience counts (ok/degraded/failed + activations)."""
-    counters = result.metrics.get("counters", {}) if result.metrics else {}
     return {
         "network": result.network,
         "ok": result.count_ok,
         "degraded": result.count_degraded,
         "failed": result.count_failed,
-        "fallbacks": int(counters.get("resilience.fallback", 0)),
+        "fallbacks": sum(op.fallbacks for op in result.operators),
     }
 
 
@@ -138,3 +147,79 @@ def geomean_speedup(results: Iterable[NetworkResult],
     if not speedups:
         return float("nan")
     return math.exp(sum(math.log(s) for s in speedups) / len(speedups))
+
+
+# -- reports of run records ---------------------------------------------------
+
+
+def _format_kernel_table(kernels: list[dict]) -> str:
+    """Per-kernel memory-counter table (the nvprof-style view behind
+    Tables I-II: DRAM transactions, coalescing efficiency, issue mix) of
+    a ``profile`` record's ``kernels``."""
+    width = max([len(k["name"]) for k in kernels] + [6]) + 2
+    lines = [
+        "per-kernel memory counters:",
+        f"  {'kernel':<{width}}{'blocks':>8}{'thr':>6}{'DRAM tx':>12}"
+        f"{'DRAM MB':>10}{'coalesce':>10}{'vec issue':>11}{'time us':>10}",
+    ]
+    for k in kernels:
+        issues = k["scalar_issues"] + k["vector_issues"]
+        vec_share = k["vector_issues"] / issues if issues else 0.0
+        lines.append(
+            f"  {k['name']:<{width}}{k['n_blocks']:>8}"
+            f"{k['n_threads_per_block']:>6}"
+            f"{k['dram_transactions']:>12.0f}{k['dram_bytes'] / 1e6:>10.2f}"
+            f"{k['coalescing_efficiency'] * 100:>9.1f}%"
+            f"{vec_share * 100:>10.1f}%{k['time'] * 1e6:>10.1f}")
+    return "\n".join(lines)
+
+
+def _network_results(record: dict) -> list[NetworkResult]:
+    """The record's operators as one ``NetworkResult`` per network, in
+    the order of its ``networks`` configuration."""
+    networks = record["config"]["networks"].split(",")
+    operators: dict[str, list] = {network: [] for network in networks}
+    for entry in record.get("operators", ()):
+        operators[entry["network"]].append(operator_from_record(entry))
+    return [NetworkResult(network, ops) for network, ops in operators.items()]
+
+
+def _pass_summary(record: dict) -> str:
+    return format_pass_summary(dict(record.get("metrics", {}),
+                                    passes=record.get("passes", {})))
+
+
+def _render_table2(record: dict) -> list[str]:
+    results = _network_results(record)
+    sections = [format_table2(results), "",
+                f"geomean speedup (infl over isl): "
+                f"{geomean_speedup(results):.2f}x", "",
+                format_degradation_summary(results)]
+    if record.get("passes"):
+        sections += ["", _pass_summary(record)]
+    return sections
+
+
+def _render_profile(record: dict) -> list[str]:
+    config, kernels = record["config"], record.get("kernels", [])
+    return [f"profile report — {config['networks']}, variant "
+            f"{config['variant']}, {len(record.get('operators', ()))} "
+            f"operator(s), {len(kernels)} kernel launch(es)", "",
+            _pass_summary(record), "",
+            format_metrics_report(record.get("metrics", {})), "",
+            _format_kernel_table(kernels), "",
+            format_degradation_summary(_network_results(record))]
+
+
+_RENDERERS = {"table2": _render_table2, "profile": _render_profile}
+
+
+def render(record: dict) -> str:
+    """The printed report of a ``table2`` or ``profile`` run record."""
+    renderer = _RENDERERS.get(record.get("command", ""))
+    if renderer is None:
+        raise RunStoreError(
+            f"run {record.get('run_id', '?')} is a "
+            f"{record.get('command', '?')!r} run; only table2 and profile "
+            f"runs have a report")
+    return "\n".join(renderer(record))

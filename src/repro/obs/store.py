@@ -4,9 +4,9 @@ Every ``compile``/``table2``/``profile`` invocation records one *run
 record* — kernel and solver configuration, per-pass timings, the full
 metrics snapshot, per-operator times/status/degradation rung and schedule
 hashes — into ``.repro/runs/runs.jsonl`` (override with ``REPRO_RUNS_DIR``
-or an explicit store root).  ``repro obs``, ``repro explain --run`` and
-``profile --resume``/``--baseline`` read it back through
-:meth:`RunStore.records` and :meth:`RunStore.resolve`.
+or an explicit store root).  ``repro report``, ``repro obs`` and
+``repro explain --run`` read it back through :meth:`RunStore.records`
+and :meth:`RunStore.resolve`.
 
 Durability and concurrency model:
 

@@ -118,10 +118,6 @@ class PassContext:
         """The (merged) span log as Chrome trace-event JSON."""
         return self.obs.tracer.chrome_trace()
 
-    def format_summary(self) -> str:
-        """Human-readable per-pass timing table plus headline counters."""
-        return format_pass_summary(self.as_dict())
-
 
 def merge_metric_dicts(payloads: Iterable[dict]) -> dict:
     """Merge several :meth:`PassContext.as_dict` snapshots into one."""

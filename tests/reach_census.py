@@ -82,18 +82,18 @@ MATRIX = _matrix(
     "--metrics {tmp}/t2m.json --runs-dir {tmp}/runs",
     "repro -q table2 --networks LSTM,BERT --limit 2 --seed 1 "
     "--sample-blocks 2 --deadline-ms 60000 --verify --resume",
+    "repro report latest",
     "repro table2 --networks LSTM,VGG16 --limit 2 --jobs 2 --trace "
     "{tmp}/t2c.json --no-checkpoint --no-record",
-    # profile and its --resume (the only reader of stored profiles)
+    # profile, and the report of its record
     "repro profile lstm --limit 2 --sample-blocks 2 --max-threads 128 "
     "--seed 1 --variant infl --deadline-ms 60000 --trace {tmp}/p.json "
     "--metrics {tmp}/pm.json",
-    "repro profile lstm --limit 2 --sample-blocks 2 --max-threads 128 "
-    "--seed 1 --deadline-ms 60000 --resume --baseline latest",
-    "repro profile bert --limit 1 --no-checkpoint --no-record",
+    "repro report latest",
+    "repro profile bert --limit 1 --no-record",
     # explain and obs
-    "repro explain lstm --limit 2 --variant infl --sample-blocks 2 "
-    "--max-threads 128 --seed 1",
+    "repro explain lstm --limit 2 --variant infl --max-threads 128 "
+    "--seed 1",
     "repro explain LSTM --run latest --operator lstm_op002_elementwise_vec",
     "repro obs list",
     "repro obs show latest",
@@ -116,8 +116,9 @@ MATRIX = _matrix(
     ("repro table2 --networks LSTM --limit 1 --jobs 2 --sample-blocks 2",
      "compile=scheduling-error", 1),
     # .github/workflows/ci.yml, verbatim apart from the output paths
-    "repro table2 --networks LSTM --limit 1 --sample-blocks 2 --jobs 2 "
+    "repro -q table2 --networks LSTM --limit 1 --sample-blocks 2 --jobs 2 "
     "--trace {tmp}/table2-trace.json --metrics {tmp}/table2-metrics.json",
+    "repro -q report latest",
     "repro verify --metrics {tmp}/verify-metrics.json",
     ("repro verify --networks LSTM --no-corpus", "compile=timeout", 1),
     "repro fuzz --budget 30 --seed 7 --no-corpus",

@@ -79,8 +79,8 @@ _TABLE2 = dict(
     trace="", metrics="", runs_dir="", no_record=False)
 _PROFILE = dict(
     network="bert", variant="infl", limit=4, seed=0, sample_blocks=8,
-    max_threads=256, deadline_ms=0.0, baseline="", resume=None,
-    no_checkpoint=False, trace="", metrics="", runs_dir="", no_record=False)
+    max_threads=256, deadline_ms=0.0, trace="", metrics="", runs_dir="",
+    no_record=False)
 _VERIFY = dict(
     networks="", seed=0, limit=2, sample_blocks=2, max_threads=256,
     update_goldens=False, goldens_dir="", corpus_dir="", no_goldens=False,
@@ -108,14 +108,15 @@ PARSER_TABLE = [
      dict(_namespace("table2", "_cmd_table2", **_TABLE2), resume="auto",
           deadline_ms=50.0, sample_blocks=2)),
     (["profile", "bert"], _namespace("profile", "_cmd_profile", **_PROFILE)),
-    (["profile", "bert", "--resume", "ab12", "--no-checkpoint", "--seed",
-      "3", "--max-threads", "64"],
-     dict(_namespace("profile", "_cmd_profile", **_PROFILE), resume="ab12",
-          no_checkpoint=True, seed=3, max_threads=64)),
+    (["profile", "bert", "--seed", "3", "--max-threads", "64"],
+     dict(_namespace("profile", "_cmd_profile", **_PROFILE), seed=3,
+          max_threads=64)),
+    (["report", "latest~1", "--runs-dir", "runs"],
+     _namespace("report", "_cmd_report", run="latest~1", runs_dir="runs")),
     (["explain", "lstm", "--run", "latest"],
      _namespace("explain", "_cmd_explain", network="lstm", operator="",
-                variant="infl", seed=0, limit=4, sample_blocks=8,
-                max_threads=256, run="latest", runs_dir="")),
+                variant="infl", seed=0, limit=4, max_threads=256,
+                run="latest", runs_dir="")),
     (["obs", "list"],
      _namespace("obs", "_cmd_obs_list", obs_command="list", runs_dir="")),
     (["obs", "show", "latest"],
@@ -142,6 +143,65 @@ class TestParser:
         namespace = vars(build_arg_parser().parse_args(argv))
         namespace["func"] = namespace["func"].__name__
         assert namespace == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "bert", "--resume"],
+        ["profile", "bert", "--no-checkpoint"],
+        ["profile", "bert", "--baseline", "latest"],
+        ["explain", "lstm", "--sample-blocks", "2"],
+    ])
+    def test_removed_options_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_arg_parser().parse_args(argv)
+        capsys.readouterr()
+
+
+class TestReport:
+    """``table2`` and ``profile`` print exactly what ``repro report``
+    renders again from the run record they append."""
+
+    TABLE2 = ["-q", "table2", "--networks", "LSTM,BERT", "--limit", "2",
+              "--sample-blocks", "2"]
+
+    def _printed_equals_report(self, argv, capsys) -> str:
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main(["-q", "report", "latest"]) == 0
+        assert capsys.readouterr().out == printed
+        return printed
+
+    def test_table2_serial(self, capsys):
+        printed = self._printed_equals_report(self.TABLE2, capsys)
+        assert "TABLE II" in printed and "per-pass compile time:" in printed
+
+    def test_table2_jobs2(self, capsys):
+        self._printed_equals_report(self.TABLE2 + ["--jobs", "2"], capsys)
+
+    def test_table2_resume(self, capsys):
+        assert main(self.TABLE2) == 0
+        capsys.readouterr()
+        self._printed_equals_report(self.TABLE2 + ["--resume"], capsys)
+
+    def test_table2_fault_plan_fallbacks(self, capsys, monkeypatch):
+        # The fallbacks column is rebuilt from the operators' own counts.
+        monkeypatch.setenv("REPRO_FAULT_PLAN",
+                           "compile=timeout@variant=infl&influence=True")
+        printed = self._printed_equals_report(
+            self.TABLE2 + ["--allow-degraded"], capsys)
+        rows = [line.split() for line in printed.splitlines()
+                if line.startswith(("  LSTM ", "  BERT "))]
+        assert [row[-1] for row in rows] == ["2", "2"]
+
+    def test_profile(self, capsys):
+        printed = self._printed_equals_report(
+            ["-q", "profile", "lstm", "--limit", "1"], capsys)
+        assert "per-kernel memory counters:" in printed
+
+    def test_other_record_kinds_exit_2(self, kernel_file, capsys):
+        assert main(["-q", "compile", kernel_file]) == 0
+        capsys.readouterr()
+        assert main(["-q", "report", "latest"]) == 2
+        assert "compile" in capsys.readouterr().err
 
 
 class TestControlArmParity:

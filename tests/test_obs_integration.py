@@ -191,6 +191,8 @@ class TestProfileCommand:
         assert "solver.solve_seconds" in out and "p50=" in out
         assert "per-kernel memory counters:" in out
         assert "DRAM tx" in out and "coalesce" in out
+        assert "degradation summary (per network):" in out
+        assert "  LSTM              1         0       0          0" in out
         payload = json.loads(metrics.read_text())
         assert payload["counters"]["gpu.kernels"] >= 1
         assert payload["counters"]["gpu.dram_transactions"] > 0

@@ -351,7 +351,7 @@ class TestLaunchCache:
                                                       "launch_two")
         assert second.signature() == first.signature()
         assert "1 hits served the finished launch" in \
-            pipeline.context.format_summary()
+            format_pass_summary(pipeline.context.as_dict())
 
     def test_back_end_settings_split_launches(self):
         session = CompilationSession(cache=ScheduleCache())
