@@ -50,7 +50,9 @@ SIMULATORS = {"fast": simulate_uncached, "reference": simulate_reference}
 # The transpose runs the *natural* (uninfluenced) mapping: its strided
 # warp accesses are exactly the repeated-signature workload the fast
 # path memoizes.  The elementwise family is dominated by short guard-free
-# vector bodies, so its floor is lower.
+# vector bodies, so its floor is lower.  Measured fast/reference on 2
+# cores: elementwise 6x, transpose 5.6x, reduction 16x (12x replaying the
+# cache traffic one warp instruction at a time).
 FAMILIES = {
     "elementwise": (lambda: operators.elementwise_chain_op(
         "bench_sim_ew", rows=4096, cols=64), False, 1.5),
@@ -61,13 +63,14 @@ FAMILIES = {
     # Uninfluenced softmax: each lane reads along its own row, so most
     # statement issues exactly repeat the previous one, the shape the
     # repeated-issue collapse skips.  Measured fast/reference on 2 cores:
-    # 33x (7.3x replaying every issue); the floor is about half.
+    # 40x (32x replaying one warp instruction at a time, 7.3x replaying
+    # every issue); the floor is below half.
     "softmax_rows": (lambda: operators.softmax_like_op(
         "bench_sim_smr", rows=2048, cols=64), False, 15.0),
     # Fused, influenced and vectorized: union loops whose guarded
     # children are live on one band each, the shapes the loop segment
-    # plans skip.  Measured fast/reference on 2 cores: softmax 54x,
-    # attention 94x (8.2x and 11.9x when every iteration was walked).
+    # plans skip.  Measured fast/reference on 2 cores: softmax 160x,
+    # attention 175x (8.2x and 11.9x when every iteration was walked).
     # Each floor sits at about half the measured ratio, the margin
     # absorbing a noisy shared host, and above the ratio of the walk the
     # plans replaced.
@@ -77,22 +80,24 @@ FAMILIES = {
         "bench_sim_attf", seq=32, dmodel=16), True, 40.0),
     # Single-thread fused launches.  The transpose's `forvec` holds
     # guards, so its lanes become guarded plan entries, issued together
-    # per segment: measured 8.4x (3.8x issuing one call at a time, 1.5x
+    # per segment: measured 20x (9.3x replaying the cache traffic one
+    # warp instruction at a time, 3.8x issuing one call at a time, 1.5x
     # walking every iteration).  The depthwise convolution is the loop
     # nest of the ResNeXt50 `op028` launch at a 2x2 output: its statements
     # sit two and three loops below guards on the outer loops, which the
-    # plans skip by lifted liveness: measured 20x (3.7x with plans that
-    # only see guards directly under a loop).  The heat stencil issues up
-    # to three live calls per segment in one pass: measured 3.9x (2.3x
-    # one call at a time), the floor above the old ratio rather than at
-    # half the new one.
+    # plans skip by lifted liveness: measured 21x (3.7x with plans that
+    # only see guards directly under a loop).  The heat stencil issues
+    # up to three live calls per segment in one pass: measured 8x (3.6x
+    # replaying one warp instruction at a time, 2.3x one call at a time).
+    # The transpose and heat floors sit at about half their ratios, above
+    # the ratio of per-instruction replay.
     "transpose_fused": (lambda: operators.transpose2d_op(
-        "bench_sim_trf", rows=128, cols=128), True, 4.0),
+        "bench_sim_trf", rows=128, cols=128), True, 10.0),
     "depthwise_fused": (lambda: operators.depthwise_conv_op(
         "bench_sim_dwf", channels=16, height=2, width=2, kernel_size=2),
         True, 10.0),
     "heat_fused": (lambda: operators.stencil2d_op(
-        "bench_sim_heatf", size=64, kind="heat"), True, 2.5),
+        "bench_sim_heatf", size=64, kind="heat"), True, 4.5),
 }
 
 _COMPILED: dict = {}

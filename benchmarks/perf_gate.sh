@@ -4,17 +4,19 @@
 #   benchmarks/perf_gate.sh BASE_DIR [WORKLOAD...]
 #
 # Run from the root of the changed checkout.  For each workload (default:
-# families elementwise) it runs 10 alternating base/change pairs of
-# `perfbench/harness.py compare`.  It fails when compare exits non-zero,
-# when a run is not correct, or when any end-to-end metric's verdict is
-# `regression` (worse than the base median by more than the metric's
-# bound in BENCHMARK.json).
+# families elementwise reduce-transpose, the solver-heavy, per-operator
+# overhead and simulator-heavy workloads that CI's perf-gate job gates)
+# it runs 10 alternating base/change pairs of `perfbench/harness.py
+# compare`.  It fails when compare exits non-zero, when a run is not
+# correct, or when any end-to-end metric's verdict is `regression` (worse
+# than the base median by more than the metric's bound in
+# BENCHMARK.json).
 set -uo pipefail
 
 base=${1:?usage: perf_gate.sh BASE_DIR [WORKLOAD...]}
 shift
 workloads=("$@")
-[ ${#workloads[@]} -eq 0 ] && workloads=(families elementwise)
+[ ${#workloads[@]} -eq 0 ] && workloads=(families elementwise reduce-transpose)
 
 status=0
 for workload in "${workloads[@]}"; do

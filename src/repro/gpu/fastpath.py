@@ -26,19 +26,41 @@ blocks and loop iterations.  Three consequences drive the speedup:
   in closed form from the stride arithmetic, with no set building or
   sorting (``sim.fastpath.analytic``), and lane enumeration remains only
   for masked/partial warps and irregular offset patterns;
-* replaying a memoized pattern against the (stateful, order-sensitive)
-  cache hierarchy reuses :func:`repro.gpu.memory.replay_warp_pattern`,
+* replaying memoized patterns against the (stateful, order-sensitive)
+  cache hierarchy goes through :func:`repro.gpu.memory.replay_issues`,
   which reproduces the reference's sector-operation sequence byte for
   byte — counters stay bitwise-identical by construction.
 
+Statement loops.  A sequential loop segment whose live children are all
+statement calls, with lane-invariant bounds, is issued by one routine
+(:meth:`_FastSimulator._issue_calls`; a lone scalar issue, and a mapped
+loop body made of statement calls, are its one-value cases).  Per value
+of the loop variable it issues every live call in turn.  Each access's
+address steps by its stride on the loop variable, so its residue modulo
+the sector — and with it the warp signature and pattern — repeats with a
+period dividing the sector size, while its base sector advances by a
+fixed amount per period; the calls' joint period is the least common
+multiple of theirs, again a divisor of the sector size.  The first joint
+period does the pattern lookups of single issues; later iterations reuse
+its patterns, counting the same memo hits and costs.  So the loop's
+sector operations are a *slot table* — the first period's issues, each
+with its operations ``(base sector, pattern, is_write)`` and the advance
+of every base sector per period — plus an issue count: issue ``c *
+n_slots + k`` is slot ``k`` with its bases advanced ``c`` times.  Pattern
+lookups touch no cache state and nothing reads it before the block ends,
+so each loop is queued as ``(slots, n_issues)`` (a vector issue is a
+one-slot, one-issue loop); ``replay_issues`` replays the queued loops in
+order, up to ``_LOOP_BATCH`` of them per call, and
+:meth:`_FastSimulator.run_block` replays the rest when the block ends.
+
 Repeated issues.  Let O be the ordered sector operations of one statement
-issue: every warp instruction with its base sector, its pattern and
-whether it loads or stores.  Patterns are canonical by content per kernel
-(equal sector sequences are one object), so two issues produce the same O
-exactly when their operation tuples compare equal.  Suppose the next issue
-produces the identical O, no memory operation happened in between, and O
-touches at most ``l1.capacity_sectors`` sectors (the sum of its patterns'
-``n_sectors``).  Then replaying O again leaves both caches unchanged:
+issue.  Patterns are canonical by content per kernel (equal sector
+sequences are one object), so two issues produce the same O exactly when
+their operations compare equal, patterns by identity.  Suppose the next
+issue produces the identical O, no memory operation happened in between,
+and O touches at most ``l1.capacity_sectors`` sectors (the sum of its
+patterns' ``n_sectors``).  Then replaying O again leaves both caches
+unchanged:
 
 * every sector of O is among the most recently used L1 sectors — for LRU
   to evict one, more distinct sectors than the capacity would have to be
@@ -48,28 +70,19 @@ touches at most ``l1.capacity_sectors`` sectors (the sum of its patterns'
 * every sector O stores is already dirty;
 * L2 and DRAM are never touched.
 
-The only effect is ``l1.hits += (load sectors of O)``, so
-:func:`repro.gpu.memory.issue_warp_patterns` adds those hits instead of
-replaying (``sim.fastpath.collapsed_issues``).  The last issue lives on
-the :class:`~repro.gpu.memory.MemoryHierarchy`; ``end_block`` and
-``warp_access`` clear it.  Row-per-lane loops (softmax and reduction rows
-where each lane reads along its own row) repeat their previous issue for
-most iterations: every lane stays in one sector for ``sector / element``
-iterations.
-
-Statement loops.  A sequential loop segment whose live children are all
-statement calls, with lane-invariant bounds, is issued by one routine
-(:meth:`_FastSimulator._issue_calls`; a lone scalar issue, and a mapped
-loop body made of statement calls, are its one-value cases).  Per value of the loop
-variable it issues every live call in turn.  Each access's address steps
-by its stride on the loop variable, so its residue modulo the sector —
-and with it the warp signature and pattern — repeats with a period
-dividing the sector size, while its base sector advances by a fixed
-amount per period; the calls' joint period is the least common multiple
-of theirs, again a divisor of the sector size.  The first joint period
-does the pattern lookups of single issues; later iterations reuse its
-patterns, counting the same memo hits and costs, and only drive the
-hierarchy, call after call.
+The only effect is ``l1.hits += (load sectors of O)``, so the replay adds
+those hits instead (``sim.fastpath.collapsed_issues``).  Whether an issue
+repeats the one before is decided once per slot, not per issue: slot
+``k`` at cycle ``c`` equals slot ``k - 1`` at cycle ``c`` (slot 0: the
+last slot at cycle ``c - 1``) when the lengths, patterns and
+``is_write`` agree and every base satisfies ``base + c·advance ==
+prev_base + (c - shift)·prev_advance`` — linear in ``c``, so true for
+every cycle, no cycle, or exactly one.  A loop's issue 0 compares
+against the issue before the loop, which the hierarchy keeps as
+``last_issue``; ``end_block`` and ``warp_access`` clear it.  Row-per-lane
+loops (softmax and reduction rows where each lane reads along its own
+row) repeat their previous issue for most iterations: every lane stays
+in one sector for ``sector / element`` iterations.
 
 Loop segment plans.  Fused operators lower to *union* loops: polyhedral
 code generation without loop separation emits one loop over the union of
@@ -115,7 +128,7 @@ from __future__ import annotations
 import math
 
 from repro.codegen.ast import Guard, Loop, Seq, StatementCall, walk
-from repro.gpu.memory import issue_warp_patterns
+from repro.gpu.memory import replay_issues
 from repro.gpu.simulator import _Simulator
 
 
@@ -144,6 +157,9 @@ class _WarpPattern:
 
 
 _UNSET = object()
+
+# Statement loops replayed per call to `replay_issues`, at most.
+_LOOP_BATCH = 64
 
 
 # Normalized exact conditions (see `_normalized_condition`).
@@ -344,6 +360,9 @@ class _FastSimulator(_Simulator):
         self.access_cache = state.access_cache
         self.bound_cache = state.bound_cache
         self.cond_cache = state.cond_cache
+        # Statement loops issued but not yet replayed, in issue order:
+        # ``(slots, n_issues)`` each (see `_issue_calls`).
+        self._loops: list = []
         # Per-warp state installed by run_block.
         self._env: dict = {}
         self._digits: dict = {}
@@ -419,6 +438,21 @@ class _FastSimulator(_Simulator):
                 env[dim.loop_var] = 0
             self._env = env
             self._frun(self.mapped.ast, (1 << n_lanes) - 1)
+        self._replay_loops()
+
+    def _queue_loop(self, slots, n_issues: int) -> None:
+        """Queue one statement loop for :meth:`_replay_loops`.  Nothing
+        reads the cache state before the block ends, so loops are
+        replayed in batches, in order: one call per batch instead of one
+        per loop, with the queue kept short."""
+        loops = self._loops
+        loops.append((slots, n_issues))
+        if len(loops) >= _LOOP_BATCH:
+            self._replay_loops()
+
+    def _replay_loops(self) -> None:
+        self.collapsed_issues += replay_issues(self.memory, self._loops)
+        self._loops.clear()
 
     def _frun(self, node, mask: int) -> None:
         if isinstance(node, Guard):
@@ -832,8 +866,9 @@ class _FastSimulator(_Simulator):
         The first ``period`` steps — the least common multiple of the
         calls' residue periods, a divisor of the sector size — do the
         pattern lookups and costs of single issues; every later step
-        repeats the lookups, costs and patterns of its phase, and
-        :meth:`_issue_steps` drives the hierarchy with them."""
+        repeats the lookups, costs and patterns of its phase.  Those
+        steps' issues are the slot table of one statement loop, which
+        joins the block's queue for :meth:`run_block` to replay."""
         if not mask:
             return
         env = self._env
@@ -850,20 +885,24 @@ class _FastSimulator(_Simulator):
                 period = math.lcm(period, plan[2])
         n_phases = period if period < count else count
         full, rest = divmod(count, n_phases)
-        # Within one period every issue is its own slot and drives the
-        # hierarchy at once (lookups touch no cache state); otherwise the
-        # first period's slots are kept, in issue order: (operations,
-        # sectors, load sectors, strides) each.  A call without memory
+        # The first period's issues, in issue order, are the slots every
+        # later period repeats with advanced base sectors: (operations,
+        # advances, sectors, load sectors) each.  A call without memory
         # operations leaves the hierarchy alone.
-        one_pass = n_phases == count
-        memory = self.memory
-        order = []
+        if n_phases < count:
+            advances = [tuple([stride * period // sector
+                               for stride in plan[3]]) for plan in plans]
+        else:
+            # One pass issues every slot once, at cycle 0, where no
+            # advance applies: the strides stand in.
+            advances = [plan[3] for plan in plans]
+        slots = []
         memo_hits = cycles = sectors = 0
         for step in range(n_phases):
             # This phase's steps: `full` periods plus the remainder.
             times = full + (step < rest)
-            for (lane_var, lane_value, _, _), (entries, _, _, strides) \
-                    in zip(runs, plans):
+            for (lane_var, lane_value, _, _), (entries, _, _, _), advance \
+                    in zip(runs, plans, advances):
                 if lane_var is not None:
                     env[lane_var] = lane_value
                 ops = []
@@ -886,16 +925,10 @@ class _FastSimulator(_Simulator):
                         loads += n_sectors
                 cycles += step_cycles * times
                 sectors += step_sectors * times
-                if not ops:
-                    continue
-                if not one_pass:
-                    order.append((tuple(ops), step_sectors, loads, strides))
-                elif issue_warp_patterns(memory, tuple(ops), step_sectors,
-                                         loads):
-                    self.collapsed_issues += 1
-        if order:
-            self.collapsed_issues += self._issue_steps(
-                order, period, len(order) * count // n_phases)
+                if ops:
+                    slots.append((tuple(ops), advance, step_sectors, loads))
+        if slots:
+            self._queue_loop(slots, len(slots) * count // n_phases)
         n_active = mask.bit_count()
         for (_, _, call, _), (entries, requested, _, _) in zip(runs, plans):
             memo_hits += (count - n_phases) * len(entries)
@@ -909,48 +942,6 @@ class _FastSimulator(_Simulator):
         self.scalar_issues += count * len(runs)
         self.sectors += sectors
         self.issue_cycles += cycles
-
-    def _issue_steps(self, order, period: int, n_issues: int) -> int:
-        """Drive the hierarchy with ``n_issues`` statement issues that
-        cycle through the slots ``order`` of the first ``period`` steps
-        (see :meth:`_issue_calls`) and return how many collapsed.  Issue
-        ``cycle * len(order) + index`` issues its slot's operations with
-        each base sector advanced by ``cycle * stride * period // sector``;
-        an issue known to repeat the issue before passes the same
-        operations object again, which
-        :func:`~repro.gpu.memory.issue_warp_patterns` compares by identity
-        first."""
-        memory = self.memory
-        sector = self._sector
-        n_slots = len(order)
-        advances = [tuple(stride * period // sector for stride in slot[3])
-                    for slot in order]
-        # Which issues repeat the issue before: within a period, when the
-        # slots' operations and advances are equal; across a period
-        # boundary, when the first slot's operations, advanced, equal the
-        # last slot's.
-        repeats = [advances[0] == advances[-1] and order[-1][0] == tuple(
-            (base + advance, pattern, is_write)
-            for (base, pattern, is_write), advance
-            in zip(order[0][0], advances[0]))]
-        repeats += [order[index][0] == order[index - 1][0]
-                    and advances[index] == advances[index - 1]
-                    for index in range(1, n_slots)]
-        collapsed = 0
-        previous = None
-        for issue in range(n_issues):
-            cycle, index = divmod(issue, n_slots)
-            ops, sectors, loads, _ = order[index]
-            if issue and repeats[index]:
-                ops = previous
-            elif cycle:
-                ops = tuple((base + cycle * advance, pattern, is_write)
-                            for (base, pattern, is_write), advance
-                            in zip(ops, advances[index]))
-            if issue_warp_patterns(memory, ops, sectors, loads):
-                collapsed += 1
-            previous = ops
-        return collapsed
 
     def _fissue_vector(self, call: StatementCall, mask: int,
                        var: str, width: int) -> None:
@@ -983,8 +974,8 @@ class _FastSimulator(_Simulator):
                 sectors += pattern.n_sectors
                 if not is_write:
                     loads += pattern.n_sectors
-            if issue_warp_patterns(self.memory, tuple(ops), sectors, loads):
-                self.collapsed_issues += 1
+            self._queue_loop(((tuple(ops), (0,) * len(ops), sectors, loads),),
+                             1)
         # Computation stays scalar: `width` iterations of flops.
         flops = call.statement.flops
         self.arith_instrs += flops * width
@@ -1013,8 +1004,8 @@ class _FastSimulator(_Simulator):
     def _new_pattern(self, key: tuple, off) -> _WarpPattern:
         """Build and memoize the pattern of signature ``key``, canonical
         by content: signatures with equal sector sequences share one
-        object, so :func:`~repro.gpu.memory.issue_warp_patterns` compares
-        them by identity."""
+        object, so :func:`~repro.gpu.memory.replay_issues` compares them
+        by identity."""
         _, res, n_bytes, mask = key
         pattern = self._build_pattern(off, res, n_bytes, mask)
         pattern = self._pattern_contents.setdefault(

@@ -26,6 +26,7 @@ captured by ``sectors_touched`` independently of cache hits.
 
 from __future__ import annotations
 
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import compress
@@ -106,9 +107,9 @@ class MemoryHierarchy:
         self.sector_bytes = sector_bytes
         self.dram_reads = 0
         self.dram_writes = 0
-        # The sector operations of the last statement issue, as
-        # :func:`issue_warp_patterns` replayed them; ``None`` once any
-        # other memory operation (or the end of a block) intervenes.
+        # The sector operations of the last statement issue
+        # :func:`replay_issues` drove; ``None`` once any other memory
+        # operation (or the end of a block) intervenes.
         self.last_issue: Optional[tuple] = None
 
     # -- sector operations ---------------------------------------------------
@@ -192,28 +193,88 @@ def warp_access(memory: MemoryHierarchy,
     return WarpAccessResult(len(sectors), requested)
 
 
-def replay_warp_pattern(memory: MemoryHierarchy, base_sector: int,
-                        write_sequence: Iterable[int],
-                        sorted_sectors: Iterable[int],
-                        is_write: bool) -> None:
-    """Drive the hierarchy with a memoized warp sector pattern, exactly as
-    :func:`warp_access` would for the equivalent lane ranges.
+_NEVER = sys.maxsize  # a cycle no statement loop reaches
 
-    The fast interpreter (:mod:`repro.gpu.fastpath`) memoizes per-warp
-    sector patterns *relative to the base sector* and replays them here.
-    The replay must reproduce :func:`warp_access`'s sector-operation
-    sequence byte for byte, because the LRU caches are order-sensitive:
 
-    * **writes** iterate the raw Python ``set`` above, whose iteration
-      order depends on the inserted values *and* the insertion sequence —
-      so the replay rebuilds an equivalent set by inserting the identical
-      value sequence (``write_sequence`` holds the relative sectors in the
-      order the per-lane ``update(range(first, last + 1))`` calls insert
-      them: lane order, ascending within a lane, duplicates preserved —
-      duplicate inserts are no-ops in both constructions);
-    * **reads** iterate ``sorted(sectors)``, which is value-deterministic,
-      so the replay streams the memoized ``sorted_sectors`` (relative,
-      deduplicated, ascending) directly without building a set at all.
+def _repeat_cycles(ops, advances, prev_ops, prev_advances,
+                   shift: int) -> tuple[int, int]:
+    """``(first, only)``: a slot's issue at cycle ``c`` equals the issue
+    before it exactly when ``c >= first`` or ``c == only``.
+
+    The slot issues ``ops`` with each base sector advanced by ``c *
+    advance``, and the issue before is ``prev_ops`` at cycle ``c -
+    shift``.  They are equal when they have the same length, the same
+    patterns (by identity) and ``is_write``, and every operation has
+    ``base + c*advance == prev_base + (c - shift)*prev_advance``.  That
+    equation is linear in ``c``: true for every cycle, for none, or for
+    exactly one.  So the conjunction holds for every cycle from ``shift``
+    on, for none, or for one."""
+    never = (_NEVER, -1)
+    if not shift and advances == prev_advances:
+        # Every slope is zero: equal at every cycle or at none.
+        return (0, -1) if ops == prev_ops else never
+    if len(ops) != len(prev_ops):
+        return never
+    only = -1
+    for (base, pattern, is_write), advance, \
+            (prev_base, prev_pattern, prev_write), prev_advance \
+            in zip(ops, advances, prev_ops, prev_advances):
+        if pattern is not prev_pattern or is_write != prev_write:
+            return never
+        gap = base - prev_base + shift * prev_advance
+        slope = advance - prev_advance
+        if slope:
+            cycle, remainder = divmod(-gap, slope)
+            if remainder or cycle < shift or only not in (-1, cycle):
+                return never
+            only = cycle
+        elif gap:
+            return never
+    return (shift, -1) if only < 0 else (_NEVER, only)
+
+
+def replay_issues(memory: MemoryHierarchy, loops) -> int:
+    """Drive the hierarchy with the statement issues of ``loops``, in
+    order, exactly as :func:`warp_access` would per warp instruction, and
+    return how many issues collapsed.
+
+    A statement loop is ``(slots, n_issues)``, ``n_issues >= 1``; ``slots``
+    lists ``(ops, advances, n_sectors, load_sectors)`` per slot.  The
+    loop's issues cycle through the slots in turn: issue ``cycle *
+    len(slots) + index`` issues slot ``index``'s operations ``ops`` —
+    ``(base sector, pattern, is_write)`` per warp instruction, in issue
+    order — with each base sector advanced by ``cycle * advance``.  A
+    pattern carries the ``write_seq``, ``sorted_rels`` and ``n_sectors``
+    of a memoized warp sector pattern, relative to the base sector.
+    Patterns compare by identity, so only patterns canonical by content
+    (equal sector sequences, one object) let every repeat be recognized.
+    ``n_sectors`` sums a slot's pattern sectors and ``load_sectors`` those
+    of its loads.
+
+    The sector operations are :func:`warp_access`'s, in its order,
+    because the LRU caches are order-sensitive.  Reads iterate
+    ``sorted(sectors)``, which depends on the values only, so they stream
+    ``sorted_rels``.  Writes iterate a raw ``set``, whose order depends on
+    the inserted values and the insertion sequence: a multi-sector write
+    rebuilds an equal set by inserting the same value sequence
+    (``write_seq``: lane order, ascending within a lane, duplicates
+    kept), and a one-sector write has only one order.  The L1 and L2
+    operations are the ``load_sector``/``store_sector`` method chains,
+    inlined, with the counters kept in locals until the end.
+
+    Collapse.  Take an issue equal to the issue before it (for a loop's
+    issue 0, the previous loop's last issue or ``memory.last_issue``: no
+    memory operation in between) whose patterns sum to at most
+    ``l1.capacity_sectors``.  After the previous issue every sector of it
+    is among the most recently used L1 sectors, in last-touch order:
+    evicting one would take more distinct sectors than the capacity.  So
+    replaying it, every operation hits; hits only reorder those sectors,
+    back into their last-touch order; every stored sector is already
+    dirty; and L2 and DRAM are never reached.  The collapse only adds the
+    load sectors to ``l1.hits``.  Whether a slot's issue repeats the one
+    before is decided once per slot, for every cycle
+    (:func:`_repeat_cycles`).  ``memory.last_issue`` ends equal to the
+    final issue's operations.
     """
     l1 = memory.l1
     l2 = memory.l2
@@ -221,94 +282,127 @@ def replay_warp_pattern(memory: MemoryHierarchy, base_sector: int,
     l2_sectors = l2._sectors
     l1_cap = l1.capacity_sectors
     l2_cap = l2.capacity_sectors
-    if is_write:
-        sectors = set([base_sector + rel for rel in write_sequence])
-        # Inlined store_sector -> l1.store -> _l2_store chain: the same
-        # OrderedDict mutations and counter updates in the same order,
-        # without per-sector call frames (`store` keeps no hit counters).
-        for sector in sectors:
-            if sector in l1_sectors:
-                l1_sectors[sector] = True
-                l1_sectors.move_to_end(sector)
+    l1_touch = l1_sectors.move_to_end
+    l2_touch = l2_sectors.move_to_end
+    l1_evict = l1_sectors.popitem
+    l2_evict = l2_sectors.popitem
+    # Every load sector probes L1, and every L1 miss probes L2 and, when
+    # it misses there too, reads DRAM: only misses need counting.  The
+    # cache sizes are tracked here rather than asked for.
+    loaded = l1_misses = l2_misses = writes = collapsed = 0
+    l1_size = len(l1_sectors)
+    l2_size = len(l2_sectors)
+    last = memory.last_issue
+    for slots, n_issues in loops:
+        ops, advances, n_sectors, loads = slots[0]
+        skip = ops == last and n_sectors <= l1_cap
+        if skip:
+            # Issue 0 repeats the issue before the loop.
+            loaded += loads
+            collapsed += 1
+            if n_issues == 1:
                 continue
-            l1_sectors[sector] = True
-            if len(l1_sectors) > l1_cap:
-                victim, was_dirty = l1_sectors.popitem(last=False)
-                if was_dirty:
-                    if victim in l2_sectors:
-                        l2_sectors[victim] = True
-                        l2_sectors.move_to_end(victim)
+        n_slots = len(slots)
+        # Per slot: (ops, advances, load sectors, first, only).
+        if n_issues == 1:
+            table = ((ops, advances, loads, _NEVER, -1),)
+        else:
+            table = []
+            prev_ops, prev_advances, _, _ = slots[-1]
+            # Slot 0 follows the last slot of the cycle before, from cycle
+            # 1 on; within one cycle only equality at cycle 0 matters.
+            shift = 1
+            wraps = n_issues > n_slots
+            for ops, advances, n_sectors, loads in slots:
+                if n_sectors > l1_cap or (shift and not wraps):
+                    table.append((ops, advances, loads, _NEVER, -1))
+                elif wraps:
+                    table.append((ops, advances, loads) + _repeat_cycles(
+                        ops, advances, prev_ops, prev_advances, shift))
+                else:
+                    table.append((ops, advances, loads,
+                                  0 if ops == prev_ops else _NEVER, -1))
+                prev_ops, prev_advances = ops, advances
+                shift = 0
+        full, rest = divmod(n_issues, n_slots)
+        for cycle in range(full + (rest > 0)):
+            rows = table if cycle < full else table[:rest]
+            if skip and not cycle:
+                rows = rows[1:]
+            for ops, advances, loads, first, only in rows:
+                loaded += loads
+                if cycle >= first or cycle == only:
+                    collapsed += 1
+                    continue
+                for (base, pattern, is_write), advance in zip(ops, advances):
+                    if cycle:
+                        base += cycle * advance
+                    if not is_write:
+                        for rel in pattern.sorted_rels:
+                            sector = base + rel
+                            if sector in l1_sectors:
+                                l1_touch(sector)
+                                continue
+                            l1_misses += 1
+                            l1_sectors[sector] = False
+                            if l1_size < l1_cap:
+                                l1_size += 1
+                            else:
+                                victim, dirty = l1_evict(last=False)
+                                if dirty:
+                                    if victim in l2_sectors:
+                                        l2_touch(victim)
+                                        l2_sectors[victim] = True
+                                    else:
+                                        l2_sectors[victim] = True
+                                        if l2_size < l2_cap:
+                                            l2_size += 1
+                                        elif l2_evict(last=False)[1]:
+                                            writes += 1
+                            if sector in l2_sectors:
+                                l2_touch(sector)
+                                continue
+                            l2_misses += 1
+                            l2_sectors[sector] = False
+                            if l2_size < l2_cap:
+                                l2_size += 1
+                            elif l2_evict(last=False)[1]:
+                                writes += 1
+                        continue
+                    if pattern.n_sectors > 1:
+                        sectors = set([base + rel for rel in pattern.write_seq])
                     else:
-                        l2_sectors[victim] = True
-                        if len(l2_sectors) > l2_cap:
-                            l2_victim, l2_dirty = l2_sectors.popitem(last=False)
-                            if l2_dirty:
-                                memory.dram_writes += 1
-    else:
-        # Inlined load_sector: L1 probe/insert/evict, dirty spill to L2,
-        # then the L2 probe — the exact sequence of the method chain.
-        for rel in sorted_sectors:
-            sector = base_sector + rel
-            if sector in l1_sectors:
-                l1_sectors.move_to_end(sector)
-                l1.hits += 1
-                continue
-            l1.misses += 1
-            l1_sectors[sector] = False
-            if len(l1_sectors) > l1_cap:
-                victim, was_dirty = l1_sectors.popitem(last=False)
-                if was_dirty:
-                    if victim in l2_sectors:
-                        l2_sectors[victim] = True
-                        l2_sectors.move_to_end(victim)
-                    else:
-                        l2_sectors[victim] = True
-                        if len(l2_sectors) > l2_cap:
-                            l2_victim, l2_dirty = l2_sectors.popitem(last=False)
-                            if l2_dirty:
-                                memory.dram_writes += 1
-            if sector in l2_sectors:
-                l2_sectors.move_to_end(sector)
-                l2.hits += 1
-            else:
-                l2.misses += 1
-                l2_sectors[sector] = False
-                if len(l2_sectors) > l2_cap:
-                    l2_victim, l2_dirty = l2_sectors.popitem(last=False)
-                    if l2_dirty:
-                        memory.dram_writes += 1
-                memory.dram_reads += 1
-
-
-def issue_warp_patterns(memory: MemoryHierarchy, ops: tuple,
-                        n_sectors: int, load_sectors: int) -> bool:
-    """Drive the hierarchy with one statement issue's warp instructions,
-    or skip the replay when it provably changes nothing but one counter.
-
-    ``ops`` lists ``(base_sector, pattern, is_write)`` per instruction, in
-    issue order; each ``pattern`` carries the ``write_seq``,
-    ``sorted_rels`` and ``n_sectors`` of :func:`replay_warp_pattern`.
-    Patterns compare by identity, so only patterns canonical by content
-    (equal sector sequences, one object) let every repeat be recognized.
-    ``n_sectors`` sums the patterns' sectors and ``load_sectors`` those of
-    the loads.
-
-    When ``ops`` equals the previous issue (``memory.last_issue``: no
-    memory operation in between) and ``n_sectors`` is at most
-    ``l1.capacity_sectors``, the replay would only hit.  After the
-    previous issue every sector of ``ops`` is among the most recently
-    used L1 sectors, in last-touch order: evicting one would take more
-    distinct sectors than the capacity.  So every operation hits; hits
-    only reorder those sectors, back into their last-touch order; every
-    stored sector is already dirty; and L2 and DRAM are never reached.
-    The collapse adds the load hits and returns ``True``.  Otherwise
-    every instruction is replayed and ``False`` is returned.
-    """
-    if ops == memory.last_issue and n_sectors <= memory.l1.capacity_sectors:
-        memory.l1.hits += load_sectors
-        return True
-    for base_sector, pattern, is_write in ops:
-        replay_warp_pattern(memory, base_sector, pattern.write_seq,
-                            pattern.sorted_rels, is_write)
-    memory.last_issue = ops
-    return False
+                        sectors = (base + pattern.sorted_rels[0],)
+                    for sector in sectors:
+                        if sector in l1_sectors:
+                            l1_touch(sector)
+                            l1_sectors[sector] = True
+                            continue
+                        l1_sectors[sector] = True
+                        if l1_size < l1_cap:
+                            l1_size += 1
+                            continue
+                        victim, dirty = l1_evict(last=False)
+                        if dirty:
+                            if victim in l2_sectors:
+                                l2_touch(victim)
+                                l2_sectors[victim] = True
+                            else:
+                                l2_sectors[victim] = True
+                                if l2_size < l2_cap:
+                                    l2_size += 1
+                                elif l2_evict(last=False)[1]:
+                                    writes += 1
+        cycle, index = divmod(n_issues - 1, n_slots)
+        ops, advances, _, _ = slots[index]
+        last = ops if not cycle else tuple(
+            (base + cycle * advance, pattern, is_write)
+            for (base, pattern, is_write), advance in zip(ops, advances))
+    l1.hits += loaded - l1_misses
+    l1.misses += l1_misses
+    l2.hits += l1_misses - l2_misses
+    l2.misses += l2_misses
+    memory.dram_reads += l2_misses
+    memory.dram_writes += writes
+    memory.last_issue = last
+    return collapsed

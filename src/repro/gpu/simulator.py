@@ -166,10 +166,12 @@ class _Simulator:
         self.kernel = mapped.kernel
         self.params = {p: int(v) for p, v in self.kernel.params.items()}
         # The real L2 is shared by every concurrently resident block; a
-        # sampled consecutive run only owns its proportional share.
+        # sampled consecutive run only owns its proportional share, and
+        # a run longer than the resident blocks no more than the whole L2.
         concurrent = max(1, min(mapped.n_blocks, 2 * arch.sm_count))
-        effective_l2 = max(arch.sector_bytes * 64,
-                           int(arch.l2_bytes * sampled_blocks / concurrent))
+        effective_l2 = min(arch.l2_bytes, max(
+            arch.sector_bytes * 64,
+            int(arch.l2_bytes * sampled_blocks / concurrent)))
         self.memory = MemoryHierarchy(arch.l1_bytes, effective_l2,
                                       arch.sector_bytes)
         self.bases = self._assign_bases()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.gpu.memory import (
     MemoryHierarchy,
     SectorCache,
-    issue_warp_patterns,
+    replay_issues,
     warp_access,
 )
 
@@ -214,10 +214,18 @@ def _warp_op(lane_ranges, is_write, canonical, sector=32):
     return (base_sector, pattern, is_write)
 
 
-def _issue(m, ops):
+def _slot(ops, advances=None):
+    """A ``replay_issues`` slot: ``(ops, advances, sectors, load sectors)``."""
+    if advances is None:
+        advances = (0,) * len(ops)
     loads = sum(p.n_sectors for _, p, is_write in ops if not is_write)
-    return issue_warp_patterns(m, ops, sum(p.n_sectors for _, p, _ in ops),
-                               loads)
+    return (ops, tuple(advances), sum(p.n_sectors for _, p, _ in ops),
+            loads)
+
+
+def _issue(m, ops):
+    """Issue one statement once; ``True`` when the issue collapsed."""
+    return replay_issues(m, [([_slot(ops)], 1)]) == 1
 
 
 def _state(m):
@@ -226,51 +234,156 @@ def _state(m):
             list(m.l2._sectors.items()))
 
 
+SECTOR = 32
+# Lane ranges start here, so that any generated base advance keeps every
+# address non-negative.
+ORIGIN = 64 * SECTOR
+
 _INSTRUCTION = st.tuples(
-    st.lists(st.tuples(st.integers(0, 640), st.sampled_from([4, 8, 16])),
-             min_size=1, max_size=8),
+    st.one_of(
+        # Any lane ranges: mostly multi-sector patterns.
+        st.lists(st.tuples(st.integers(0, 640),
+                           st.sampled_from([4, 8, 16])),
+                 min_size=1, max_size=8),
+        # Lanes inside one sector: single-sector patterns.
+        st.integers(0, 20).flatmap(lambda s: st.lists(
+            st.tuples(st.just(s * SECTOR + 8), st.sampled_from([4, 8])),
+            min_size=1, max_size=4))),
     st.booleans())
 
+# A slot: "fresh" draws its own instructions; "same" copies the slot
+# before with its advances (equal at every cycle); "once" copies it with
+# the advances changed, so the two are equal at exactly one cycle.
+# Slot 0 may be "wrap": the last slot of the cycle before, equal at
+# exactly one cycle.  That cycle may come before the loop's first
+# cycle, when the two are equal at no cycle the loop issues.
+_SLOT = st.tuples(
+    st.sampled_from(["fresh", "fresh", "same", "once"]),
+    st.lists(_INSTRUCTION, min_size=1, max_size=3),
+    st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+    st.integers(-2, 3))
 
-@given(issues=st.lists(st.lists(_INSTRUCTION, min_size=1, max_size=3),
-                       min_size=1, max_size=4),
-       steps=st.lists(st.one_of(
-           st.tuples(st.integers(0, 3), st.integers(1, 4)),
-           st.just(None)), min_size=1, max_size=12),
+# A statement loop: its slots, whether slot 0 wraps, whether an issue of
+# its slot 0 comes just before it (0: no; 1: in a call of its own, so
+# that ``last_issue`` starts equal to slot 0; 2: as the loop before it in
+# the same call), and its number of issues.
+_LOOP = st.tuples(st.lists(_SLOT, min_size=1, max_size=4), st.booleans(),
+                  st.sampled_from([0, 1, 2]), st.integers(1, 14))
+
+# A call drives 1–3 statement loops; ``None`` ends the block.
+_CALL = st.one_of(st.lists(_LOOP, min_size=1, max_size=3), st.just(None))
+
+
+def _shifted(ranges, sectors):
+    return [(address + sectors * SECTOR, n_bytes)
+            for address, n_bytes in ranges]
+
+
+def _slot_table(slots, wrap):
+    """``[(instructions, advances)]`` of a drawn call, each instruction
+    ``(lane ranges, is_write)`` at cycle 0 and advances in sectors per
+    cycle."""
+    table = []
+    for kind, instructions, advances, cycle in slots:
+        if kind == "fresh" or not table:
+            table.append(([(_shifted(ranges, 0), is_write)
+                           for ranges, is_write in instructions],
+                          advances[:len(instructions)]))
+            continue
+        previous, prev_advances = table[-1]
+        if kind == "same":
+            table.append((previous, prev_advances))
+            continue
+        # base + c*(prev + delta) == prev base + c*prev  at c == cycle.
+        deltas = [1 if advance <= 0 else -1 for advance in prev_advances]
+        table.append(([(_shifted(ranges, -cycle * delta), is_write)
+                       for (ranges, is_write), delta
+                       in zip(previous, deltas)],
+                      [advance + delta for advance, delta
+                       in zip(prev_advances, deltas)]))
+    if wrap and len(table) > 1:
+        # Slot 0 at cycle c equals the last slot at cycle c - 1 only at
+        # c == cycle.
+        cycle = slots[0][3] + 1
+        last, last_advances = table[-1]
+        deltas = [1 if advance <= 0 else -1 for advance in last_advances]
+        table[0] = ([(_shifted(ranges, -advance - cycle * delta), is_write)
+                     for (ranges, is_write), advance, delta
+                     in zip(last, last_advances, deltas)],
+                    [advance + delta for advance, delta
+                     in zip(last_advances, deltas)])
+    return [([(_shifted(ranges, ORIGIN // SECTOR), is_write)
+              for ranges, is_write in instructions], advances)
+            for instructions, advances in table]
+
+
+@given(calls=st.lists(_CALL, min_size=1, max_size=5),
        l1=st.integers(2, 16), l2=st.integers(4, 24))
-@settings(max_examples=200, deadline=None)
-def test_issue_collapse_matches_warp_access(issues, steps, l1, l2):
-    """Property: collapsing exact repeats leaves the hierarchy exactly as
+@settings(max_examples=300, deadline=None)
+def test_issue_collapse_matches_warp_access(calls, l1, l2):
+    """Property: ``replay_issues`` leaves the hierarchy exactly as
     replaying every instruction through ``warp_access`` does — counters
-    and the ordered ``(sector, dirty)`` contents of both caches.  Steps
-    issue one statement several times in a row (``None`` ends a block);
-    issues larger than L1 always replay."""
-    reference = MemoryHierarchy(l1 * 32, l2 * 32, 32)
-    collapsing = MemoryHierarchy(l1 * 32, l2 * 32, 32)
+    and the ordered ``(sector, dirty)`` contents of both caches — and
+    ``last_issue`` equal to the final issue, after every call and after
+    ``end_kernel``.  It collapses exactly the issues that equal the issue
+    before and fit in L1.  Loops cycle 1–4 slots with advances of either
+    sign, slots equal to their predecessor at every cycle or at exactly
+    one, and issues larger than L1; a loop may follow an issue of its own
+    slot 0, in the same call or before it."""
+    reference = MemoryHierarchy(l1 * SECTOR, l2 * SECTOR, SECTOR)
+    batched = MemoryHierarchy(l1 * SECTOR, l2 * SECTOR, SECTOR)
     canonical = {}
-    previous = None
-    for step in steps:
-        if step is None:
+    previous = None  # the last issue's operations
+    expected = 0     # collapses by the per-issue rule, this call
+
+    def issue_all(table, rows, n_issues):
+        """Replay a loop through ``warp_access``; count its collapses."""
+        nonlocal previous, expected
+        for issue in range(n_issues):
+            cycle, index = divmod(issue, len(rows))
+            instructions, advances = table[index]
+            ops, _, n_sectors, _ = rows[index]
+            for (ranges, is_write), advance in zip(instructions, advances):
+                warp_access(reference, _shifted(ranges, cycle * advance),
+                            is_write)
+            ops = tuple((base + cycle * advance, pattern, is_write)
+                        for (base, pattern, is_write), advance
+                        in zip(ops, advances))
+            # The per-issue rule: equal to the issue before, fits in L1.
+            expected += ops == previous and n_sectors <= l1
+            previous = ops
+        return (rows, n_issues)
+
+    def check(loops):
+        nonlocal expected
+        assert replay_issues(batched, loops) == expected
+        assert _state(batched) == _state(reference)
+        assert batched.last_issue == previous
+        expected = 0
+
+    for call in calls:
+        if call is None:
             reference.end_block()
-            collapsing.end_block()
+            batched.end_block()
             previous = None
             continue
-        index, repeats = step
-        issue = issues[index % len(issues)]
-        ops = tuple(_warp_op(ranges, is_write, canonical)
-                    for ranges, is_write in issue)
-        for _ in range(repeats):
-            for ranges, is_write in issue:
-                warp_access(reference, ranges, is_write)
-            collapsed = _issue(collapsing, ops)
-            if collapsed:
-                assert ops == previous
-                assert sum(p.n_sectors for _, p, _ in ops) <= l1
-            previous = ops
-            assert _state(collapsing) == _state(reference)
+        loops = []
+        for slots, wrap, prime, n_issues in call:
+            table = _slot_table(slots, wrap)
+            rows = [_slot(tuple(_warp_op(ranges, is_write, canonical)
+                                for ranges, is_write in instructions),
+                          advances)
+                    for instructions, advances in table]
+            if prime == 1 and not loops:
+                check([issue_all(table[:1], rows[:1], 1)])
+            elif prime:
+                loops.append(issue_all(table[:1], rows[:1], 1))
+            loops.append(issue_all(table, rows, n_issues))
+        check(loops)
     reference.end_kernel()
-    collapsing.end_kernel()
-    assert _state(collapsing) == _state(reference)
+    batched.end_kernel()
+    assert _state(batched) == _state(reference)
+    assert batched.last_issue is None
 
 
 def test_issue_collapse_fires_and_end_block_clears_it():

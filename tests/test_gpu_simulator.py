@@ -5,7 +5,7 @@ import pytest
 from repro.codegen import generate_ast, map_to_gpu, vectorize
 from repro.gpu import V100, simulate_kernel
 from repro.gpu.arch import GpuArch
-from repro.gpu.simulator import _sample_block_ids
+from repro.gpu.simulator import _sample_block_ids, _Simulator
 from repro.influence import build_influence_tree
 from repro.ir import Kernel
 from repro.ir.examples import elementwise_chain
@@ -43,6 +43,15 @@ class TestSampling:
         assert warmup == 1
         assert len(ids) == 5
         assert ids == list(range(ids[0], ids[0] + 5))
+
+    def test_window_l2_share_capped_at_physical_l2(self):
+        """A sampled window longer than the resident blocks owns no more
+        than the whole L2."""
+        mapped = compile_mapped(copy_kernel(1024, 64))
+        assert mapped.n_blocks >= 1024
+        sim = _Simulator(mapped, V100, sampled_blocks=513)
+        l2 = sim.memory.l2
+        assert l2.capacity_sectors * l2.sector_bytes <= V100.l2_bytes
 
 
 class TestCopyKernel:
